@@ -8,6 +8,7 @@ pub mod figures;
 pub mod fingerprints;
 pub mod policy;
 pub mod robustness;
+pub mod scaling;
 pub mod static_analysis;
 pub mod table1;
 pub mod variants;
@@ -40,6 +41,7 @@ pub fn entries() -> Vec<(&'static str, ScenarioFn)> {
         ("ablation", ablation::run),
         ("corpus", corpus::run),
         ("robustness", robustness::run),
+        ("scaling", scaling::run),
         ("static_analysis", static_analysis::run),
     ]
 }

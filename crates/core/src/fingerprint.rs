@@ -94,17 +94,23 @@ pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
         .iter()
         .filter_map(|cfg| fingerprint_one(conn, cfg))
         .collect();
-    results.sort_by(|a, b| {
-        a.fit.cmp(&b.fit).then_with(|| match a.fit {
-            FitClass::ClearlyIncorrect => a.analysis.hard_issues().cmp(&b.analysis.hard_issues()),
-            _ => {
-                let ma = a.analysis.response_delays.mean().unwrap_or(Duration::ZERO);
-                let mb = b.analysis.response_delays.mean().unwrap_or(Duration::ZERO);
-                ma.cmp(&mb)
-            }
-        })
-    });
+    // Stable: equal keys keep `all_profiles()` order.
+    results.sort_by_cached_key(rank_key);
     results
+}
+
+/// A result's sort key, computed once per result (the mean is a pass over
+/// every response delay): fit class, then hard issues for clearly
+/// incorrect fits or mean response delay for the others.
+fn rank_key(r: &FingerprintResult) -> (FitClass, usize, Duration) {
+    match r.fit {
+        FitClass::ClearlyIncorrect => (r.fit, r.analysis.hard_issues(), Duration::ZERO),
+        _ => (
+            r.fit,
+            0,
+            r.analysis.response_delays.mean().unwrap_or(Duration::ZERO),
+        ),
+    }
 }
 
 /// Names of the candidates classified close.

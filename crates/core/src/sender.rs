@@ -30,7 +30,7 @@
 use tcpa_tcpsim::config::{FastRecovery, QuenchResponse, TcpConfig};
 use tcpa_tcpsim::congestion::CcState;
 use tcpa_tcpsim::rtt::RttEstimator;
-use tcpa_trace::{Connection, Dir, Duration, Summary, Time, TraceRecord};
+use tcpa_trace::{Connection, Dir, Duration, RunningMedian, Summary, Time, TraceRecord};
 use tcpa_wire::SeqNum;
 
 /// How far apart a cause and effect may be recorded and still be
@@ -172,6 +172,9 @@ struct Prescan {
     max_in_flight: i64,
     final_data_end: SeqNum,
     have_handshake: bool,
+    /// Data and FIN segments the sender sent: a bound on the entries of
+    /// each per-segment map the replay keeps.
+    segments_sent: usize,
 }
 
 fn prescan(conn: &Connection) -> Option<Prescan> {
@@ -183,6 +186,7 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
     let mut snd_hi: Option<SeqNum> = None;
     let mut last_ack: Option<SeqNum> = None;
     let mut max_in_flight: i64 = 0;
+    let mut segments_sent = 0;
 
     for (dir, rec) in &conn.records {
         match dir {
@@ -191,6 +195,7 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
                     iss = Some(rec.tcp.seq);
                 }
                 if rec.is_data() || rec.tcp.flags.fin() {
+                    segments_sent += 1;
                     let hi = rec.seq_hi();
                     snd_hi = Some(match snd_hi {
                         Some(h) => h.max(hi),
@@ -241,6 +246,7 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
         max_in_flight,
         final_data_end: snd_hi.unwrap_or(first_data_seq),
         have_handshake,
+        segments_sent,
     })
 }
 
@@ -280,12 +286,33 @@ struct Liberation {
     permit: SeqNum,
 }
 
+/// The earliest liberation whose permit covers `hi`, skipping those at or
+/// before `lib_floor` (unless the floor is unset, `Time(i64::MIN)`).
+///
+/// `liberations` holds strictly increasing permits (`push_liberation`
+/// appends only a permit `after` the last), so the covering entries are a
+/// suffix and binary search finds where it starts. This holds while the
+/// permits and `hi` lie within half the sequence space of each other,
+/// the same bound the modular comparisons themselves need.
+fn first_liberation(liberations: &[Liberation], hi: SeqNum, lib_floor: Time) -> Option<Liberation> {
+    let start = liberations.partition_point(|l| l.permit.before(hi));
+    liberations
+        .iter()
+        .skip(start)
+        .find(|l| l.at > lib_floor || lib_floor == Time(i64::MIN))
+        .copied()
+}
+
 /// How far back in time a retransmission may be explained by *stale*
 /// state — the §3.2 vantage ambiguity: the TCP may still be responding to
 /// an earlier packet while later ones have already been recorded by the
 /// filter ("in general it is insufficient … to only remember the most
 /// recently received packet", §6.1).
 const LOOKBEHIND: Duration = Duration::from_millis(15);
+
+/// Send times per segment boundary, keyed by the raw sequence number.
+// tcpa-lint: allow(determinism-hazards) -- read by exact key and never iterated, so hash order cannot reach any output; an ordered map's per-packet descent grew replay cost with trace length
+type SendTimes = std::collections::HashMap<u32, Time>;
 
 /// Snapshot of the retransmission-relevant state, taken before each
 /// incoming ack is processed, enabling the look-behind (§4: "-packet
@@ -317,7 +344,7 @@ struct Replay<'a> {
     lib_floor: Time,
     last_liberating_ack: Option<Time>,
     /// Last transmission time per segment start (for RTO plausibility).
-    last_sent: std::collections::BTreeMap<u32, Time>,
+    last_sent: SendTimes,
     /// Go-back-N refill pointer after a window collapse.
     resend_ptr: Option<SeqNum>,
     /// Active burst-retransmission window.
@@ -358,7 +385,10 @@ struct Replay<'a> {
     /// before the inferred quench.
     pre_quench_cwnd: u64,
     rtt_estimate: Option<Duration>,
-    first_send_time: std::collections::BTreeMap<u32, Time>,
+    first_send_time: SendTimes,
+    /// Running median of `analysis.response_delays`, the baseline that
+    /// makes a response delay suspect.
+    delay_median: RunningMedian,
 
     analysis: SenderAnalysis,
     sender_window_evidence: usize,
@@ -389,7 +419,8 @@ fn replay(
         liberations: Vec::new(),
         lib_floor: Time(i64::MIN),
         last_liberating_ack: None,
-        last_sent: std::collections::BTreeMap::new(),
+        // Sized once, so neither map rehashes during the replay.
+        last_sent: SendTimes::with_capacity(pre.segments_sent),
         resend_ptr: None,
         burst_until: None,
         fast_retx_armed: false,
@@ -405,7 +436,8 @@ fn replay(
         quench_resync_until: None,
         pre_quench_cwnd: 0,
         rtt_estimate: None,
-        first_send_time: std::collections::BTreeMap::new(),
+        first_send_time: SendTimes::with_capacity(pre.segments_sent),
+        delay_median: RunningMedian::new(),
         analysis: SenderAnalysis {
             config_name: cfg.name,
             response_delays: Summary::new(),
@@ -466,6 +498,12 @@ impl<'a> Replay<'a> {
             Some(last) if !permit.after(last.permit) => {}
             _ => self.liberations.push(Liberation { at, permit }),
         }
+    }
+
+    /// Records one response delay (and keeps its running median).
+    fn add_delay(&mut self, d: Duration) {
+        self.analysis.response_delays.add(d);
+        self.delay_median.add(d);
     }
 
     /// A window cut invalidates earlier, larger permissions.
@@ -649,7 +687,7 @@ impl<'a> Replay<'a> {
                 let flight = (hi - self.snd_una).max(0) as u64;
                 if rec.ts <= until && flight <= self.pre_quench_cwnd {
                     self.cc.cwnd = self.cc.cwnd.max(flight);
-                    self.analysis.response_delays.add(Duration::ZERO);
+                    self.add_delay(Duration::ZERO);
                     self.push_liberation(rec.ts);
                     return;
                 }
@@ -659,7 +697,7 @@ impl<'a> Replay<'a> {
             }
             if let Some(margin) = self.curing_ack_ahead(index, rec, hi, conn) {
                 self.analysis.reseq_cured_violations += 1;
-                self.analysis.response_delays.add(-margin);
+                self.add_delay(-margin);
                 return;
             }
             self.analysis.issues.push(SenderIssue {
@@ -679,22 +717,16 @@ impl<'a> Replay<'a> {
         }
         // Liberation matching: the earliest (unconsumed) liberation whose
         // permit covers `hi`.
-        let lib = self
-            .liberations
-            .iter()
-            .filter(|l| l.at > self.lib_floor || self.lib_floor == Time(i64::MIN))
-            .find(|l| l.permit.at_or_after(hi))
-            .copied();
-        if let Some(lib) = lib {
+        if let Some(lib) = first_liberation(&self.liberations, hi, self.lib_floor) {
             let delay = rec.ts - lib.at;
             // A *suspect* delay is one far above the connection's own
             // response-time scale: that is where §6.2's source-quench
             // signature hides even when the absolute delay is modest
             // (a quench stall lasts about one RTT).
-            let baseline = {
-                let mut d = self.analysis.response_delays.clone();
-                d.median().unwrap_or(Duration::from_millis(2))
-            };
+            let baseline = self
+                .delay_median
+                .median()
+                .unwrap_or(Duration::from_millis(2));
             let suspect = delay > (baseline * 10).max(Duration::from_millis(30));
             if suspect && self.opts.infer_quench && self.quench_consistent(lib.at, hi) {
                 self.analysis.inferred_quenches.push(lib.at);
@@ -715,7 +747,7 @@ impl<'a> Replay<'a> {
                 self.cc.cwnd += acks_since * u64::from(self.cwnd_mss);
                 self.quench_resync_until = Some(rec.ts + rtt * 4);
                 self.collapse_liberations(rec.ts);
-                self.analysis.response_delays.add(Duration::ZERO);
+                self.add_delay(Duration::ZERO);
             } else if delay > LULL_THRESHOLD {
                 self.analysis.issues.push(SenderIssue {
                     kind: SenderIssueKind::Lull,
@@ -724,7 +756,7 @@ impl<'a> Replay<'a> {
                     detail: format!("new data {} sent {} after liberation", hi, delay),
                 });
             } else {
-                self.analysis.response_delays.add(delay);
+                self.add_delay(delay);
             }
             // Sender-window evidence (§6.2): the window allowed a full
             // segment more than the connection ever had in flight, yet the
@@ -1224,6 +1256,49 @@ mod tests {
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.inferred_quenches.len(), 1, "{:?}", a.issues);
         assert_eq!(a.lulls(), 0);
+    }
+
+    #[test]
+    fn liberation_lookup_matches_linear_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for case in 0..400 {
+            // Strictly increasing permits; every fourth list starts just
+            // below u32::MAX so its permits wrap.
+            let len = 1 + next(60) as usize;
+            let mut permit = if case % 4 == 0 {
+                SeqNum(u32::MAX - next(20_000) as u32)
+            } else {
+                SeqNum(next(u64::from(u32::MAX)) as u32)
+            };
+            let mut at = Time::from_millis(next(1000) as i64);
+            let mut libs = Vec::with_capacity(len);
+            for _ in 0..len {
+                libs.push(Liberation { at, permit });
+                permit += 1 + next(3000) as u32;
+                at += Duration::from_micros(next(5000) as i64);
+            }
+            let (first, last) = (libs[0].permit, libs[len - 1].permit);
+            let span = (last - first) as u32 + 8000;
+            let mid = libs[len / 2].at;
+            for _ in 0..50 {
+                let hi = (first - 4000) + next(u64::from(span)) as u32;
+                for floor in [Time(i64::MIN), mid] {
+                    let linear = libs
+                        .iter()
+                        .filter(|l| l.at > floor || floor == Time(i64::MIN))
+                        .find(|l| l.permit.at_or_after(hi))
+                        .map(|l| (l.at, l.permit));
+                    let searched = first_liberation(&libs, hi, floor).map(|l| (l.at, l.permit));
+                    assert_eq!(searched, linear, "case {case}, hi {hi}, floor {floor:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,18 +114,24 @@ impl LogHistogram {
     }
 
     /// The per-bucket difference `self - earlier`, for interval snapshots
-    /// (`earlier` must be a prefix of this histogram's history; `max` is
-    /// carried from `self` since a maximum cannot be un-recorded).
+    /// (`earlier` must be a prefix of this histogram's history). The exact
+    /// maximum of the interval is not recoverable, so `max` is bounded by
+    /// both `self.max` and the upper bound of the interval's highest
+    /// non-empty bucket; an empty interval has `max` 0.
     pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
         let mut counts = [0u64; BUCKETS];
         for (i, slot) in counts.iter_mut().enumerate() {
             *slot = self.counts[i].saturating_sub(earlier.counts[i]);
         }
+        let max = counts
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |top| self.max.min(bucket_upper(top)));
         LogHistogram {
             counts,
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
+            max,
         }
     }
 }
@@ -195,6 +201,28 @@ mod tests {
         let delta = h.since(&early);
         assert_eq!(delta.count(), 2);
         assert_eq!(delta.sum(), 1100);
+        assert_eq!(delta.max(), 1000);
         assert_eq!(h.since(&h).count(), 0);
+    }
+
+    #[test]
+    fn since_an_empty_interval_has_no_max() {
+        let mut h = LogHistogram::new();
+        h.record(16_154_545);
+        let delta = h.since(&h);
+        assert!(delta.is_empty());
+        assert_eq!(delta.max(), 0);
+        assert_eq!(delta.percentile(50.0), 0);
+    }
+
+    #[test]
+    fn since_bounds_a_stale_max_by_the_interval_buckets() {
+        let mut h = LogHistogram::new();
+        h.record(1_000_000);
+        let early = h.clone();
+        h.record(100);
+        // The interval saw only 100 (bucket [64, 127]); the all-time max
+        // of 1,000,000 must not leak into it.
+        assert_eq!(h.since(&early).max(), 127);
     }
 }

@@ -40,5 +40,5 @@ pub use mangle::{FaultKind, InjectedFault, MangleSpec};
 pub use pcap_io::IngestReport;
 pub use record::{Trace, TraceRecord};
 pub use source::{CorpusItem, LoadError, LoadMode, Loaded, MemorySource, TraceInput, TraceSource};
-pub use stats::{Histogram, Summary};
+pub use stats::{Histogram, RunningMedian, Summary};
 pub use time::{Duration, Time};

@@ -6,6 +6,8 @@
 //! helpers keep that logic in one place.
 
 use crate::time::Duration;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Running summary of a set of durations: count, min, max, mean and a few
 /// percentiles (computed exactly; samples are retained).
@@ -90,6 +92,49 @@ impl Summary {
     /// has been computed since the last insertion.
     pub fn samples(&self) -> &[Duration] {
         &self.samples
+    }
+}
+
+/// Exact running median of a stream of durations: after every
+/// [`add`](RunningMedian::add), [`median`](RunningMedian::median) equals
+/// [`Summary::median`] over the same samples (nearest rank, so the lower
+/// middle for an even count), in O(log n) per insertion instead of a sort
+/// per query.
+#[derive(Debug, Clone, Default)]
+pub struct RunningMedian {
+    /// The smallest ⌈n/2⌉ samples; its top is the median.
+    lower: BinaryHeap<Duration>,
+    /// The largest ⌊n/2⌋ samples.
+    upper: BinaryHeap<Reverse<Duration>>,
+}
+
+impl RunningMedian {
+    /// An empty running median.
+    pub fn new() -> RunningMedian {
+        RunningMedian::default()
+    }
+
+    /// Adds one sample.
+    pub fn add(&mut self, d: Duration) {
+        match self.lower.peek() {
+            Some(&top) if d > top => self.upper.push(Reverse(d)),
+            _ => self.lower.push(d),
+        }
+        // Restore |lower| = ⌈n/2⌉: at most one element moves.
+        if self.lower.len() > self.upper.len() + 1 {
+            if let Some(top) = self.lower.pop() {
+                self.upper.push(Reverse(top));
+            }
+        } else if self.upper.len() > self.lower.len() {
+            if let Some(Reverse(bottom)) = self.upper.pop() {
+                self.lower.push(bottom);
+            }
+        }
+    }
+
+    /// The nearest-rank median, `None` when empty.
+    pub fn median(&self) -> Option<Duration> {
+        self.lower.peek().copied()
     }
 }
 
@@ -237,6 +282,35 @@ mod tests {
         s.add(Duration::from_millis(50));
         s.add(Duration::from_millis(7));
         assert_eq!(s.argmax(), Some(1));
+    }
+
+    #[test]
+    fn running_median_tracks_summary_median_after_every_insertion() {
+        // Deterministic LCG stream: negatives, zeros and heavy duplicates
+        // (values drawn from a range of 21 around zero), plus a run of
+        // wide-range values so both heaps see reordering.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for len in [1usize, 2, 3, 4, 7, 64, 2000] {
+            let mut running = RunningMedian::new();
+            let mut summary = Summary::new();
+            assert_eq!(running.median(), None);
+            for i in 0..len {
+                let d = if i % 3 == 0 {
+                    Duration(next(2_000_001) as i64 - 1_000_000)
+                } else {
+                    Duration::from_millis(next(21) as i64 - 10)
+                };
+                running.add(d);
+                summary.add(d);
+                assert_eq!(running.median(), summary.median(), "len {len}, after {i}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use tcpa_trace::{pcap_io, Connection, Duration, Histogram, Summary, Time, Trace, TraceRecord};
+use tcpa_trace::{
+    pcap_io, Connection, Duration, Histogram, RunningMedian, Summary, Time, Trace, TraceRecord,
+};
 use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr, TsResolution};
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -273,6 +275,36 @@ proptest! {
             prop_assert!(s.longest_silence <= s.elapsed());
             prop_assert!(s.goodput() >= 0.0);
             prop_assert!(s.retransmission_ratio() >= 0.0 && s.retransmission_ratio() <= 1.0);
+        }
+    }
+}
+
+/// Response-delay-like samples: mostly a handful of small values (heavy
+/// duplicates, zero, and the negative margins of cured violations), the
+/// rest spread wide.
+fn arb_delay() -> impl Strategy<Value = Duration> {
+    prop_oneof![
+        3 => (-3i64..4).prop_map(Duration::from_millis),
+        1 => (-2_000_000i64..300_000_000).prop_map(Duration),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The two-heap running median agrees with `Summary::median` after
+    /// every single insertion. (16 cases: the reference re-sorts on
+    /// every query, which is slow in debug builds.)
+    #[test]
+    fn running_median_matches_summary_after_every_insertion(
+        samples in proptest::collection::vec(arb_delay(), 1..2001)
+    ) {
+        let mut running = RunningMedian::new();
+        let mut summary = Summary::new();
+        for (i, &d) in samples.iter().enumerate() {
+            running.add(d);
+            summary.add(d);
+            prop_assert_eq!(running.median(), summary.median(), "after insertion {}", i);
         }
     }
 }
