@@ -113,9 +113,13 @@ fn cli_rejects_unknown_impl_and_missing_file() {
         403,
     );
     let path = write_trace("err", &out.sender_trace());
-    let (_, stderr, ok) = tcpanaly(&["--impl", "4.5BSD", path.to_str().unwrap()]);
-    assert!(!ok);
+    let (stdout, stderr, code) = tcpanaly_code(&["--impl", "4.5BSD", path.to_str().unwrap()]);
+    assert_eq!(code, 2, "an unknown --impl is a usage error: {stderr}");
     assert!(stderr.contains("unknown implementation"));
+    assert!(
+        stdout.is_empty(),
+        "rejected before any file is read: {stdout}"
+    );
     let (_, stderr, ok) = tcpanaly(&["/nonexistent/file.pcap"]);
     assert!(!ok);
     assert!(stderr.contains("file.pcap"));
@@ -304,4 +308,57 @@ fn cli_list_impls() {
     assert!(stdout.contains("Solaris 2.4"));
     assert!(stdout.contains("Trumpet/Winsock"));
     assert!(stdout.lines().count() >= 20);
+}
+
+/// A reader that goes away mid-run (`tcpanaly FILE... | head -3`) ends
+/// the run quietly: no panic on the closed pipe, and no further traces
+/// analyzed once it is closed.
+#[test]
+fn cli_closed_stdout_ends_the_run_without_panicking() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let fixture = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/reno_clean.pcap");
+    let fixture = fixture.to_str().unwrap();
+    // Far more report text than a pipe buffers.
+    let files = 400;
+    let metrics = std::env::temp_dir().join(format!(
+        "tcpanaly_cli_closed_pipe_{}.json",
+        std::process::id()
+    ));
+    let mut args = vec!["--metrics-out", metrics.to_str().unwrap()];
+    args.extend(std::iter::repeat_n(fixture, files));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tcpanaly"))
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tcpanaly");
+    let mut head = [0u8; 64];
+    child
+        .stdout
+        .take()
+        .expect("stdout pipe")
+        .read_exact(&mut head)
+        .expect("first report bytes");
+    // The read end is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("wait for tcpanaly");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        head.starts_with(b"== "),
+        "{}",
+        String::from_utf8_lossy(&head)
+    );
+    let doc = std::fs::read_to_string(&metrics).expect("metrics document");
+    let analyzed: usize = doc
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"corpus.items_total\": "))
+        .and_then(|v| v.trim_end_matches(',').parse().ok())
+        .expect("corpus.items_total counter");
+    assert!(
+        analyzed < files,
+        "{analyzed} of {files} traces analyzed after stdout closed"
+    );
+    let _ = std::fs::remove_file(metrics);
 }

@@ -206,6 +206,54 @@ fn watchdog_spans_stay_attached_to_item_tree() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The items of a trace document whose `stage.*` spans cover less than
+/// 95% of their `corpus.item` span minus its `ingest.*` spans, described.
+fn uncovered_items(text: &str) -> Vec<String> {
+    let doc = json::Value::parse(text).expect("parse");
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .expect("events");
+    let spans: Vec<(&str, u64, f64)> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
+        .filter_map(|e| {
+            Some((
+                e.get("name")?.as_str()?,
+                e.get("args")?.get("item")?.as_u64()?,
+                e.get("dur")?.as_f64()?,
+            ))
+        })
+        .collect();
+    let sum = |item: u64, pred: &dyn Fn(&str) -> bool| -> f64 {
+        spans
+            .iter()
+            .filter(|&&(name, i, _)| i == item && pred(name))
+            .map(|&(_, _, dur)| dur)
+            .sum()
+    };
+    let items: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.0 == "corpus.item")
+        .map(|s| s.1)
+        .collect();
+    assert!(!items.is_empty(), "corpus.item spans expected");
+    items
+        .into_iter()
+        .filter_map(|item| {
+            let outside_ingest =
+                sum(item, &|n| n == "corpus.item") - sum(item, &|n| n.starts_with("ingest."));
+            let staged = sum(item, &|n| n.starts_with("stage."));
+            (staged < 0.95 * outside_ingest).then(|| {
+                format!(
+                    "item {item}: stage.* spans cover {staged} of {outside_ingest} µs outside ingest ({:.1}%)",
+                    100.0 * staged / outside_ingest
+                )
+            })
+        })
+        .collect()
+}
+
 /// ≥95% of `analyze.total` wall clock is covered by `stage.*` spans in
 /// the exported trace — the causal view has no large blind spots.
 #[test]
@@ -222,13 +270,14 @@ fn trace_spans_cover_analysis_wall_clock() {
     let file = std::fs::File::create(dir.join("big.pcap")).unwrap();
     pcap_io::write_pcap(&out_tr.sender_trace(), file, TsResolution::Micro, 0).unwrap();
     let out = dir.join("trace.json");
-    let (stdout, stderr, code) = tcpanaly_code(&[
+    let args = [
         "--jobs",
         "1",
         "--trace-out",
         out.to_str().unwrap(),
         dir.to_str().unwrap(),
-    ]);
+    ];
+    let (stdout, stderr, code) = tcpanaly_code(&args);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
     let doc = json::Value::parse(&text).expect("parse");
@@ -257,6 +306,22 @@ fn trace_spans_cover_analysis_wall_clock() {
         "stage.* spans cover {staged} of {total} µs ({:.1}%)",
         100.0 * staged / total
     );
+
+    // The same run, item by item: outside ingest, stage spans account for
+    // each whole item, auto-vantage inference included. The small item
+    // takes about a millisecond, so one descheduling in the glue between
+    // spans can sink a run; the bound must hold for every item of one of
+    // up to three runs of the same command.
+    let mut uncovered = uncovered_items(&text);
+    for _ in 1..3 {
+        if uncovered.is_empty() {
+            break;
+        }
+        let (stdout, stderr, code) = tcpanaly_code(&args);
+        assert_eq!(code, 0, "{stdout}\n{stderr}");
+        uncovered = uncovered_items(&std::fs::read_to_string(&out).expect("trace file"));
+    }
+    assert!(uncovered.is_empty(), "{}", uncovered.join("\n"));
     let _ = std::fs::remove_dir_all(dir);
 }
 

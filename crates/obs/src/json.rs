@@ -109,7 +109,7 @@ impl Value {
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    pub(crate) fn write(&self, out: &mut String, depth: usize) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

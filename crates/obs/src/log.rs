@@ -9,13 +9,15 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
-/// Log severity, most severe first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Log severity, most severe first. The default is the logger's
+/// starting threshold, [`Level::Warn`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 #[repr(u8)]
 pub enum Level {
     /// Failures the run cannot paper over.
     Error = 0,
     /// Degradations and suspicious conditions.
+    #[default]
     Warn = 1,
     /// Progress milestones, configuration echoes.
     Info = 2,

@@ -52,12 +52,12 @@ pub struct TraceEvent {
     /// Event phase.
     pub phase: Phase,
     /// Span or event name (`stage.fingerprint`, `retry`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Lane (thread role) the event happened on (`main`, `worker-3`,
     /// `watchdog`).
-    pub lane: String,
+    pub lane: Arc<str>,
     /// The corpus item's label (file path or synthetic name).
-    pub item_id: String,
+    pub item_id: Arc<str>,
     /// The corpus item's 0-based input-order index.
     pub item_index: u64,
     /// This event's id: its 1-based sequence number within the item.
@@ -84,7 +84,7 @@ pub struct OpenSpan {
 /// The item context carried across the worker→watchdog boundary.
 #[derive(Debug, Clone)]
 pub struct Handoff {
-    item_id: String,
+    item_id: Arc<str>,
     item_index: u64,
     seq: Arc<AtomicU64>,
     parent: Option<u64>,
@@ -92,7 +92,7 @@ pub struct Handoff {
 
 #[derive(Debug)]
 struct ItemCtx {
-    id: String,
+    id: Arc<str>,
     index: u64,
     /// Shared with an adopted watchdog thread so ids never collide.
     seq: Arc<AtomicU64>,
@@ -102,14 +102,14 @@ struct ItemCtx {
 
 #[derive(Debug, Default)]
 struct ThreadCtx {
-    lane: Option<String>,
+    lane: Option<Arc<str>>,
     item: Option<ItemCtx>,
     buf: Vec<TraceEvent>,
 }
 
 impl ThreadCtx {
-    fn lane(&self) -> String {
-        self.lane.clone().unwrap_or_else(|| "main".to_string())
+    fn lane(&self) -> Arc<str> {
+        self.lane.clone().unwrap_or_else(|| Arc::from("main"))
     }
 }
 
@@ -167,7 +167,7 @@ pub fn set_lane(name: &str) {
     if !is_enabled() {
         return;
     }
-    CTX.with(|cell| cell.borrow_mut().lane = Some(name.to_string()));
+    CTX.with(|cell| cell.borrow_mut().lane = Some(Arc::from(name)));
 }
 
 /// Opens an item context on this thread: subsequent spans and instants
@@ -178,7 +178,7 @@ pub fn begin_item(id: &str, index: u64) {
     }
     CTX.with(|cell| {
         cell.borrow_mut().item = Some(ItemCtx {
-            id: id.to_string(),
+            id: Arc::from(id),
             index,
             seq: Arc::new(AtomicU64::new(0)),
             stack: Vec::new(),
@@ -215,7 +215,7 @@ pub fn handoff() -> Option<Handoff> {
     CTX.with(|cell| {
         let ctx = cell.borrow();
         ctx.item.as_ref().map(|item| Handoff {
-            item_id: item.id.clone(),
+            item_id: Arc::clone(&item.id),
             item_index: item.index,
             seq: Arc::clone(&item.seq),
             parent: item.stack.last().copied(),
@@ -228,7 +228,7 @@ pub fn handoff() -> Option<Handoff> {
 pub fn adopt(h: Handoff) {
     CTX.with(|cell| {
         let mut ctx = cell.borrow_mut();
-        ctx.lane = Some("watchdog".to_string());
+        ctx.lane = Some(Arc::from("watchdog"));
         ctx.item = Some(ItemCtx {
             id: h.item_id,
             index: h.item_index,
@@ -305,9 +305,9 @@ pub(crate) fn close_span(open: OpenSpan, name: &'static str, detail: &str) {
         }
         let event = TraceEvent {
             phase: Phase::Complete,
-            name: name.to_string(),
+            name,
             lane,
-            item_id: item.id.clone(),
+            item_id: Arc::clone(&item.id),
             item_index: item.index,
             id: open.id,
             parent: open.parent,
@@ -335,9 +335,9 @@ pub fn instant(name: &'static str, detail: &str) {
         let id = item.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let event = TraceEvent {
             phase: Phase::Instant,
-            name: name.to_string(),
+            name,
             lane,
-            item_id: item.id.clone(),
+            item_id: Arc::clone(&item.id),
             item_index: item.index,
             id,
             parent: item.stack.last().copied(),
@@ -392,19 +392,28 @@ fn micros(ns: u64) -> Value {
 /// complete and instant events with `args` carrying the item key and
 /// the span-tree links.
 pub fn render_chrome(events: &[TraceEvent]) -> String {
-    let mut lanes: Vec<String> = events.iter().map(|e| e.lane.clone()).collect();
+    let mut lanes: Vec<Arc<str>> = events.iter().map(|e| Arc::clone(&e.lane)).collect();
     lanes.sort();
     lanes.dedup();
     let tid_of = |lane: &str| -> u64 {
         lanes
             .iter()
-            .position(|l| l == lane)
+            .position(|l| &**l == lane)
             .map(|i| i as u64)
             .unwrap_or(0)
             + 1
     };
-    let mut out = Vec::with_capacity(events.len() + lanes.len() + 1);
-    out.push(Value::Obj(vec![
+    // Each event is written out as soon as it is built, so the rendering
+    // never holds more than one event's tree beside the text.
+    let mut doc = String::from("{\n  \"traceEvents\": [");
+    let mut out = |event: Value| {
+        if !doc.ends_with('[') {
+            doc.push(',');
+        }
+        doc.push_str("\n    ");
+        event.write(&mut doc, 2);
+    };
+    out(Value::Obj(vec![
         ("name".into(), Value::Str("process_name".into())),
         ("ph".into(), Value::Str("M".into())),
         ("pid".into(), Value::Num("1".into())),
@@ -415,21 +424,21 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
         ),
     ]));
     for lane in &lanes {
-        out.push(Value::Obj(vec![
+        out(Value::Obj(vec![
             ("name".into(), Value::Str("thread_name".into())),
             ("ph".into(), Value::Str("M".into())),
             ("pid".into(), Value::Num("1".into())),
             ("tid".into(), Value::Num(tid_of(lane).to_string())),
             (
                 "args".into(),
-                Value::Obj(vec![("name".into(), Value::Str(lane.clone()))]),
+                Value::Obj(vec![("name".into(), Value::Str(lane.to_string()))]),
             ),
         ]));
     }
     for e in events {
         let cat = e.name.split('.').next().unwrap_or("event").to_string();
         let mut args = vec![
-            ("trace".into(), Value::Str(e.item_id.clone())),
+            ("trace".into(), Value::Str(e.item_id.to_string())),
             ("item".into(), Value::Num(e.item_index.to_string())),
             ("id".into(), Value::Num(e.id.to_string())),
         ];
@@ -440,7 +449,7 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
             args.push(("detail".into(), Value::Str(e.detail.clone())));
         }
         let mut members = vec![
-            ("name".into(), Value::Str(e.name.clone())),
+            ("name".into(), Value::Str(e.name.to_string())),
             ("cat".into(), Value::Str(cat)),
             (
                 "ph".into(),
@@ -458,9 +467,10 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
             Phase::Instant => members.push(("s".into(), Value::Str("t".into()))),
         }
         members.push(("args".into(), Value::Obj(args)));
-        out.push(Value::Obj(members));
+        out(Value::Obj(members));
     }
-    Value::Obj(vec![("traceEvents".into(), Value::Arr(out))]).to_json()
+    doc.push_str("\n  ]\n}\n");
+    doc
 }
 
 fn events_of(doc: &Value) -> Result<&[Value], String> {
@@ -622,8 +632,7 @@ pub fn canonicalize(text: &str) -> Result<String, String> {
 pub fn summary_line(events: &[TraceEvent]) -> String {
     let spans = events.iter().filter(|e| e.phase == Phase::Complete).count();
     let instants = events.len() - spans;
-    let items: std::collections::BTreeSet<&str> =
-        events.iter().map(|e| e.item_id.as_str()).collect();
+    let items: std::collections::BTreeSet<&str> = events.iter().map(|e| &*e.item_id).collect();
     let mut line = String::new();
     let _ = write!(
         line,
@@ -718,7 +727,7 @@ mod tests {
         assert_eq!(events[0].name, "corpus.item_test");
         assert_eq!(events[1].name, "stage.on_watchdog");
         assert_eq!(events[1].parent, Some(events[0].id));
-        assert_eq!(events[1].lane, "watchdog");
+        assert_eq!(&*events[1].lane, "watchdog");
         let json = render_chrome(&events);
         check_tree_invariants(&json).expect("cross-thread tree closes");
     }

@@ -157,6 +157,8 @@ impl std::error::Error for LoadError {}
 pub struct Loaded {
     /// The decoded trace.
     pub trace: Trace,
+    /// Capture records skipped as non-TCP or undecodable frames.
+    pub skipped: usize,
     /// Salvage accounting, present only for pcap inputs read in
     /// [`LoadMode::Salvage`].
     pub salvage: Option<IngestReport>,
@@ -170,16 +172,19 @@ impl TraceInput {
         match self {
             TraceInput::Memory(trace) => Ok(Loaded {
                 trace: trace.clone(),
+                skipped: 0,
                 salvage: None,
             }),
             TraceInput::PcapFile(path) => {
-                let bytes = std::fs::read(path).map_err(|e| LoadError::Io {
-                    kind: e.kind(),
-                    detail: format!("{}: {e}", path.display()),
+                let bytes = tcpa_obs::time("ingest.file", || std::fs::read(path)).map_err(|e| {
+                    LoadError::Io {
+                        kind: e.kind(),
+                        detail: format!("{}: {e}", path.display()),
+                    }
                 })?;
-                decode_bytes(&bytes, mode, &path.display().to_string())
+                decode_bytes(&bytes, mode, &path.display())
             }
-            TraceInput::PcapBytes(bytes) => decode_bytes(bytes, mode, "<memory capture>"),
+            TraceInput::PcapBytes(bytes) => decode_bytes(bytes, mode, &"<memory capture>"),
             // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus watchdog test rig loads on purpose
             TraceInput::Poison => panic!("poisoned corpus item loaded"),
             TraceInput::Flaky { remaining, trace } => {
@@ -195,6 +200,7 @@ impl TraceInput {
                 } else {
                     Ok(Loaded {
                         trace: trace.clone(),
+                        skipped: 0,
                         salvage: None,
                     })
                 }
@@ -212,11 +218,16 @@ impl TraceInput {
 }
 
 /// Decodes capture bytes under the requested degradation mode.
-fn decode_bytes(bytes: &[u8], mode: LoadMode, label: &str) -> Result<Loaded, LoadError> {
+fn decode_bytes(
+    bytes: &[u8],
+    mode: LoadMode,
+    label: &dyn core::fmt::Display,
+) -> Result<Loaded, LoadError> {
     match mode {
         LoadMode::Strict => pcap_io::read_pcap(std::io::Cursor::new(bytes))
-            .map(|(trace, _skipped)| Loaded {
+            .map(|(trace, skipped)| Loaded {
                 trace,
+                skipped,
                 salvage: None,
             })
             .map_err(|e| match e {
@@ -232,6 +243,7 @@ fn decode_bytes(bytes: &[u8], mode: LoadMode, label: &str) -> Result<Loaded, Loa
             let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes);
             Ok(Loaded {
                 trace,
+                skipped: report.frames_skipped,
                 salvage: Some(report),
             })
         }
