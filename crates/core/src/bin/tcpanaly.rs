@@ -77,15 +77,15 @@ options:
   --degrade MODE          damaged-capture policy: skip (default) reports the
                           item as failed, salvage recovers readable records and
                           accounts the damage, strict aborts the run
-  --timeout-secs N        per-trace analysis watchdog; overruns are reported
-                          as timed-out items
+  --timeout-secs N        per-trace analysis budget, checked as each stage
+                          starts; overruns are reported as timed-out items
   --metrics-out FILE      write a tcpa-metrics/v1 JSON snapshot of all
                           counters and stage-duration histograms on exit
   --audit-dir DIR         write one tcpa-audit/v1 JSON event log per trace
                           (stage durations, retries, errors, verdicts)
   --trace-out FILE        write the run's span tree as a Chrome trace_event
-                          JSON file (one lane per worker plus the watchdog;
-                          view in Perfetto or chrome://tracing)
+                          JSON file (one lane per worker; view in Perfetto
+                          or chrome://tracing)
   --progress              print a periodic status line to stderr while the
                           traces drain (stdout is never touched)
   --quiet                 only error diagnostics on stderr
@@ -191,7 +191,7 @@ fn corpus_items(args: &[String]) -> Result<Vec<CorpusItem>, String> {
 }
 
 /// What single-trace mode prints for each trace.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Sections {
     implementation: Option<TcpConfig>,
     handshake: bool,
@@ -363,12 +363,11 @@ fn run(opts: &Options) -> ExitCode {
             }));
         }
         None => {
-            let sections = opts.sections.clone();
             run_corpus(
                 MemorySource::new(items),
                 &config,
-                move |analyzer: &Analyzer, id: &str, loaded: &Loaded| {
-                    sections.render(analyzer, id, loaded)
+                |analyzer: &Analyzer, id: &str, loaded: &Loaded| {
+                    opts.sections.render(analyzer, id, loaded)
                 },
                 |item| match item.outcome {
                     // A closed stdout ends the run.

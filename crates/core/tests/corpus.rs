@@ -199,7 +199,7 @@ fn salvage_policy_degrades_damaged_items_instead_of_failing() {
 }
 
 #[test]
-fn watchdog_census_is_identical_to_inline_census() {
+fn deadline_census_is_identical_to_inline_census() {
     let items = build_corpus();
     let inline = analyze_corpus(MemorySource::new(items.clone()), &config(4));
     let guarded = analyze_corpus(
@@ -209,7 +209,7 @@ fn watchdog_census_is_identical_to_inline_census() {
             ..config(4)
         },
     );
-    // A generous watchdog changes nothing about the results.
+    // A generous deadline changes nothing about the results.
     assert_eq!(inline.render(), guarded.render());
     assert_eq!(guarded.census.timeouts, 0);
 }

@@ -1,7 +1,8 @@
 //! Span-tree tracing contract tests, driven through the `tcpanaly`
 //! binary: schema validity of the Chrome trace_event export, parent /
-//! child invariants across the watchdog boundary, canonical-form
-//! determinism across worker counts, wall-clock coverage, and the typed
+//! child invariants under an item deadline, named worker lanes,
+//! canonical-form determinism across worker counts, wall-clock coverage,
+//! and the typed
 //! write-error surface of `--trace-out` / `--metrics-out` /
 //! `--audit-dir`.
 
@@ -113,6 +114,37 @@ fn trace_out_is_schema_valid_with_connected_tree() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Every worker lane that ran is named in the lane metadata, even one
+/// that recorded no event: two workers over one item name both.
+#[test]
+fn trace_out_names_every_worker_lane() {
+    let dir = corpus_dir("lanes", 1, false);
+    let out = dir.join("trace.json");
+    let (stdout, stderr, code) = tcpanaly_code(&[
+        "--jobs",
+        "2",
+        "--trace-out",
+        out.to_str().unwrap(),
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stdout}\n{stderr}");
+    let text = std::fs::read_to_string(&out).expect("trace file");
+    trace::validate_trace(&text).expect("schema-valid trace");
+    let doc = json::Value::parse(&text).expect("parse");
+    let lanes: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .expect("events")
+        .iter()
+        .filter(|e| e.get("name").and_then(json::Value::as_str) == Some("thread_name"))
+        .filter_map(|e| e.get("args")?.get("name")?.as_str())
+        .collect();
+    for lane in ["worker-0", "worker-1"] {
+        assert!(lanes.contains(&lane), "{lane} missing from {lanes:?}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The determinism contract: canonical forms (timestamps, durations,
 /// and lane assignment stripped; sorted by item and span id) are
 /// byte-identical at `--jobs 1`, `4`, and `8`.
@@ -143,12 +175,12 @@ fn trace_canonical_form_deterministic_across_worker_counts() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The watchdog boundary: with `--timeout-secs` active, analysis spans
-/// run on the watchdog lane yet still parent under the worker's
-/// `corpus.item` root — the handoff keeps the tree connected.
+/// With `--timeout-secs` active, the armed deadline leaves the tree
+/// intact: analysis spans still parent under the item's `corpus.item`
+/// root.
 #[test]
-fn watchdog_spans_stay_attached_to_item_tree() {
-    let dir = corpus_dir("watchdog", 2, false);
+fn deadline_spans_stay_attached_to_item_tree() {
+    let dir = corpus_dir("deadline", 2, false);
     let out = dir.join("trace.json");
     let (stdout, stderr, code) = tcpanaly_code(&[
         "--jobs",
@@ -161,12 +193,11 @@ fn watchdog_spans_stay_attached_to_item_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
-    trace::check_tree_invariants(&text).expect("watchdog spans must not orphan");
-    assert!(text.contains("\"watchdog\""), "watchdog lane expected");
+    trace::check_tree_invariants(&text).expect("spans under a deadline must not orphan");
     assert!(text.contains("\"analyze.total\""), "{text}");
 
-    // Spot-check one cross-lane edge: an analyze.total span on the
-    // watchdog lane whose parent is the worker's corpus.item span.
+    // Spot-check one edge: an analyze.total span whose parent is its
+    // item's corpus.item span.
     let doc = json::Value::parse(&text).expect("parse");
     let events = doc
         .get("traceEvents")
@@ -180,7 +211,7 @@ fn watchdog_spans_stay_attached_to_item_tree() {
         .get("args")
         .and_then(|a| a.get("parent"))
         .and_then(json::Value::as_u64)
-        .expect("analyze.total has a parent under the watchdog");
+        .expect("analyze.total has a parent");
     let item = analyze
         .get("args")
         .and_then(|a| a.get("item"))
@@ -201,7 +232,7 @@ fn watchdog_spans_stay_attached_to_item_tree() {
             .and_then(|a| a.get("id"))
             .and_then(json::Value::as_u64),
         Some(parent),
-        "watchdog analysis parents under the worker's root span"
+        "analysis parents under the item's root span"
     );
     let _ = std::fs::remove_dir_all(dir);
 }

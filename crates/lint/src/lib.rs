@@ -7,7 +7,7 @@
 //! The rules here prove the supporting invariants statically on every
 //! commit — no unordered maps feeding output, no stray prints around the
 //! census writer, no panics on salvage paths, no lossy casts in the
-//! byte decoders, no threads that dodge the corpus watchdog.
+//! byte decoders, no threads that escape the corpus worker.
 //!
 //! Deliberately zero dependencies: a hand-rolled lexer
 //! ([`lexer`]), token-sequence rules ([`rules`]), a `Lint.toml` subset

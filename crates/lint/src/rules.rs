@@ -362,9 +362,9 @@ fn lossy_cast(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `thread-spawn-audit`: ad-hoc threads bypass the corpus watchdog and
-/// audit-trail absorption; every spawn outside `corpus.rs` needs a
-/// justified allow.
+/// `thread-spawn-audit`: ad-hoc threads escape the corpus worker's panic
+/// isolation, item deadline and audit trail; every spawn outside
+/// `corpus.rs` needs a justified allow.
 fn thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let t = ctx.tokens;
     for i in 1..t.len() {
@@ -379,8 +379,8 @@ fn thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ctx.finding(
                     &t[i],
                     "thread-spawn-audit",
-                    "thread spawned outside corpus.rs bypasses the watchdog and audit-trail \
-                 absorption; justify with an allow or move under the corpus runner"
+                    "thread spawned outside corpus.rs escapes the worker's panic isolation, \
+                 deadline and audit trail; justify with an allow or move under the corpus runner"
                         .to_string(),
                 ),
             );

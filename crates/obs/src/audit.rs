@@ -9,9 +9,7 @@
 //! The active trail lives in a thread-local so instrumentation deep in
 //! the analyzer ([`crate::span`], ad-hoc [`event`] calls) needs no
 //! plumbing: the corpus worker [`begin`]s a trail, the analysis runs,
-//! and the worker [`take`]s the finished trail and writes it out. Work
-//! delegated to another thread (the corpus watchdog) begins its own
-//! trail there and the parent [`AuditTrail::absorb`]s it.
+//! and the worker [`take`]s the finished trail and writes it out.
 
 use crate::json;
 use std::cell::RefCell;
@@ -101,15 +99,6 @@ impl AuditTrail {
         } else {
             self.events.push(event);
         }
-    }
-
-    /// Appends every event of a trail produced on another thread (the
-    /// corpus watchdog) to this one.
-    pub fn absorb(&mut self, inner: AuditTrail) {
-        for event in inner.events {
-            self.push(event);
-        }
-        self.dropped += inner.dropped;
     }
 
     /// Renders the trail as `tcpa-audit/v1` JSON.
@@ -207,17 +196,6 @@ pub fn take(outcome: &str) -> Option<AuditTrail> {
     })
 }
 
-/// Merges a trail produced on another thread (see
-/// [`AuditTrail::absorb`]) into this thread's open trail; a no-op when
-/// none is open.
-pub fn absorb(inner: AuditTrail) {
-    CURRENT.with(|cell| {
-        if let Some(trail) = cell.borrow_mut().as_mut() {
-            trail.absorb(inner);
-        }
-    });
-}
-
 /// Appends an event to this thread's trail; a no-op when none is open.
 pub fn event(kind: EventKind, name: impl Into<String>, detail: impl Into<String>) {
     CURRENT.with(|cell| {
@@ -279,20 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn overflow_is_counted_and_absorb_merges() {
+    fn overflow_is_counted() {
         begin("big", 0);
         for i in 0..(MAX_EVENTS + 10) {
             event(EventKind::Info, "e", format!("{i}"));
         }
-        let mut trail = take("analyzed").expect("trail");
+        let trail = take("analyzed").expect("trail");
         assert_eq!(trail.events.len(), MAX_EVENTS);
         assert_eq!(trail.dropped, 10);
-
-        begin("inner", 0);
-        event(EventKind::Error, "watchdog", "late");
-        let inner = take("").expect("inner");
-        trail.absorb(inner);
-        assert_eq!(trail.dropped, 11, "still at cap; absorbed event dropped");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! pipeline needs the same property at production scale — where did the
 //! wall-clock go, which items were retried or salvaged, what did each
 //! stage conclude — without taking on any external crate (CI is
-//! offline). This crate provides exactly that, in four always-cheap
+//! offline). This crate provides exactly that, in five always-cheap
 //! pieces:
 //!
 //! * **Stage spans + registry** ([`span`], [`registry`]) — RAII timers
@@ -22,6 +22,9 @@
 //! * **Per-trace audit trail** ([`audit`]) — one JSON event log per
 //!   analyzed trace (schema `tcpa-audit/v1`) recording each stage's
 //!   duration, retries, errors, and the final verdict.
+//! * **Item deadlines** ([`deadline`]) — a per-thread time budget that
+//!   span starts check, so an overrunning item unwinds out of its
+//!   analysis on its own worker.
 //! * **Operator surface** ([`progress`], [`log`]) — a periodic stderr
 //!   status line for long corpus runs and a leveled logger, both strictly
 //!   on stderr so machine output on stdout never interleaves.
@@ -29,6 +32,7 @@
 //! Everything is `std`-only; JSON reading/writing lives in [`json`].
 
 pub mod audit;
+pub mod deadline;
 pub mod hist;
 pub mod json;
 pub mod log;

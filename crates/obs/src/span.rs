@@ -3,15 +3,16 @@
 //! A [`Span`] measures the wall-clock time of one pipeline stage with a
 //! monotonic clock. On drop it records the duration into the global
 //! registry's histogram for the stage and — when a per-trace audit trail
-//! is active on this thread — appends a `stage` event to it. This is the
-//! only instrumentation call sites need:
+//! is active on this thread — appends a `stage` event to it. Starting a
+//! span is also where an armed item [`crate::deadline`] is checked. This
+//! is the only instrumentation call sites need:
 //!
 //! ```
 //! let result = tcpa_obs::time("stage.calibrate", || 2 + 2);
 //! assert_eq!(result, 4);
 //! ```
 
-use crate::{audit, registry, trace};
+use crate::{audit, deadline, registry, trace};
 use std::time::Instant;
 
 /// An in-flight stage timer; records on drop.
@@ -26,11 +27,14 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts timing `name` now.
+    /// Starts timing `name` now, first unwinding out of the item if this
+    /// thread's deadline has passed.
     pub fn start(name: &'static str) -> Span {
+        let start = Instant::now();
+        deadline::check(start);
         Span {
             name,
-            start: Instant::now(),
+            start,
             detail: String::new(),
             traced: trace::open_span(),
         }

@@ -185,7 +185,7 @@ impl TraceInput {
                 decode_bytes(&bytes, mode, &path.display())
             }
             TraceInput::PcapBytes(bytes) => decode_bytes(bytes, mode, &"<memory capture>"),
-            // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus watchdog test rig loads on purpose
+            // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus panic-isolation tests load on purpose
             TraceInput::Poison => panic!("poisoned corpus item loaded"),
             TraceInput::Flaky { remaining, trace } => {
                 use std::sync::atomic::Ordering;
