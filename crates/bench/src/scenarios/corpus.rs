@@ -106,7 +106,10 @@ pub fn run_with(n: usize) -> Section {
         params: format!(
             "{n} simulated sender-side traces (16 KiB transfers, every \
              implementation, seeded paths), analyzed serially and with \
-             {jobs} workers"
+             {jobs} workers. IRIX 4.0, NetBSD 1.0 and Generic Reno set every \
+             knob as DEC OSF/1 2.0, BSDI 2.0 and HP/UX 10.00 do; each ties \
+             with that earlier profile, which wins, so they are never a \
+             best fit"
         ),
         body,
         measured: vec![

@@ -45,7 +45,7 @@ use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use crate::calibrate::Vantage;
-use crate::fingerprint::FitClass;
+use crate::fingerprint::CensusVerdict;
 use crate::report::{AnalysisReport, Analyzer};
 use tcpa_obs::audit::{self, AuditTrail, EventKind};
 use tcpa_obs::progress::{ItemClass, Progress};
@@ -325,16 +325,22 @@ pub struct ItemReport<T = ItemSummary> {
     pub outcome: ItemOutcome<T>,
 }
 
-/// The distilled per-trace conclusions kept by the census. The full
-/// [`AnalysisReport`] (every candidate's replay) would be megabytes per
-/// item at corpus scale; this is the part Table 1 needs.
+/// The distilled per-trace conclusions kept by the census: the part
+/// Table 1 needs. The census never builds the full [`AnalysisReport`],
+/// which replays every candidate to the end and ranks them all; each
+/// connection's fingerprint is only its
+/// [`CensusVerdict`], for which a
+/// candidate is replayed only until it is settled whether it fits closely
+/// ([`Calibrated::census`](crate::calibrate::Calibrated::census)). The
+/// summary is the same as the full report's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ItemSummary {
     /// Packets in the trace.
     pub records: usize,
     /// Connections found after calibration.
     pub connections: usize,
-    /// Per connection: the close best-fit implementation, if any.
+    /// Per connection: the close best-fit implementation (lowest mean
+    /// response delay, the earlier profile on a tie), if any.
     pub best_fits: Vec<Option<String>>,
     /// Measurement duplicates removed (§3.1.2).
     pub duplicates: usize,
@@ -355,16 +361,17 @@ impl ItemSummary {
     }
 }
 
-/// Distills a full report into the census-relevant summary.
-fn distill(report: AnalysisReport, records: usize) -> ItemSummary {
+/// Distills the census's reading of a trace into its summary: the best
+/// close fit of each connection, that fit's response delays, and the
+/// calibration counts. Only the verdicts' `best` is read here.
+fn distill(report: AnalysisReport<CensusVerdict>, records: usize) -> ItemSummary {
     let mut best_fits = Vec::with_capacity(report.connections.len());
     let mut response_delays = Vec::new();
     for conn in &report.connections {
-        best_fits.push(conn.best_fit().map(str::to_owned));
-        if let Some(top) = conn.fingerprint.first() {
-            if top.fit == FitClass::Close {
-                response_delays.extend_from_slice(top.analysis.response_delays.samples());
-            }
+        let best = conn.fingerprint.best.as_ref();
+        best_fits.push(best.map(|top| top.name.to_owned()));
+        if let Some(top) = best {
+            response_delays.extend_from_slice(top.analysis.response_delays.samples());
         }
     }
     ItemSummary {
@@ -587,10 +594,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The census step: analyzes one loaded trace, distills the report, and
-/// records the verdict in the item's audit trail.
+/// The census step: calibrates one loaded trace, reads its connections
+/// through the census verdict path, distills them, and records the
+/// verdict in the item's audit trail.
 fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: &Loaded) -> ItemSummary {
-    let report = analyzer.calibrate(&loaded.trace).analyze();
+    let report = analyzer.calibrate(&loaded.trace).census();
     let summary = tcpa_obs::time("stage.distill", || distill(report, loaded.trace.len()));
     if audit::is_active() {
         audit::event(EventKind::Verdict, "summary", summarize(&summary));

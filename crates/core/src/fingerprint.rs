@@ -9,7 +9,8 @@
 //! is an imperfect fit; a candidate that explains every packet promptly
 //! is a close fit.
 
-use crate::sender::{analyze_sender, SenderAnalysis};
+use crate::sender::{analyze_sender, Prepared, ReplayWork, SenderAnalysis};
+use std::sync::OnceLock;
 use tcpa_tcpsim::config::TcpConfig;
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration};
@@ -120,6 +121,88 @@ pub fn close_fits(results: &[FingerprintResult]) -> Vec<&'static str> {
         .filter(|r| r.fit == FitClass::Close)
         .map(|r| r.name)
         .collect()
+}
+
+/// What the census reads of a connection's fingerprint: which candidates
+/// fit closely, and the best of them.
+#[derive(Debug, Clone, Default)]
+pub struct CensusVerdict {
+    /// Names of the candidates classified close, in `all_profiles()`
+    /// order.
+    pub close: Vec<&'static str>,
+    /// The best close fit: [`fingerprint`]'s first result when that is
+    /// close, with the same full analysis.
+    pub best: Option<FingerprintResult>,
+}
+
+/// Every profile, and for each the earlier profile whose config it
+/// equals apart from the name, if any (computed once per process).
+fn profiles_and_twins() -> &'static (Vec<TcpConfig>, Vec<Option<usize>>) {
+    static PROFILES: OnceLock<(Vec<TcpConfig>, Vec<Option<usize>>)> = OnceLock::new();
+    PROFILES.get_or_init(|| {
+        let profiles = all_profiles();
+        let twins = profiles
+            .iter()
+            .enumerate()
+            .map(|(j, cfg)| profiles.iter().take(j).position(|e| cfg.behaves_like(e)))
+            .collect();
+        (profiles, twins)
+    })
+}
+
+/// [`fingerprint`] reduced to the [`CensusVerdict`], for a fraction of the
+/// replay work. Each candidate is replayed only until it is settled
+/// whether it fits closely, over a prescan shared by all of them. A
+/// profile that behaves exactly like an earlier one is not replayed: it
+/// takes its twin's verdict and, tying with it, can never be the best
+/// fit. The replay work is added to the `fingerprint.replays`,
+/// `fingerprint.replay_records` and `fingerprint.replays_settled_early`
+/// counters once per connection.
+pub fn census_verdict(conn: &Connection) -> CensusVerdict {
+    let mut verdict = CensusVerdict::default();
+    let Some(prepared) = Prepared::new(conn) else {
+        return verdict;
+    };
+    let (profiles, twins) = profiles_and_twins();
+    let mut close = vec![false; profiles.len()];
+    let mut best_mean = Duration::ZERO;
+    let mut work = ReplayWork::default();
+    let mut settled_early = 0;
+    for ((j, cfg), twin) in profiles.iter().enumerate().zip(twins) {
+        if let Some(twin) = *twin {
+            close[j] = close[twin];
+            continue;
+        }
+        let (analysis, spent) = tcpa_obs::time("detail.sender_replay", || prepared.verdict(cfg));
+        work.passes += spent.passes;
+        work.records += spent.records;
+        settled_early += u64::from(spent.settled_early);
+        let fit = classify(&analysis);
+        if fit != FitClass::Close {
+            continue;
+        }
+        close[j] = true;
+        // Close fits rank by mean delay; a tie keeps the earlier profile.
+        let mean = analysis.response_delays.mean().unwrap_or(Duration::ZERO);
+        if verdict.best.is_none() || mean < best_mean {
+            best_mean = mean;
+            verdict.best = Some(FingerprintResult {
+                name: cfg.name,
+                fit,
+                analysis,
+            });
+        }
+    }
+    verdict.close = profiles
+        .iter()
+        .zip(&close)
+        .filter(|(_, &c)| c)
+        .map(|(cfg, _)| cfg.name)
+        .collect();
+    tcpa_obs::add("fingerprint.replays", work.passes);
+    tcpa_obs::add("fingerprint.replay_records", work.records);
+    tcpa_obs::add("fingerprint.replays_settled_early", settled_early);
+    verdict
 }
 
 #[cfg(test)]

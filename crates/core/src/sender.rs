@@ -250,6 +250,45 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
     })
 }
 
+/// For each record index `i`, how many of the records from `i` on are
+/// *peak sends*: new data that takes the flight to the connection's peak
+/// (`hi - snd_una >= max_in_flight`) before its final byte. Only a peak
+/// send can add sender-window evidence (§6.2), and `snd_una` and the
+/// highest sequence sent follow the trace alone, not the candidate, so
+/// this bounds the evidence any candidate's first pass can still collect.
+/// The last entry (one past the final record) is 0.
+fn peak_sends_from(conn: &Connection, pre: &Prescan) -> Vec<u32> {
+    let mut snd_una = pre.iss + 1;
+    let mut snd_max_seen = snd_una;
+    let mut from = vec![0u32; conn.records.len() + 1];
+    for (i, (dir, rec)) in conn.records.iter().enumerate() {
+        let tcp = &rec.tcp;
+        if tcp.flags.syn() || tcp.flags.rst() {
+            continue;
+        }
+        match dir {
+            Dir::ReceiverToSender => {
+                if tcp.flags.ack() && tcp.ack.after(snd_una) {
+                    snd_una = tcp.ack;
+                }
+            }
+            Dir::SenderToReceiver => {
+                let hi = rec.seq_hi();
+                if (rec.is_data() || tcp.flags.fin()) && hi.after(snd_max_seen) {
+                    if hi - snd_una >= pre.max_in_flight && hi.before(pre.final_data_end) {
+                        from[i] = 1;
+                    }
+                    snd_max_seen = hi;
+                }
+            }
+        }
+    }
+    for i in (0..conn.records.len()).rev() {
+        from[i] += from[i + 1];
+    }
+    from
+}
+
 /// Analyzes a connection's sender behavior against one candidate config.
 /// Returns `None` when the connection carries no data to analyze.
 pub fn analyze_sender(conn: &Connection, cfg: &TcpConfig) -> Option<SenderAnalysis> {
@@ -263,20 +302,112 @@ pub fn analyze_sender_with(
     opts: &ReplayOptions,
 ) -> Option<SenderAnalysis> {
     let pre = prescan(conn)?;
-    let first = replay(conn, cfg, &pre, None, opts);
-    if opts.infer_sender_window && first.sender_window_evidence >= 2 && pre.max_in_flight > 0 {
-        let sw = pre.max_in_flight as u32;
-        let mut second = replay(conn, cfg, &pre, Some(sw), opts);
-        second.analysis.inferred_sender_window = Some(sw);
-        Some(second.analysis)
-    } else {
-        Some(first.analysis)
+    Some(run(conn, cfg, &pre, opts, Until::End).0)
+}
+
+/// One connection made ready for replaying every candidate against it:
+/// the prescan and the peak-send counts are computed once and shared.
+pub(crate) struct Prepared<'c> {
+    conn: &'c Connection,
+    pre: Prescan,
+    peak_sends_from: Vec<u32>,
+}
+
+impl<'c> Prepared<'c> {
+    /// Prepares `conn`; `None` when it carries no data to analyze.
+    pub(crate) fn new(conn: &'c Connection) -> Option<Prepared<'c>> {
+        let pre = prescan(conn)?;
+        let peak_sends_from = peak_sends_from(conn, &pre);
+        Some(Prepared {
+            conn,
+            pre,
+            peak_sends_from,
+        })
     }
+
+    /// Replays `cfg` only until it is settled whether the candidate fits
+    /// closely (§6.1). A candidate that does is replayed in full, so its
+    /// analysis equals [`analyze_sender`]'s; any other candidate's
+    /// analysis stops at the record that settled it, and only its not
+    /// being close may be read from it.
+    pub(crate) fn verdict(&self, cfg: &TcpConfig) -> (SenderAnalysis, ReplayWork) {
+        run(
+            self.conn,
+            cfg,
+            &self.pre,
+            &ReplayOptions::default(),
+            Until::Verdict(&self.peak_sends_from),
+        )
+    }
+}
+
+/// The replay work spent on one candidate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReplayWork {
+    /// Replay passes: 1, or 2 when a sender window was inferred (§6.2).
+    pub(crate) passes: u64,
+    /// Records visited, summed over the passes.
+    pub(crate) records: u64,
+    /// `true` when the final pass stopped before the last record.
+    pub(crate) settled_early: bool,
+}
+
+/// When a replay pass may end before the connection's last record.
+#[derive(Debug, Clone, Copy)]
+enum Until<'p> {
+    /// The whole analysis is read: only a first pass that has settled on
+    /// a second one ends early, since its analysis is discarded.
+    End,
+    /// Only whether the candidate fits closely is read: a pass also ends
+    /// once it cannot. Holds [`peak_sends_from`] for the connection.
+    Verdict(&'p [u32]),
+}
+
+/// Whether a pass that can no longer fit closely (it has an issue or
+/// more than one inferred quench) may stop for a verdict. A first pass
+/// that may still infer the sender window must go on while the evidence
+/// it has plus the peak sends left could reach the two a second pass
+/// needs, for that pass starts afresh and may yet fit closely.
+fn verdict_settled(may_infer_window: bool, evidence: usize, peak_sends_left: u32) -> bool {
+    !may_infer_window || evidence + (peak_sends_left as usize) < 2
+}
+
+/// Replays one candidate: a first pass and, when it infers a limiting
+/// sender window (§6.2), a second pass under that window.
+fn run(
+    conn: &Connection,
+    cfg: &TcpConfig,
+    pre: &Prescan,
+    opts: &ReplayOptions,
+    until: Until,
+) -> (SenderAnalysis, ReplayWork) {
+    let first = replay(conn, cfg, pre, None, opts, until);
+    let mut work = ReplayWork {
+        passes: 1,
+        records: first.visited as u64,
+        settled_early: false,
+    };
+    let last = if first.second_pass_due {
+        let sw = pre.max_in_flight as u32;
+        let mut second = replay(conn, cfg, pre, Some(sw), opts, until);
+        second.analysis.inferred_sender_window = Some(sw);
+        work.passes = 2;
+        work.records += second.visited as u64;
+        second
+    } else {
+        first
+    };
+    work.settled_early = last.visited < conn.records.len();
+    (last.analysis, work)
 }
 
 struct ReplayOutput {
     analysis: SenderAnalysis,
-    sender_window_evidence: usize,
+    /// The pass inferred a limiting sender window: a second pass under
+    /// it replaces this one.
+    second_pass_due: bool,
+    /// Records this pass visited.
+    visited: usize,
 }
 
 /// A liberation: from `at`, sending up to `permit` was allowed.
@@ -400,6 +531,7 @@ fn replay(
     pre: &Prescan,
     sw: Option<u32>,
     opts: &ReplayOptions,
+    until: Until,
 ) -> ReplayOutput {
     let cwnd_mss = cfg.cwnd_mss(pre.peer_mss);
     let eff_mss = cfg.effective_send_mss(pre.peer_mss);
@@ -455,20 +587,55 @@ fn replay(
     };
     rp.push_liberation(pre.establish_time);
 
+    let mut visited = conn.records.len();
     for (i, (dir, rec)) in conn.records.iter().enumerate() {
         match dir {
             Dir::ReceiverToSender => rp.on_receiver_packet(rec),
             Dir::SenderToReceiver => rp.on_sender_packet(i, rec, conn),
         }
+        if rp.settled(i, until) {
+            visited = i + 1;
+            break;
+        }
     }
 
     ReplayOutput {
-        sender_window_evidence: rp.sender_window_evidence,
+        second_pass_due: rp.second_pass_due(),
         analysis: rp.analysis,
+        visited,
     }
 }
 
 impl<'a> Replay<'a> {
+    /// This is a first pass that may still infer a sender window.
+    fn may_infer_window(&self) -> bool {
+        self.sender_window.is_none() && self.opts.infer_sender_window && self.pre.max_in_flight > 0
+    }
+
+    /// The pass has the evidence for a limiting sender window (§6.2).
+    fn second_pass_due(&self) -> bool {
+        self.sender_window_evidence >= 2 && self.may_infer_window()
+    }
+
+    /// Whether the pass can end after record `i`: nothing the rest of the
+    /// connection does can change what `until` says is read.
+    fn settled(&self, i: usize, until: Until) -> bool {
+        if self.second_pass_due() {
+            return true;
+        }
+        let Until::Verdict(peak_sends_from) = until else {
+            return false;
+        };
+        let cannot_be_close =
+            !self.analysis.issues.is_empty() || self.analysis.inferred_quenches.len() > 1;
+        cannot_be_close
+            && verdict_settled(
+                self.may_infer_window(),
+                self.sender_window_evidence,
+                peak_sends_from.get(i + 1).copied().unwrap_or(0),
+            )
+    }
+
     fn usable_window(&self) -> u64 {
         let cwnd = if self.cfg.no_congestion_window {
             u64::MAX
@@ -984,6 +1151,7 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::classify;
     use tcpa_tcpsim::profiles;
     use tcpa_trace::{Trace, TraceRecord};
     use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpOption, TcpRepr};
@@ -1202,12 +1370,10 @@ mod tests {
         assert!(reno.hard_issues() >= 1, "{:?}", reno.issues);
     }
 
-    #[test]
-    fn sender_window_inferred_when_flight_plateaus() {
-        // Offered window 32 KB and cwnd keeps growing, but the socket
-        // buffer caps the flight at 2048 bytes (4 segments). The trace
-        // follows slow start until the cap binds: flights of 1, 2, 4,
-        // 4, 4, … with every segment acked individually.
+    /// Slow start until a 2048-byte socket buffer (4 segments) caps the
+    /// flight: flights of 1, 2, 4, 4, 4, … with every segment acked
+    /// individually, each ack offering `offered` bytes.
+    fn plateau_trace(offered: u16) -> Connection {
         let mut v = vec![
             with_mss(rec(0, 1, 2, S, 1000, 0, 0), 512),
             with_mss(rec(50, 2, 1, SA, 9000, 0, 1001), 512),
@@ -1222,15 +1388,127 @@ mod tests {
             t += 100;
             for k in 0..flight {
                 una += 512;
-                v.push(rec(t + k as i64, 2, 1, A, 9001, 0, una));
+                let mut ack = rec(t + k as i64, 2, 1, A, 9001, 0, una);
+                ack.tcp.window = offered;
+                v.push(ack);
             }
             t += 10;
         }
         let trace: Trace = v.drain(..).collect();
-        let conn = Connection::split(&trace).remove(0);
+        Connection::split(&trace).remove(0)
+    }
+
+    #[test]
+    fn sender_window_inferred_when_flight_plateaus() {
+        // Offered window 32 KB and cwnd keeps growing, but the socket
+        // buffer caps the flight at 2048 bytes (4 segments).
+        let conn = plateau_trace(32_768);
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.inferred_sender_window, Some(2048));
         assert!(a.issues.is_empty(), "{:?}", a.issues);
+    }
+
+    #[test]
+    fn full_replay_ends_its_first_pass_once_the_second_is_due() {
+        let conn = plateau_trace(32_768);
+        let pre = prescan(&conn).unwrap();
+        let opts = ReplayOptions::default();
+        let first = replay(&conn, &profiles::reno(), &pre, None, &opts, Until::End);
+        assert!(first.second_pass_due);
+        assert!(first.visited < conn.records.len(), "{}", first.visited);
+        let (a, work) = run(&conn, &profiles::reno(), &pre, &opts, Until::End);
+        assert_eq!(a.inferred_sender_window, Some(2048));
+        assert_eq!(
+            work,
+            ReplayWork {
+                passes: 2,
+                records: (first.visited + conn.records.len()) as u64,
+                settled_early: false,
+            }
+        );
+    }
+
+    #[test]
+    fn verdict_settles_only_once_evidence_plus_peak_sends_left_is_below_two() {
+        for evidence in 0..4 {
+            for left in 0..4u32 {
+                assert_eq!(
+                    verdict_settled(true, evidence, left),
+                    evidence + (left as usize) < 2,
+                    "evidence {evidence}, peak sends left {left}"
+                );
+                // With no second pass to come, the first non-close event
+                // settles the verdict.
+                assert!(verdict_settled(false, evidence, left));
+            }
+        }
+    }
+
+    #[test]
+    fn first_pass_with_issues_goes_on_while_a_second_pass_may_come() {
+        // Trumpet has no congestion window, so its first pass over the
+        // plateau finds lulls before the sender-window evidence is in;
+        // under the inferred window its second pass has no issues.
+        let conn = plateau_trace(32_768);
+        let cfg = profiles::trumpet_winsock();
+        let pre = prescan(&conn).unwrap();
+        let first = replay(
+            &conn,
+            &cfg,
+            &pre,
+            None,
+            &ReplayOptions::default(),
+            Until::End,
+        );
+        assert!(first.second_pass_due);
+        let first_issue = first
+            .analysis
+            .issues
+            .first()
+            .expect("first pass has issues");
+        assert!(first_issue.index + 1 < first.visited, "{first_issue:?}");
+
+        let (a, work) = Prepared::new(&conn).unwrap().verdict(&cfg);
+        let full = analyze_sender(&conn, &cfg).unwrap();
+        assert_eq!(work.passes, 2);
+        assert!(!work.settled_early);
+        assert_eq!(a.inferred_sender_window, Some(2048));
+        assert!(a.issues.is_empty(), "{:?}", a.issues);
+        assert_eq!(classify(&a), classify(&full));
+        assert_eq!(a.response_delays.samples(), full.response_delays.samples());
+    }
+
+    #[test]
+    fn doomed_first_pass_stops_once_evidence_plus_peak_sends_left_is_below_two() {
+        // A 2048-byte offered window keeps every candidate's window at
+        // the peak flight, so no pass gathers sender-window evidence.
+        let mut conn = plateau_trace(2048);
+        // A needless resend of the first segment 1 ms on: Reno's 1 s RTO
+        // floor cannot explain it.
+        let resend = rec(61, 1, 2, A, 1001, 512, 9001);
+        conn.records.insert(3, (Dir::SenderToReceiver, resend));
+        let reno = profiles::reno();
+        let full = analyze_sender(&conn, &reno).unwrap();
+        assert_eq!(full.issues.first().map(|i| i.index), Some(3));
+        assert_eq!(full.inferred_sender_window, None);
+
+        let pre = prescan(&conn).unwrap();
+        let from = peak_sends_from(&conn, &pre);
+        assert_eq!(from[0], 5, "{from:?}");
+        // The pass goes on past its issue while at least two peak sends
+        // are left, and ends at the record that leaves one.
+        let stop = (3..conn.records.len()).find(|&i| from[i + 1] < 2).unwrap();
+        assert!(from[4] >= 2 && stop > 3, "{from:?}");
+        let (a, work) = Prepared::new(&conn).unwrap().verdict(&reno);
+        assert!(a.hard_issues() > 0);
+        assert_eq!(
+            work,
+            ReplayWork {
+                passes: 1,
+                records: stop as u64 + 1,
+                settled_early: true,
+            }
+        );
     }
 
     #[test]

@@ -70,6 +70,7 @@ fn metrics_deterministic_across_worker_counts() {
     let dir = corpus_dir("determinism", 4, true);
     let dir_arg = dir.to_str().unwrap();
     let mut stripped = Vec::new();
+    let mut replay_work = Vec::new();
     for jobs in ["1", "4", "8"] {
         let out = dir.join(format!("metrics-{jobs}.json"));
         let (stdout, stderr, code) = tcpanaly_code(&[
@@ -91,8 +92,23 @@ fn metrics_deterministic_across_worker_counts() {
         assert_eq!(counter(&text, "corpus.io_retries"), 0, "{text}");
         assert_eq!(counter(&text, "corpus.failed.panic"), 0, "{text}");
         assert!(counter(&text, "corpus.salvage.bytes_skipped") > 0, "{text}");
+        // The census's replay work counters are present (`counter`
+        // panics on a missing one).
+        replay_work.push([
+            counter(&text, "fingerprint.replays"),
+            counter(&text, "fingerprint.replay_records"),
+            counter(&text, "fingerprint.replays_settled_early"),
+        ]);
         stripped.push(metrics::strip_wall_clock(&text).expect("strip"));
     }
+    assert_eq!(
+        replay_work[0], replay_work[1],
+        "replay work at --jobs 1 vs 4"
+    );
+    assert_eq!(
+        replay_work[1], replay_work[2],
+        "replay work at --jobs 4 vs 8"
+    );
     assert_eq!(
         stripped[0], stripped[1],
         "metrics (minus wall_clock) must not depend on worker count"

@@ -99,7 +99,7 @@ pub enum RtoScheme {
 ///
 /// Defaults (via [`TcpConfig::generic_reno`]) describe the paper's generic
 /// Reno (§8.2); profiles adjust fields from there.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
     /// Human-readable implementation name, e.g. `"Solaris 2.4"`.
     pub name: &'static str,
@@ -322,6 +322,17 @@ impl TcpConfig {
             fencepost_bug: false,
             ..TcpConfig::generic_reno()
         }
+    }
+
+    /// `true` when `other` sets every behavior knob exactly as `self`
+    /// does, whatever either is named. Two such configs produce the same
+    /// traces in simulation and the same replay of any trace in analysis.
+    pub fn behaves_like(&self, other: &TcpConfig) -> bool {
+        *self
+            == TcpConfig {
+                name: self.name,
+                ..other.clone()
+            }
     }
 
     /// The effective MSS used to size data packets, given what the peer

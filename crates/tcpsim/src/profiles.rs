@@ -355,6 +355,35 @@ mod tests {
         assert_eq!(names.len(), profiles.len());
     }
 
+    /// Three profiles set every knob exactly as an earlier profile does,
+    /// so no trace can tell them apart and a fingerprint that ranks ties
+    /// in `all_profiles()` order never names them.
+    #[test]
+    fn exactly_three_profiles_behave_like_an_earlier_one() {
+        let profiles = all_profiles();
+        let mut twins = Vec::new();
+        for (j, later) in profiles.iter().enumerate() {
+            for earlier in &profiles[..j] {
+                if later.behaves_like(earlier) {
+                    twins.push((earlier.name, later.name));
+                }
+            }
+        }
+        assert_eq!(
+            twins,
+            [
+                ("DEC OSF/1 2.0", "IRIX 4.0"),
+                ("BSDI 2.0", "NetBSD 1.0"),
+                ("HP/UX 10.00", "Generic Reno"),
+            ]
+        );
+        assert!(!bsdi_2_0().behaves_like(&bsdi_2_1()));
+        assert!(reno().behaves_like(&TcpConfig {
+            name: "renamed",
+            ..reno()
+        }));
+    }
+
     #[test]
     fn lookup_by_name_round_trips() {
         for p in all_profiles() {
