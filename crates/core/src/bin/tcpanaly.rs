@@ -366,8 +366,8 @@ fn run(opts: &Options) -> ExitCode {
             run_corpus(
                 MemorySource::new(items),
                 &config,
-                |analyzer: &Analyzer, id: &str, loaded: &Loaded| {
-                    opts.sections.render(analyzer, id, loaded)
+                |analyzer: &Analyzer, id: &str, loaded: Loaded| {
+                    opts.sections.render(analyzer, id, &loaded)
                 },
                 |item| match item.outcome {
                     // A closed stdout ends the run.

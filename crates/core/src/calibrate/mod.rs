@@ -78,7 +78,7 @@ impl Calibrator {
     /// Calibrates a trace: removes measurement duplicates, then runs every
     /// detector on the cleaned trace.
     pub fn calibrate(&self, trace: &Trace) -> (Trace, CalibrationReport) {
-        let (clean, calibrated) = calibrate_once(trace, |_| self.vantage);
+        let (clean, calibrated) = calibrate_once(trace, |_| self.vantage, |clean| clean);
         (clean, calibrated.report)
     }
 }
@@ -100,14 +100,17 @@ pub struct Calibrated {
 /// The one calibration sequence, each step once: remove duplicates,
 /// split the cleaned trace, then detect time travel and resequencing,
 /// settle the vantage from those same connections, and run the drop
-/// checks under it. Returns the cleaned trace beside the result.
+/// checks under it. Returns what `keep` makes of the cleaned trace beside
+/// the result; `keep` runs inside `stage.calibrate`, so a caller that
+/// discards the trace frees it there.
 ///
 /// The three steps are sibling spans — `stage.dedup`, `stage.split`,
 /// `stage.calibrate` — so stage durations never count the split twice.
-pub(crate) fn calibrate_once(
+pub(crate) fn calibrate_once<K>(
     trace: &Trace,
     vantage: impl FnOnce(&[Connection]) -> Vantage,
-) -> (Trace, Calibrated) {
+    keep: impl FnOnce(Trace) -> K,
+) -> (K, Calibrated) {
     let (clean, duplicates) = tcpa_obs::time("stage.dedup", || dups::remove_duplicates(trace));
     let connections = tcpa_obs::time("stage.split", || Connection::split(&clean));
     let _span = tcpa_obs::span("stage.calibrate");
@@ -128,7 +131,7 @@ pub(crate) fn calibrate_once(
         drop_evidence,
     };
     (
-        clean,
+        keep(clean),
         Calibrated {
             vantage,
             connections,

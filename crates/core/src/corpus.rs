@@ -597,9 +597,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The census step: calibrates one loaded trace, reads its connections
 /// through the census verdict path, distills them, and records the
 /// verdict in the item's audit trail.
-fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: &Loaded) -> ItemSummary {
+fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: Loaded) -> ItemSummary {
     let report = analyzer.calibrate(&loaded.trace).census();
-    let summary = tcpa_obs::time("stage.distill", || distill(report, loaded.trace.len()));
+    let summary = tcpa_obs::time("stage.distill", || {
+        let records = loaded.trace.len();
+        // The last stage frees the trace, so the stages span the item.
+        drop(loaded);
+        distill(report, records)
+    });
     if audit::is_active() {
         audit::event(EventKind::Verdict, "summary", summarize(&summary));
     }
@@ -650,10 +655,10 @@ fn load_item(config: &CorpusConfig, input: &TraceInput) -> Result<Loaded, Analys
 /// has passed; that unwind is reported as [`AnalysisError::Timeout`],
 /// any other as [`AnalysisError::Panicked`].
 fn analyze_guarded<T>(
-    step: &impl Fn(&Analyzer, &str, &Loaded) -> T,
+    step: &impl Fn(&Analyzer, &str, Loaded) -> T,
     config: &CorpusConfig,
     id: &str,
-    loaded: &Loaded,
+    loaded: Loaded,
 ) -> Result<T, AnalysisError> {
     let analyzer = Analyzer {
         vantage: config.vantage,
@@ -682,7 +687,7 @@ fn analyze_guarded<T>(
 /// audit trail (returned sealed, for the worker to write out).
 fn process_item<T>(
     config: &CorpusConfig,
-    step: &impl Fn(&Analyzer, &str, &Loaded) -> T,
+    step: &impl Fn(&Analyzer, &str, Loaded) -> T,
     index: usize,
     id: &str,
     input: &TraceInput,
@@ -734,7 +739,7 @@ fn summarize(s: &ItemSummary) -> String {
 
 fn process_item_inner<T>(
     config: &CorpusConfig,
-    step: &impl Fn(&Analyzer, &str, &Loaded) -> T,
+    step: &impl Fn(&Analyzer, &str, Loaded) -> T,
     id: &str,
     input: &TraceInput,
 ) -> ItemOutcome<T> {
@@ -753,7 +758,7 @@ fn process_item_inner<T>(
     if let Some(report) = &damage {
         audit::event(EventKind::Info, "ingest.salvage", report.to_string());
     }
-    match analyze_guarded(step, config, id, &loaded) {
+    match analyze_guarded(step, config, id, loaded) {
         Ok(summary) => match damage {
             Some(report) => ItemOutcome::Salvaged { summary, report },
             None => ItemOutcome::Analyzed(summary),
@@ -775,14 +780,15 @@ struct Cursor<S> {
 /// item runs start to finish on the worker that claimed it.
 ///
 /// `step` gets an [`Analyzer`] for `config.vantage`, the item's label and
-/// the loaded trace. `emit` sees items in completion order, which is
-/// input order at one worker. Workers stop claiming items once `emit`
+/// the loaded trace, which it owns, so its own stages can free it. `emit`
+/// sees items in completion order, which is input order at one worker.
+/// Workers stop claiming items once `emit`
 /// returns `false`, and under [`DegradePolicy::Strict`] once a malformed
 /// capture has been seen; items already claimed still reach `emit`.
 pub fn run_corpus<S: TraceSource, T: Send>(
     source: S,
     config: &CorpusConfig,
-    step: impl Fn(&Analyzer, &str, &Loaded) -> T + Send + Sync,
+    step: impl Fn(&Analyzer, &str, Loaded) -> T + Send + Sync,
     emit: impl FnMut(ItemReport<T>) -> bool + Send,
 ) {
     // Declare the counters a healthy run never touches, so a metrics

@@ -9,7 +9,7 @@
 //! is an imperfect fit; a candidate that explains every packet promptly
 //! is a close fit.
 
-use crate::sender::{analyze_sender, Prepared, ReplayWork, SenderAnalysis};
+use crate::sender::{Prepared, ReplayOptions, ReplayWork, SenderAnalysis};
 use std::sync::OnceLock;
 use tcpa_tcpsim::config::TcpConfig;
 use tcpa_tcpsim::profiles::all_profiles;
@@ -79,21 +79,35 @@ pub fn fingerprint_one(conn: &Connection, cfg: &TcpConfig) -> Option<Fingerprint
     // `detail.*` spans are sub-stage detail nested inside
     // `stage.fingerprint`; they are excluded from stage-coverage sums so
     // the replay time is not double-counted.
-    let analysis = tcpa_obs::time("detail.sender_replay", || analyze_sender(conn, cfg))?;
-    Some(FingerprintResult {
+    tcpa_obs::time("detail.sender_replay", || {
+        Some(candidate(&Prepared::new(conn)?, cfg))
+    })
+}
+
+/// Replays and classifies one candidate over a prepared connection.
+fn candidate(prepared: &Prepared, cfg: &TcpConfig) -> FingerprintResult {
+    let analysis = prepared.analyze(cfg, &ReplayOptions::default());
+    FingerprintResult {
         name: cfg.name,
         fit: classify(&analysis),
         analysis,
-    })
+    }
 }
 
 /// Runs every known profile against a connection and sorts the results:
 /// close fits first (by mean response delay), then imperfect, then
-/// clearly incorrect (by number of hard issues).
+/// clearly incorrect (by number of hard issues). The connection is
+/// prepared once for all of them; each replay is one
+/// `detail.sender_replay` span, as in [`fingerprint_one`].
 pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
+    let prepared = Prepared::new(conn);
     let mut results: Vec<FingerprintResult> = all_profiles()
         .iter()
-        .filter_map(|cfg| fingerprint_one(conn, cfg))
+        .filter_map(|cfg| {
+            tcpa_obs::time("detail.sender_replay", || {
+                prepared.as_ref().map(|p| candidate(p, cfg))
+            })
+        })
         .collect();
     // Stable: equal keys keep `all_profiles()` order.
     results.sort_by_cached_key(rank_key);
@@ -152,7 +166,7 @@ fn profiles_and_twins() -> &'static (Vec<TcpConfig>, Vec<Option<usize>>) {
 
 /// [`fingerprint`] reduced to the [`CensusVerdict`], for a fraction of the
 /// replay work. Each candidate is replayed only until it is settled
-/// whether it fits closely, over a prescan shared by all of them. A
+/// whether it fits closely, over trace facts shared by all of them. A
 /// profile that behaves exactly like an earlier one is not replayed: it
 /// takes its twin's verdict and, tying with it, can never be the best
 /// fit. The replay work is added to the `fingerprint.replays`,

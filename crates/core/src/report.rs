@@ -101,11 +101,11 @@ impl Analyzer {
     /// (each by [`crate::calibrate::infer_vantage`]) before the drop
     /// checks run, and the result carries the vantage they settled on.
     pub fn calibrate(&self, trace: &Trace) -> Calibrated {
-        let (_clean, calibrated) = calibrate_once(trace, |connections| match self.vantage {
+        let vantage = |connections: &[Connection]| match self.vantage {
             Vantage::Unknown => vote(connections),
             fixed => fixed,
-        });
-        calibrated
+        };
+        calibrate_once(trace, vantage, drop).1
     }
 
     /// Runs the full pipeline on a trace.
@@ -126,29 +126,32 @@ impl Calibrated {
     /// Runs the per-connection stages on the calibrated connections under
     /// the calibrated vantage.
     pub fn analyze(&self) -> AnalysisReport {
-        self.analyze_with(fingerprint)
+        AnalysisReport {
+            connections: self.analyze_connections(fingerprint),
+            calibration: self.report.clone(),
+        }
     }
 
     /// [`Calibrated::analyze`] as the census reads it: the same stages,
     /// but each connection's fingerprint is only its [`census_verdict`],
     /// which replays each candidate only until its verdict is settled.
-    pub fn census(&self) -> AnalysisReport<CensusVerdict> {
-        self.analyze_with(census_verdict)
+    /// The census keeps nothing else of the calibration, so this consumes
+    /// it and moves its findings into the report.
+    pub fn census(self) -> AnalysisReport<CensusVerdict> {
+        AnalysisReport {
+            connections: self.analyze_connections(census_verdict),
+            calibration: self.report,
+        }
     }
 
-    fn analyze_with<F: Default>(
+    fn analyze_connections<F: Default>(
         &self,
         fingerprint_stage: fn(&Connection) -> F,
-    ) -> AnalysisReport<F> {
-        let connections = self
-            .connections
+    ) -> Vec<ConnectionReport<F>> {
+        self.connections
             .iter()
             .map(|conn| self.analyze_connection(conn, fingerprint_stage))
-            .collect();
-        AnalysisReport {
-            connections,
-            calibration: self.report.clone(),
-        }
+            .collect()
     }
 
     fn analyze_connection<F: Default>(

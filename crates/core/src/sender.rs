@@ -63,7 +63,7 @@ pub enum RetxCause {
 }
 
 /// A problem the replay could not reconcile with the candidate config.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenderIssue {
     /// What kind of problem.
     pub kind: SenderIssueKind,
@@ -173,7 +173,8 @@ struct Prescan {
     final_data_end: SeqNum,
     have_handshake: bool,
     /// Data and FIN segments the sender sent: a bound on the entries of
-    /// each per-segment map the replay keeps.
+    /// each per-segment map of the facts walk and on the response delays
+    /// of a pass.
     segments_sent: usize,
 }
 
@@ -250,43 +251,129 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
     })
 }
 
-/// For each record index `i`, how many of the records from `i` on are
-/// *peak sends*: new data that takes the flight to the connection's peak
-/// (`hi - snd_una >= max_in_flight`) before its final byte. Only a peak
-/// send can add sender-window evidence (§6.2), and `snd_una` and the
-/// highest sequence sent follow the trace alone, not the candidate, so
-/// this bounds the evidence any candidate's first pass can still collect.
-/// The last entry (one past the final record) is 0.
-fn peak_sends_from(conn: &Connection, pre: &Prescan) -> Vec<u32> {
-    let mut snd_una = pre.iss + 1;
-    let mut snd_max_seen = snd_una;
-    let mut from = vec![0u32; conn.records.len() + 1];
-    for (i, (dir, rec)) in conn.records.iter().enumerate() {
+/// Send times per segment boundary, keyed by the raw sequence number.
+// tcpa-lint: allow(determinism-hazards) -- built once per connection by the facts walk, read by exact key and never iterated, so hash order cannot reach any output; an ordered map's per-packet descent grew the walk's cost with trace length
+type SendTimes = std::collections::HashMap<u32, Time>;
+
+/// What the trace alone says at one record, whichever candidate is
+/// replayed: the sender state in force when the record is replayed —
+/// what has been sent, acked and offered follows the trace, never the
+/// candidate — plus two facts about the record itself.
+#[derive(Debug, Clone, Copy)]
+struct Facts {
+    /// Highest sequence acked.
+    snd_una: SeqNum,
+    /// Highest sequence sent: the replay has no snd_nxt, and this is the
+    /// closest observable proxy for bytes committed to the wire.
+    snd_max_seen: SeqNum,
+    /// Highest sequence ever retransmitted (for Karn and the Solaris
+    /// reset-on-ack-of-retransmit behavior).
+    retx_high: SeqNum,
+    /// The receiver's offered window.
+    peer_window: u32,
+    /// Liberating acks so far: how much of
+    /// [`Prepared::liberating_ack_times`] has been seen.
+    liberating_acks: u32,
+    /// Time of the most recent retransmission (any cause), `None` before
+    /// the first; quench inference is suppressed when the stall overlaps
+    /// retransmission activity, which already explains the disturbance.
+    last_retx_time: Option<Time>,
+    /// Rough RTT: first transmission to its liberating ack, smoothed.
+    rtt_estimate: Option<Duration>,
+    /// For a data or FIN segment, when a segment starting at the same
+    /// sequence number was last sent before it (for RTO plausibility).
+    prev_send: Option<Time>,
+    /// How many of the records from this one on are *peak sends*: new
+    /// data that takes the flight to the connection's peak
+    /// (`hi - snd_una >= max_in_flight`) before its final byte. Only a
+    /// peak send can add sender-window evidence (§6.2), so this bounds
+    /// the evidence any candidate's first pass can still collect.
+    peak_sends_from: u32,
+}
+
+impl Facts {
+    /// The times of the liberating acks seen so far, out of all of them.
+    fn liberating_acks_seen<'t>(&self, liberating_ack_times: &'t [Time]) -> &'t [Time] {
+        liberating_ack_times
+            .get(..self.liberating_acks as usize)
+            .unwrap_or_default()
+    }
+}
+
+/// The per-record [`Facts`] of a connection, one walk over its records:
+/// entry `i` holds the state in force when record `i` is replayed, and a
+/// last entry, one past the final record, the state after it. Also
+/// returns the times of the liberating acks, in trace order.
+fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>) {
+    let snd_una = pre.iss + 1;
+    let mut state = Facts {
+        snd_una,
+        snd_max_seen: snd_una,
+        retx_high: snd_una,
+        peer_window: pre.initial_peer_window,
+        liberating_acks: 0,
+        last_retx_time: None,
+        rtt_estimate: None,
+        prev_send: None,
+        peak_sends_from: 0,
+    };
+    // Sized once, so neither map rehashes during the walk.
+    let mut first_send_time = SendTimes::with_capacity(pre.segments_sent);
+    let mut last_sent = SendTimes::with_capacity(pre.segments_sent);
+    let mut liberating_ack_times = Vec::new();
+    let mut facts = Vec::with_capacity(conn.records.len() + 1);
+    for (dir, rec) in &conn.records {
+        // `state` carries no per-record fact; `at` adds this record's.
+        let mut at = state;
         let tcp = &rec.tcp;
-        if tcp.flags.syn() || tcp.flags.rst() {
-            continue;
-        }
+        let counted = !tcp.flags.syn() && !tcp.flags.rst();
         match dir {
-            Dir::ReceiverToSender => {
-                if tcp.flags.ack() && tcp.ack.after(snd_una) {
-                    snd_una = tcp.ack;
-                }
-            }
-            Dir::SenderToReceiver => {
-                let hi = rec.seq_hi();
-                if (rec.is_data() || tcp.flags.fin()) && hi.after(snd_max_seen) {
-                    if hi - snd_una >= pre.max_in_flight && hi.before(pre.final_data_end) {
-                        from[i] = 1;
+            Dir::ReceiverToSender if counted && tcp.flags.ack() => {
+                if tcp.ack.after(state.snd_una) {
+                    // Liberating ack.
+                    if let Some(&t0) = first_send_time.get(&(tcp.ack - 1).0) {
+                        let est = rec.ts - t0;
+                        state.rtt_estimate = Some(match state.rtt_estimate {
+                            Some(prev) => (prev * 7 + est) / 8,
+                            None => est,
+                        });
                     }
-                    snd_max_seen = hi;
+                    state.snd_una = tcp.ack;
+                    state.peer_window = u32::from(tcp.window);
+                    state.liberating_acks += 1;
+                    liberating_ack_times.push(rec.ts);
+                } else if tcp.ack == state.snd_una {
+                    // A window update (unchanged when it is a duplicate).
+                    state.peer_window = u32::from(tcp.window);
                 }
             }
+            Dir::SenderToReceiver if counted && (rec.is_data() || tcp.flags.fin()) => {
+                let hi = rec.seq_hi();
+                first_send_time.entry(hi.0 - 1).or_insert(rec.ts);
+                at.prev_send = last_sent.insert(tcp.seq.0, rec.ts);
+                if hi.after(state.snd_max_seen) {
+                    if hi - state.snd_una >= pre.max_in_flight && hi.before(pre.final_data_end) {
+                        at.peak_sends_from = 1;
+                    }
+                    state.snd_max_seen = hi;
+                } else {
+                    if hi.after(state.retx_high) {
+                        state.retx_high = hi;
+                    }
+                    state.last_retx_time = Some(rec.ts);
+                }
+            }
+            _ => {}
         }
+        facts.push(at);
     }
-    for i in (0..conn.records.len()).rev() {
-        from[i] += from[i + 1];
+    facts.push(state);
+    let mut left = 0;
+    for at in facts.iter_mut().rev() {
+        left += at.peak_sends_from;
+        at.peak_sends_from = left;
     }
-    from
+    (facts, liberating_ack_times)
 }
 
 /// Analyzes a connection's sender behavior against one candidate config.
@@ -301,28 +388,38 @@ pub fn analyze_sender_with(
     cfg: &TcpConfig,
     opts: &ReplayOptions,
 ) -> Option<SenderAnalysis> {
-    let pre = prescan(conn)?;
-    Some(run(conn, cfg, &pre, opts, Until::End).0)
+    Some(Prepared::new(conn)?.analyze(cfg, opts))
 }
 
-/// One connection made ready for replaying every candidate against it:
-/// the prescan and the peak-send counts are computed once and shared.
+/// One connection made ready for replaying candidates against it: the
+/// prescan and the per-record [`Facts`] depend on the trace alone, so
+/// they are computed once and every candidate's replay reads them.
 pub(crate) struct Prepared<'c> {
     conn: &'c Connection,
     pre: Prescan,
-    peak_sends_from: Vec<u32>,
+    /// One entry per record plus one past the last.
+    facts: Vec<Facts>,
+    /// Times of the liberating acks, for the §8.6 odd retransmission and
+    /// for reconstructing slow-start growth after an inferred quench.
+    liberating_ack_times: Vec<Time>,
 }
 
 impl<'c> Prepared<'c> {
     /// Prepares `conn`; `None` when it carries no data to analyze.
     pub(crate) fn new(conn: &'c Connection) -> Option<Prepared<'c>> {
         let pre = prescan(conn)?;
-        let peak_sends_from = peak_sends_from(conn, &pre);
+        let (facts, liberating_ack_times) = facts(conn, &pre);
         Some(Prepared {
             conn,
             pre,
-            peak_sends_from,
+            facts,
+            liberating_ack_times,
         })
+    }
+
+    /// Replays `cfg` over the whole connection: [`analyze_sender_with`].
+    pub(crate) fn analyze(&self, cfg: &TcpConfig, opts: &ReplayOptions) -> SenderAnalysis {
+        run(self, cfg, opts, Until::End).0
     }
 
     /// Replays `cfg` only until it is settled whether the candidate fits
@@ -331,13 +428,7 @@ impl<'c> Prepared<'c> {
     /// analysis stops at the record that settled it, and only its not
     /// being close may be read from it.
     pub(crate) fn verdict(&self, cfg: &TcpConfig) -> (SenderAnalysis, ReplayWork) {
-        run(
-            self.conn,
-            cfg,
-            &self.pre,
-            &ReplayOptions::default(),
-            Until::Verdict(&self.peak_sends_from),
-        )
+        run(self, cfg, &ReplayOptions::default(), Until::Verdict)
     }
 }
 
@@ -353,14 +444,14 @@ pub(crate) struct ReplayWork {
 }
 
 /// When a replay pass may end before the connection's last record.
-#[derive(Debug, Clone, Copy)]
-enum Until<'p> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Until {
     /// The whole analysis is read: only a first pass that has settled on
     /// a second one ends early, since its analysis is discarded.
     End,
     /// Only whether the candidate fits closely is read: a pass also ends
-    /// once it cannot. Holds [`peak_sends_from`] for the connection.
-    Verdict(&'p [u32]),
+    /// once it cannot.
+    Verdict,
 }
 
 /// Whether a pass that can no longer fit closely (it has an issue or
@@ -375,21 +466,20 @@ fn verdict_settled(may_infer_window: bool, evidence: usize, peak_sends_left: u32
 /// Replays one candidate: a first pass and, when it infers a limiting
 /// sender window (§6.2), a second pass under that window.
 fn run(
-    conn: &Connection,
+    prepared: &Prepared,
     cfg: &TcpConfig,
-    pre: &Prescan,
     opts: &ReplayOptions,
     until: Until,
 ) -> (SenderAnalysis, ReplayWork) {
-    let first = replay(conn, cfg, pre, None, opts, until);
+    let first = replay(prepared, cfg, None, opts, until);
     let mut work = ReplayWork {
         passes: 1,
         records: first.visited as u64,
         settled_early: false,
     };
     let last = if first.second_pass_due {
-        let sw = pre.max_in_flight as u32;
-        let mut second = replay(conn, cfg, pre, Some(sw), opts, until);
+        let sw = prepared.pre.max_in_flight as u32;
+        let mut second = replay(prepared, cfg, Some(sw), opts, until);
         second.analysis.inferred_sender_window = Some(sw);
         work.passes = 2;
         work.records += second.visited as u64;
@@ -397,7 +487,7 @@ fn run(
     } else {
         first
     };
-    work.settled_early = last.visited < conn.records.len();
+    work.settled_early = last.visited < prepared.conn.records.len();
     (last.analysis, work)
 }
 
@@ -440,10 +530,8 @@ fn first_liberation(liberations: &[Liberation], hi: SeqNum, lib_floor: Time) -> 
 /// filter ("in general it is insufficient … to only remember the most
 /// recently received packet", §6.1).
 const LOOKBEHIND: Duration = Duration::from_millis(15);
-
-/// Send times per segment boundary, keyed by the raw sequence number.
-// tcpa-lint: allow(determinism-hazards) -- read by exact key and never iterated, so hash order cannot reach any output; an ordered map's per-packet descent grew replay cost with trace length
-type SendTimes = std::collections::HashMap<u32, Time>;
+/// Pre-ack snapshots kept for the look-behind.
+const HISTORY: usize = 32;
 
 /// Snapshot of the retransmission-relevant state, taken before each
 /// incoming ack is processed, enabling the look-behind (§4: "-packet
@@ -457,6 +545,8 @@ struct Snap {
     resend_ptr: Option<SeqNum>,
 }
 
+/// One candidate's replay pass. It holds only the candidate's own state
+/// and reads the trace's state from the shared per-record [`Facts`].
 struct Replay<'a> {
     cfg: &'a TcpConfig,
     pre: &'a Prescan,
@@ -464,18 +554,19 @@ struct Replay<'a> {
     sender_window: Option<u32>,
     cwnd_mss: u32,
     eff_mss: u32,
+    /// The trace's state as the replay has applied it: the facts of the
+    /// record being replayed, or of the next one once an incoming ack
+    /// has taken effect.
+    now: &'a Facts,
+    /// Every liberating ack of the connection; see
+    /// [`Replay::liberating_ack_times`] for those seen so far.
+    liberating_ack_times: &'a [Time],
 
     cc: CcState,
-    snd_una: SeqNum,
-    snd_max_seen: SeqNum,
-    peer_window: u32,
     liberations: Vec<Liberation>,
     /// Liberations at or before this time are considered consumed (e.g.
     /// burned by the §8.6 odd retransmission).
     lib_floor: Time,
-    last_liberating_ack: Option<Time>,
-    /// Last transmission time per segment start (for RTO plausibility).
-    last_sent: SendTimes,
     /// Go-back-N refill pointer after a window collapse.
     resend_ptr: Option<SeqNum>,
     /// Active burst-retransmission window.
@@ -487,10 +578,6 @@ struct Replay<'a> {
     /// Continuation pointer for a go-back-N refill matched against stale
     /// state (the snapshots themselves are immutable).
     stale_refill: Option<(SeqNum, Time)>,
-    /// Time of the most recent retransmission (any cause); quench
-    /// inference is suppressed when the stall overlaps retransmission
-    /// activity, which already explains the disturbance.
-    last_retx_time: Option<Time>,
     /// The candidate's own RTO machinery, replayed alongside (so a
     /// retransmission is accepted as a timeout only when the candidate's
     /// timer — Jacobson, Solaris-broken, or fixed — would actually have
@@ -498,14 +585,6 @@ struct Replay<'a> {
     rto_model: RttEstimator,
     /// Segment being timed for an RTT sample (hi, first-sent), Karn-style.
     rto_timing: Option<(SeqNum, Time)>,
-    /// Highest sequence ever retransmitted (for Karn and the Solaris
-    /// reset-on-ack-of-retransmit behavior).
-    retx_high: SeqNum,
-    any_retransmitted: bool,
-    liberating_acks: u64,
-    /// Times of liberating acks, for reconstructing slow-start growth
-    /// after an inferred quench.
-    liberating_ack_times: Vec<Time>,
     /// While set, the replay is resynchronizing after an inferred quench:
     /// the exact quench instant is unknowable ("sometime between the ack
     /// and the data packet", §6.2), so the reconstructed slow-start phase
@@ -515,8 +594,6 @@ struct Replay<'a> {
     /// cwnd ceiling during resync: the window the TCP demonstrably had
     /// before the inferred quench.
     pre_quench_cwnd: u64,
-    rtt_estimate: Option<Duration>,
-    first_send_time: SendTimes,
     /// Running median of `analysis.response_delays`, the baseline that
     /// makes a response delay suspect.
     delay_median: RunningMedian,
@@ -526,17 +603,21 @@ struct Replay<'a> {
 }
 
 fn replay(
-    conn: &Connection,
+    prepared: &Prepared,
     cfg: &TcpConfig,
-    pre: &Prescan,
     sw: Option<u32>,
     opts: &ReplayOptions,
     until: Until,
 ) -> ReplayOutput {
+    let Prepared {
+        conn,
+        pre,
+        facts,
+        liberating_ack_times,
+    } = prepared;
     let cwnd_mss = cfg.cwnd_mss(pre.peer_mss);
     let eff_mss = cfg.effective_send_mss(pre.peer_mss);
     let cc = CcState::at_establishment(cfg, cwnd_mss, pre.peer_sent_mss || !pre.have_handshake);
-    let snd_una = pre.iss + 1;
     let mut rp = Replay {
         cfg,
         pre,
@@ -544,35 +625,27 @@ fn replay(
         sender_window: sw,
         cwnd_mss,
         eff_mss,
+        // Never empty: it ends with the entry past the last record.
+        now: &facts[0],
+        liberating_ack_times,
         cc,
-        snd_una,
-        snd_max_seen: snd_una,
-        peer_window: pre.initial_peer_window,
-        liberations: Vec::new(),
+        // A liberation per liberating ack, plus the first, is the common
+        // case; window updates and resyncs may add more.
+        liberations: Vec::with_capacity(liberating_ack_times.len() + 1),
         lib_floor: Time(i64::MIN),
-        last_liberating_ack: None,
-        // Sized once, so neither map rehashes during the replay.
-        last_sent: SendTimes::with_capacity(pre.segments_sent),
         resend_ptr: None,
         burst_until: None,
         fast_retx_armed: false,
-        history: std::collections::VecDeque::new(),
+        history: std::collections::VecDeque::with_capacity(HISTORY + 1),
         stale_refill: None,
-        last_retx_time: None,
         rto_model: RttEstimator::new(cfg),
         rto_timing: None,
-        retx_high: snd_una,
-        any_retransmitted: false,
-        liberating_acks: 0,
-        liberating_ack_times: Vec::new(),
         quench_resync_until: None,
         pre_quench_cwnd: 0,
-        rtt_estimate: None,
-        first_send_time: SendTimes::with_capacity(pre.segments_sent),
-        delay_median: RunningMedian::new(),
+        delay_median: RunningMedian::with_capacity(pre.segments_sent),
         analysis: SenderAnalysis {
             config_name: cfg.name,
-            response_delays: Summary::new(),
+            response_delays: Summary::with_capacity(pre.segments_sent),
             issues: Vec::new(),
             reseq_cured_violations: 0,
             inferred_sender_window: None,
@@ -588,12 +661,14 @@ fn replay(
     rp.push_liberation(pre.establish_time);
 
     let mut visited = conn.records.len();
-    for (i, (dir, rec)) in conn.records.iter().enumerate() {
+    let steps = facts.iter().zip(facts.iter().skip(1));
+    for (i, ((dir, rec), (now, next))) in conn.records.iter().zip(steps).enumerate() {
+        rp.now = now;
         match dir {
-            Dir::ReceiverToSender => rp.on_receiver_packet(rec),
+            Dir::ReceiverToSender => rp.on_receiver_packet(rec, next),
             Dir::SenderToReceiver => rp.on_sender_packet(i, rec, conn),
         }
-        if rp.settled(i, until) {
+        if rp.settled(next, until) {
             visited = i + 1;
             break;
         }
@@ -617,22 +692,21 @@ impl<'a> Replay<'a> {
         self.sender_window_evidence >= 2 && self.may_infer_window()
     }
 
-    /// Whether the pass can end after record `i`: nothing the rest of the
-    /// connection does can change what `until` says is read.
-    fn settled(&self, i: usize, until: Until) -> bool {
+    /// Whether the pass can end before the record whose facts are `next`:
+    /// nothing the rest of the connection does can change what `until`
+    /// says is read.
+    fn settled(&self, next: &Facts, until: Until) -> bool {
         if self.second_pass_due() {
             return true;
         }
-        let Until::Verdict(peak_sends_from) = until else {
-            return false;
-        };
         let cannot_be_close =
             !self.analysis.issues.is_empty() || self.analysis.inferred_quenches.len() > 1;
-        cannot_be_close
+        until == Until::Verdict
+            && cannot_be_close
             && verdict_settled(
                 self.may_infer_window(),
                 self.sender_window_evidence,
-                peak_sends_from.get(i + 1).copied().unwrap_or(0),
+                next.peak_sends_from,
             )
     }
 
@@ -642,21 +716,20 @@ impl<'a> Replay<'a> {
         } else {
             self.cc.cwnd
         };
-        let mut w = cwnd.min(u64::from(self.peer_window));
+        let mut w = cwnd.min(u64::from(self.now.peer_window));
         if let Some(sw) = self.sender_window {
             w = w.min(u64::from(sw));
         }
         w
     }
 
-    /// The replay has no snd_nxt; the highest sequence seen is the
-    /// closest observable proxy for bytes committed to the wire.
-    fn snd_nxt_proxy(&self) -> SeqNum {
-        self.snd_max_seen
+    fn permit(&self) -> SeqNum {
+        self.now.snd_una + (self.usable_window().min(u64::from(u32::MAX)) as u32)
     }
 
-    fn permit(&self) -> SeqNum {
-        self.snd_una + (self.usable_window().min(u64::from(u32::MAX)) as u32)
+    /// The liberating acks recorded before the current record.
+    fn liberating_ack_times(&self) -> &'a [Time] {
+        self.now.liberating_acks_seen(self.liberating_ack_times)
     }
 
     fn push_liberation(&mut self, at: Time) {
@@ -695,17 +768,19 @@ impl<'a> Replay<'a> {
     fn snapshot(&mut self, t: Time) {
         self.history.push_back(Snap {
             t,
-            snd_una: self.snd_una,
+            snd_una: self.now.snd_una,
             dup_acks: self.cc.dup_acks,
             fast_retx_armed: self.fast_retx_armed,
             resend_ptr: self.resend_ptr,
         });
-        while self.history.len() > 32 {
+        while self.history.len() > HISTORY {
             self.history.pop_front();
         }
     }
 
-    fn on_receiver_packet(&mut self, rec: &TraceRecord) {
+    /// Replays an incoming ack; `next` holds the trace's state once it
+    /// has taken effect.
+    fn on_receiver_packet(&mut self, rec: &TraceRecord, next: &'a Facts) {
         let tcp = &rec.tcp;
         if tcp.flags.syn() || tcp.flags.rst() {
             return; // handshake handled in prescan
@@ -715,19 +790,14 @@ impl<'a> Replay<'a> {
         }
         self.snapshot(rec.ts);
         let ack = tcp.ack;
-        if ack.after(self.snd_una) {
-            // Liberating ack.
-            if let Some(t0) = self.first_send_time.get(&(ack - 1).0).copied() {
-                // Rough RTT estimate from first transmission to its ack.
-                let est = rec.ts - t0;
-                self.rtt_estimate = Some(match self.rtt_estimate {
-                    Some(prev) => (prev * 7 + est) / 8,
-                    None => est,
-                });
-            }
-            // Replay the candidate's RTO machinery (§8.6: the Solaris
-            // variant resets on any ack covering retransmitted data).
-            let ambiguous = self.any_retransmitted && ack.at_or_before(self.retx_high);
+        // Retransmissions seen so far, for the RTO machinery.
+        let any_retransmitted = self.now.last_retx_time.is_some();
+        let retx_high = self.now.retx_high;
+        if ack.after(self.now.snd_una) {
+            // Liberating ack. Replay the candidate's RTO machinery (§8.6:
+            // the Solaris variant resets on any ack covering retransmitted
+            // data).
+            let ambiguous = any_retransmitted && ack.at_or_before(retx_high);
             if ambiguous {
                 self.rto_model.on_ack_of_retransmitted();
             } else {
@@ -735,8 +805,7 @@ impl<'a> Replay<'a> {
             }
             if let Some((timed_hi, t0)) = self.rto_timing {
                 if ack.at_or_after(timed_hi) {
-                    let retransmitted =
-                        self.any_retransmitted && timed_hi.at_or_before(self.retx_high);
+                    let retransmitted = any_retransmitted && timed_hi.at_or_before(retx_high);
                     if !retransmitted {
                         self.rto_model.sample(rec.ts - t0);
                     }
@@ -750,22 +819,19 @@ impl<'a> Replay<'a> {
             }
             self.cc.dup_acks = 0;
             self.fast_retx_armed = false;
-            self.snd_una = ack;
+            // The ack advances snd_una and sets the offered window.
+            self.now = next;
             if let Some(ptr) = self.resend_ptr {
-                if ack.at_or_after(self.snd_max_seen) {
+                if ack.at_or_after(self.now.snd_max_seen) {
                     self.resend_ptr = None;
                 } else if ack.after(ptr) {
                     self.resend_ptr = Some(ack);
                 }
             }
-            self.peer_window = u32::from(tcp.window);
-            self.liberating_acks += 1;
-            self.liberating_ack_times.push(rec.ts);
-            self.last_liberating_ack = Some(rec.ts);
             self.push_liberation(rec.ts);
-        } else if ack == self.snd_una {
-            let window_changed = u32::from(tcp.window) != self.peer_window;
-            let outstanding = self.snd_una.before(self.snd_max_seen);
+        } else if ack == self.now.snd_una {
+            let window_changed = u32::from(tcp.window) != self.now.peer_window;
+            let outstanding = self.now.snd_una.before(self.now.snd_max_seen);
             if rec.is_pure_ack() && !window_changed && outstanding {
                 self.cc.dup_acks += 1;
                 if self.cfg.dupack_updates_cwnd {
@@ -779,12 +845,12 @@ impl<'a> Replay<'a> {
                         self.cfg,
                         self.cwnd_mss,
                         flight,
-                        self.snd_max_seen,
+                        self.now.snd_max_seen,
                     );
                     self.fast_retx_armed = true;
                     if !entered {
                         // Tahoe collapse: go-back-N from snd_una.
-                        self.resend_ptr = Some(self.snd_una);
+                        self.resend_ptr = Some(self.now.snd_una);
                     }
                     self.collapse_liberations(rec.ts);
                 } else if self.cc.in_recovery && self.cc.dup_acks > self.cfg.dupack_threshold {
@@ -792,7 +858,7 @@ impl<'a> Replay<'a> {
                     self.push_liberation(rec.ts);
                 }
             } else if window_changed {
-                self.peer_window = u32::from(tcp.window);
+                self.now = next;
                 self.push_liberation(rec.ts);
             }
         }
@@ -811,19 +877,13 @@ impl<'a> Replay<'a> {
         if rec.is_data() {
             self.analysis.data_packets += 1;
         }
-        self.first_send_time.entry(hi.0 - 1).or_insert(rec.ts);
 
-        if hi.after(self.snd_max_seen) {
+        if hi.after(self.now.snd_max_seen) {
             if self.rto_timing.is_none() && rec.is_data() {
                 self.rto_timing = Some((hi, rec.ts));
             }
             self.on_new_data(index, rec, hi, conn);
-            self.snd_max_seen = hi;
         } else {
-            self.any_retransmitted = true;
-            if hi.after(self.retx_high) {
-                self.retx_high = hi;
-            }
             if let Some((timed_hi, _)) = self.rto_timing {
                 if timed_hi.after(seq) && timed_hi.at_or_before(hi + self.cwnd_mss) {
                     self.rto_timing = None; // Karn: the timed segment was re-sent
@@ -831,7 +891,6 @@ impl<'a> Replay<'a> {
             }
             self.on_retransmission(index, rec, seq, hi);
         }
-        self.last_sent.insert(seq.0, rec.ts);
     }
 
     fn on_new_data(&mut self, index: usize, rec: &TraceRecord, hi: SeqNum, conn: &Connection) {
@@ -839,7 +898,7 @@ impl<'a> Replay<'a> {
         // cannot fit a real segment is the persist timer talking, not a
         // violation.
         if rec.payload_len == 1 {
-            let in_flight = (self.snd_nxt_proxy() - self.snd_una).max(0) as u64;
+            let in_flight = (self.now.snd_max_seen - self.now.snd_una).max(0) as u64;
             if self.usable_window() <= in_flight + u64::from(self.cwnd_mss) / 4 {
                 self.analysis.zero_window_probes += 1;
                 return;
@@ -851,7 +910,7 @@ impl<'a> Replay<'a> {
             // lag by an ack; adopt the observed flight while it stays
             // below the pre-quench window.
             if let Some(until) = self.quench_resync_until {
-                let flight = (hi - self.snd_una).max(0) as u64;
+                let flight = (hi - self.now.snd_una).max(0) as u64;
                 if rec.ts <= until && flight <= self.pre_quench_cwnd {
                     self.cc.cwnd = self.cc.cwnd.max(flight);
                     self.add_delay(Duration::ZERO);
@@ -876,8 +935,8 @@ impl<'a> Replay<'a> {
                     hi,
                     self.permit(),
                     self.cc.cwnd,
-                    self.peer_window,
-                    self.snd_una
+                    self.now.peer_window,
+                    self.now.snd_una
                 ),
             });
             return;
@@ -903,11 +962,11 @@ impl<'a> Replay<'a> {
                 // segment (§6.2: "the whole series is consistent with
                 // slow start having begun sometime between the ack and
                 // the data packet").
-                let rtt = self.rtt_estimate.unwrap_or(Duration::from_millis(100));
+                let rtt = self.now.rtt_estimate.unwrap_or(Duration::from_millis(100));
                 self.pre_quench_cwnd = self.cc.cwnd;
                 self.cc.on_quench(self.cfg, self.cwnd_mss);
                 let acks_since = self
-                    .liberating_ack_times
+                    .liberating_ack_times()
                     .iter()
                     .filter(|&&t| t > lib.at && t < rec.ts)
                     .count() as u64;
@@ -928,7 +987,7 @@ impl<'a> Replay<'a> {
             // Sender-window evidence (§6.2): the window allowed a full
             // segment more than the connection ever had in flight, yet the
             // flight peaked at max_in_flight with data still to come.
-            let in_flight = hi - self.snd_una;
+            let in_flight = hi - self.now.snd_una;
             if self.sender_window.is_none()
                 && in_flight >= self.pre.max_in_flight
                 && self.usable_window() as i64 >= self.pre.max_in_flight + i64::from(self.eff_mss)
@@ -948,33 +1007,26 @@ impl<'a> Replay<'a> {
     fn on_retransmission(&mut self, index: usize, rec: &TraceRecord, seq: SeqNum, hi: SeqNum) {
         self.analysis.retransmissions += 1;
         let t = rec.ts;
-        self.last_retx_time = Some(t);
 
         // Current-state view first; then the §3.2 look-behind through the
         // pre-ack snapshots (newest first) within the vantage window.
         let now_view = Snap {
             t,
-            snd_una: self.snd_una,
+            snd_una: self.now.snd_una,
             dup_acks: self.cc.dup_acks,
             fast_retx_armed: self.fast_retx_armed,
             resend_ptr: self.resend_ptr,
         };
-        let mut matched = self.try_cause(seq, hi, t, &now_view).map(|c| (c, false));
-        if matched.is_none() {
-            let stale_views: Vec<Snap> = self
+        let matched = match self.try_cause(seq, hi, t, &now_view) {
+            Some(c) => Some((c, false)),
+            None => self
                 .history
                 .iter()
                 .rev()
                 .take_while(|s| t - s.t <= self.opts.lookbehind)
-                .copied()
-                .collect();
-            for view in stale_views {
-                if let Some(c) = self.try_cause(seq, hi, t, &view) {
-                    matched = Some((c, true));
-                    break;
-                }
-            }
-        }
+                .find_map(|view| self.try_cause(seq, hi, t, view))
+                .map(|c| (c, true)),
+        };
 
         let Some((cause, stale)) = matched else {
             self.analysis.issues.push(SenderIssue {
@@ -1003,7 +1055,7 @@ impl<'a> Replay<'a> {
                     self.stale_refill = Some((hi, t));
                 } else {
                     self.resend_ptr = Some(hi);
-                    if !hi.before(self.snd_max_seen) {
+                    if !hi.before(self.now.snd_max_seen) {
                         self.resend_ptr = None;
                     }
                 }
@@ -1028,7 +1080,7 @@ impl<'a> Replay<'a> {
                     self.burst_until = Some(t + BURST_WINDOW);
                 } else {
                     self.resend_ptr = Some(hi);
-                    if !hi.before(self.snd_max_seen) {
+                    if !hi.before(self.now.snd_max_seen) {
                         self.resend_ptr = None;
                     }
                 }
@@ -1069,7 +1121,7 @@ impl<'a> Replay<'a> {
         if head && self.cfg.retransmit_after_ack_period > 0 {
             let lb = self.opts.lookbehind.max(EPSILON);
             let recent = self
-                .liberating_ack_times
+                .liberating_ack_times()
                 .iter()
                 .rev()
                 .take(8)
@@ -1085,9 +1137,9 @@ impl<'a> Replay<'a> {
         // (whose timer is reset by acks of retransmitted data and so
         // never adapts) explains it.
         let since_last = self
-            .last_sent
-            .get(&seq.0)
-            .map(|&t0| t - t0)
+            .now
+            .prev_send
+            .map(|t0| t - t0)
             .unwrap_or(Duration::ZERO);
         let floor = self.cfg.min_rto.min(self.cfg.initial_rto);
         let modeled = self.rto_model.rto();
@@ -1117,7 +1169,7 @@ impl<'a> Replay<'a> {
                 // liberating ack).
                 let would_permit =
                     next.tcp.ack + (self.usable_window().min(u64::from(u32::MAX)) as u32);
-                if next.tcp.ack.after(self.snd_una) && would_permit.at_or_after(hi) {
+                if next.tcp.ack.after(self.now.snd_una) && would_permit.at_or_after(hi) {
                     return Some(next.ts - rec.ts);
                 }
             }
@@ -1140,10 +1192,10 @@ impl<'a> Replay<'a> {
         }
         // Retransmission activity during the stall already explains a
         // disturbed window; do not also invent a quench.
-        if self.last_retx_time.is_some_and(|t| t >= lib_at) {
+        if self.now.last_retx_time.is_some_and(|t| t >= lib_at) {
             return false;
         }
-        let flight_now = (hi - self.snd_una).max(0);
+        let flight_now = (hi - self.now.snd_una).max(0);
         flight_now <= i64::from(2 * self.eff_mss).max(self.pre.max_in_flight / 2)
     }
 }
@@ -1411,12 +1463,12 @@ mod tests {
     #[test]
     fn full_replay_ends_its_first_pass_once_the_second_is_due() {
         let conn = plateau_trace(32_768);
-        let pre = prescan(&conn).unwrap();
+        let prepared = Prepared::new(&conn).unwrap();
         let opts = ReplayOptions::default();
-        let first = replay(&conn, &profiles::reno(), &pre, None, &opts, Until::End);
+        let first = replay(&prepared, &profiles::reno(), None, &opts, Until::End);
         assert!(first.second_pass_due);
         assert!(first.visited < conn.records.len(), "{}", first.visited);
-        let (a, work) = run(&conn, &profiles::reno(), &pre, &opts, Until::End);
+        let (a, work) = run(&prepared, &profiles::reno(), &opts, Until::End);
         assert_eq!(a.inferred_sender_window, Some(2048));
         assert_eq!(
             work,
@@ -1451,15 +1503,8 @@ mod tests {
         // under the inferred window its second pass has no issues.
         let conn = plateau_trace(32_768);
         let cfg = profiles::trumpet_winsock();
-        let pre = prescan(&conn).unwrap();
-        let first = replay(
-            &conn,
-            &cfg,
-            &pre,
-            None,
-            &ReplayOptions::default(),
-            Until::End,
-        );
+        let prepared = Prepared::new(&conn).unwrap();
+        let first = replay(&prepared, &cfg, None, &ReplayOptions::default(), Until::End);
         assert!(first.second_pass_due);
         let first_issue = first
             .analysis
@@ -1468,7 +1513,7 @@ mod tests {
             .expect("first pass has issues");
         assert!(first_issue.index + 1 < first.visited, "{first_issue:?}");
 
-        let (a, work) = Prepared::new(&conn).unwrap().verdict(&cfg);
+        let (a, work) = prepared.verdict(&cfg);
         let full = analyze_sender(&conn, &cfg).unwrap();
         assert_eq!(work.passes, 2);
         assert!(!work.settled_early);
@@ -1492,14 +1537,15 @@ mod tests {
         assert_eq!(full.issues.first().map(|i| i.index), Some(3));
         assert_eq!(full.inferred_sender_window, None);
 
-        let pre = prescan(&conn).unwrap();
-        let from = peak_sends_from(&conn, &pre);
-        assert_eq!(from[0], 5, "{from:?}");
+        let prepared = Prepared::new(&conn).unwrap();
+        let from: Vec<u32> = prepared.facts.iter().map(|f| f.peak_sends_from).collect();
+        assert_eq!(from.len(), conn.records.len() + 1);
+        assert_eq!((from[0], from[conn.records.len()]), (5, 0), "{from:?}");
         // The pass goes on past its issue while at least two peak sends
         // are left, and ends at the record that leaves one.
         let stop = (3..conn.records.len()).find(|&i| from[i + 1] < 2).unwrap();
         assert!(from[4] >= 2 && stop > 3, "{from:?}");
-        let (a, work) = Prepared::new(&conn).unwrap().verdict(&reno);
+        let (a, work) = prepared.verdict(&reno);
         assert!(a.hard_issues() > 0);
         assert_eq!(
             work,
@@ -1509,6 +1555,89 @@ mod tests {
                 settled_early: true,
             }
         );
+    }
+
+    #[test]
+    fn trace_facts_are_the_state_before_each_record() {
+        let mut v = vec![
+            with_mss(rec(0, 1, 2, S, 1000, 0, 0), 512),
+            with_mss(rec(100, 2, 1, SA, 9000, 0, 1001), 512),
+            rec(101, 1, 2, A, 1001, 0, 9001),
+            rec(102, 1, 2, A, 1001, 512, 9001),
+            rec(103, 1, 2, A, 1513, 512, 9001),
+            // Liberating ack 1: 100 ms after 1001 was sent.
+            rec(202, 2, 1, A, 9001, 0, 1513),
+            rec(203, 1, 2, A, 2025, 512, 9001),
+            rec(204, 1, 2, A, 2537, 512, 9001),
+            // Liberating ack 2: 200 ms after 1513 was sent.
+            rec(303, 2, 1, A, 9001, 0, 2025),
+            // 2025 again, first sent at 203.
+            rec(1400, 1, 2, A, 2025, 512, 9001),
+            // Liberating ack 3: 1296 ms after 2537 was first sent.
+            rec(1500, 2, 1, A, 9001, 0, 3049),
+            rec(1501, 1, 2, A, 3049, 512, 9001),
+        ];
+        // A window update: same ack, smaller window.
+        let mut update = rec(1502, 2, 1, A, 9001, 0, 3049);
+        update.tcp.window = 4096;
+        v.push(update);
+        let trace: Trace = v.drain(..).collect();
+        let conn = Connection::split(&trace).remove(0);
+        let prepared = Prepared::new(&conn).unwrap();
+
+        let ms = Time::from_millis;
+        let rtt1 = Duration::from_millis(100);
+        let rtt2 = Duration::from_micros(112_500); // (7 · 100 + 200) / 8
+        let rtt3 = Duration(260_437_500); // (7 · 112.5 + 1296) / 8
+                                          // Before each record and past the last: liberating acks seen, the
+                                          // RTT estimate, and when the record's segment was last sent.
+        let want = [
+            (0, None, None),
+            (0, None, None),
+            (0, None, None),
+            (0, None, None),
+            (0, None, None),
+            (0, None, None),
+            (1, Some(rtt1), None),
+            (1, Some(rtt1), None),
+            (1, Some(rtt1), None),
+            (2, Some(rtt2), Some(ms(203))),
+            (2, Some(rtt2), None),
+            (3, Some(rtt3), None),
+            (3, Some(rtt3), None),
+            (3, Some(rtt3), None),
+        ];
+        let got: Vec<_> = prepared
+            .facts
+            .iter()
+            .map(|f| (f.liberating_acks, f.rtt_estimate, f.prev_send))
+            .collect();
+        assert_eq!(got, want);
+        let liberating = [(5, ms(202)), (8, ms(303)), (10, ms(1500))];
+        for (i, f) in prepared.facts.iter().enumerate() {
+            let before: Vec<Time> = liberating
+                .iter()
+                .filter(|&&(at, _)| at < i)
+                .map(|&(_, t)| t)
+                .collect();
+            let seen = f.liberating_acks_seen(&prepared.liberating_ack_times);
+            assert_eq!(seen, before, "record {i}");
+        }
+
+        // The ack state moves only past the ack that moves it; the
+        // retransmission state only past the retransmission.
+        let una: Vec<u32> = prepared.facts.iter().map(|f| f.snd_una.0).collect();
+        assert_eq!(
+            una,
+            [1001, 1001, 1001, 1001, 1001, 1001, 1513, 1513, 1513, 2025, 2025, 3049, 3049, 3049]
+        );
+        let (retx, after_retx) = (&prepared.facts[9], &prepared.facts[10]);
+        assert_eq!((retx.last_retx_time, retx.retx_high), (None, SeqNum(1001)));
+        assert_eq!(after_retx.last_retx_time, Some(ms(1400)));
+        assert_eq!(after_retx.retx_high, SeqNum(2537));
+        assert_eq!(after_retx.snd_max_seen, SeqNum(3049));
+        let windows: Vec<u32> = prepared.facts[11..].iter().map(|f| f.peer_window).collect();
+        assert_eq!(windows, [32_768, 32_768, 4096]);
     }
 
     #[test]

@@ -11,16 +11,78 @@
 //!   a tie);
 //! * the best fit's response-delay samples;
 //! * the set of close candidates.
+//!
+//! On the same connections, [`fingerprint`] (one preparation of the
+//! connection shared by every candidate) must give each candidate what
+//! [`fingerprint_one`] (a preparation per candidate) gives it, and the
+//! census's replay work on the simulated corpus is pinned exactly.
 
 use std::path::Path;
+use std::process::Command;
+use std::sync::OnceLock;
 
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::{self, all_profiles};
-use tcpa_trace::pcap_io::read_pcap;
+use tcpa_trace::pcap_io::{self, read_pcap};
 use tcpa_trace::Trace;
-use tcpanaly::fingerprint::{close_fits, FitClass};
+use tcpa_wire::TsResolution;
+use tcpanaly::fingerprint::{close_fits, fingerprint, fingerprint_one, FitClass};
+use tcpanaly::obs::json;
 use tcpanaly::Analyzer;
+
+/// The committed fixture traces, by path.
+fn fixture_traces() -> Vec<(String, Trace)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("fixture dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pcap"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no fixtures under {}", dir.display());
+    paths
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).expect("fixture bytes");
+            let (trace, _) = read_pcap(bytes.as_slice()).expect("fixture decodes");
+            (path.display().to_string(), trace)
+        })
+        .collect()
+}
+
+/// The simulated corpus, built once: every profile sending 96 KB clean,
+/// with random loss, with a socket buffer well under the offered window
+/// (a sender-window plateau), and with both together. Captured at the
+/// sender.
+fn simulated_corpus() -> &'static [(String, Trace)] {
+    static CORPUS: OnceLock<Vec<(String, Trace)>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let mut corpus = Vec::new();
+        for (i, cfg) in all_profiles().into_iter().enumerate() {
+            let seed = 100 + i as u64;
+            for (variant, send_buffer, loss) in [
+                ("clean", None, LossModel::None),
+                ("loss", None, LossModel::Bernoulli(0.03)),
+                ("sndbuf", Some(4 * 1024), LossModel::None),
+                ("sndbuf-loss", Some(6 * 1024), LossModel::Bernoulli(0.02)),
+            ] {
+                let mut sender = cfg.clone();
+                if let Some(bytes) = send_buffer {
+                    sender.send_buffer = bytes;
+                }
+                let path = PathSpec {
+                    loss_data: loss,
+                    ..PathSpec::default()
+                };
+                let out = run_transfer(sender, profiles::reno(), &path, 96 * 1024, seed);
+                let label = format!("{} {variant} seed {seed}", cfg.name);
+                corpus.push((label, out.sender_trace()));
+            }
+        }
+        corpus
+    })
+}
 
 /// Totals over the connections compared.
 #[derive(Default)]
@@ -79,24 +141,9 @@ fn check(label: &str, analyzer: &Analyzer, trace: &Trace, tally: &mut Tally) {
 
 #[test]
 fn census_reading_matches_full_analysis_on_fixtures() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("fixture dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "pcap"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "no fixtures under {}", dir.display());
     let mut tally = Tally::default();
-    for path in &paths {
-        let bytes = std::fs::read(path).expect("fixture bytes");
-        let (trace, _) = read_pcap(bytes.as_slice()).expect("fixture decodes");
-        check(
-            &path.display().to_string(),
-            &Analyzer::new(),
-            &trace,
-            &mut tally,
-        );
+    for (label, trace) in &fixture_traces() {
+        check(label, &Analyzer::new(), trace, &mut tally);
     }
     assert!(tally.with_best_fit > 0, "fixtures exercise a best fit");
 }
@@ -104,38 +151,113 @@ fn census_reading_matches_full_analysis_on_fixtures() {
 #[test]
 fn census_reading_matches_full_analysis_on_simulated_corpus() {
     let mut tally = Tally::default();
-    for (i, cfg) in all_profiles().into_iter().enumerate() {
-        let seed = 100 + i as u64;
-        // Clean; random loss; a socket buffer well under the offered
-        // window (a sender-window plateau); both together.
-        for (variant, send_buffer, loss) in [
-            ("clean", None, LossModel::None),
-            ("loss", None, LossModel::Bernoulli(0.03)),
-            ("sndbuf", Some(4 * 1024), LossModel::None),
-            ("sndbuf-loss", Some(6 * 1024), LossModel::Bernoulli(0.02)),
-        ] {
-            let mut sender = cfg.clone();
-            if let Some(bytes) = send_buffer {
-                sender.send_buffer = bytes;
-            }
-            let path = PathSpec {
-                loss_data: loss,
-                ..PathSpec::default()
-            };
-            let out = run_transfer(sender, profiles::reno(), &path, 96 * 1024, seed);
-            let label = format!("{} {variant} seed {seed}", cfg.name);
-            check(
-                &label,
-                &Analyzer::at_sender(),
-                &out.sender_trace(),
-                &mut tally,
-            );
-        }
+    for (label, trace) in simulated_corpus() {
+        check(label, &Analyzer::at_sender(), trace, &mut tally);
     }
     assert_eq!(tally.connections, 22 * 4);
     assert!(tally.with_best_fit > 0);
     assert!(
         tally.second_passes > 0,
         "the corpus must exercise second (sender-window) passes"
+    );
+}
+
+/// Checks, on every connection of `trace`, that [`fingerprint`] gives
+/// each candidate what [`fingerprint_one`] gives it; returns how many
+/// candidate analyses were compared.
+fn check_entry_points(label: &str, analyzer: &Analyzer, trace: &Trace) -> usize {
+    let mut compared = 0;
+    for conn in &analyzer.calibrate(trace).connections {
+        let shared = fingerprint(conn);
+        let single: Vec<_> = all_profiles()
+            .iter()
+            .filter_map(|cfg| fingerprint_one(conn, cfg))
+            .collect();
+        let what = format!("{label} {} -> {}", conn.sender, conn.receiver);
+        assert_eq!(shared.len(), single.len(), "{what}: candidates");
+        for one in &single {
+            let what = format!("{what}, {}", one.name);
+            let r = shared
+                .iter()
+                .find(|r| r.name == one.name)
+                .unwrap_or_else(|| panic!("{what}: missing from fingerprint()"));
+            let (a, b) = (&r.analysis, &one.analysis);
+            assert_eq!(r.fit, one.fit, "{what}: fit");
+            assert_eq!(a.issues, b.issues, "{what}: issues");
+            assert_eq!(
+                a.response_delays.samples(),
+                b.response_delays.samples(),
+                "{what}: response delays"
+            );
+            assert_eq!(
+                a.inferred_sender_window, b.inferred_sender_window,
+                "{what}: inferred sender window"
+            );
+            assert_eq!(
+                a.inferred_quenches, b.inferred_quenches,
+                "{what}: inferred quenches"
+            );
+            compared += 1;
+        }
+    }
+    compared
+}
+
+#[test]
+fn shared_preparation_matches_per_candidate_fingerprint_on_fixtures() {
+    let compared: usize = fixture_traces()
+        .iter()
+        .map(|(label, trace)| check_entry_points(label, &Analyzer::new(), trace))
+        .sum();
+    assert!(compared > 0, "fixtures exercise sender replay");
+}
+
+#[test]
+fn shared_preparation_matches_per_candidate_fingerprint_on_simulated_corpus() {
+    let compared: usize = simulated_corpus()
+        .iter()
+        .map(|(label, trace)| check_entry_points(label, &Analyzer::at_sender(), trace))
+        .sum();
+    assert_eq!(compared, 22 * 4 * 22);
+}
+
+/// The census's replay work on the simulated corpus, read back from the
+/// `--metrics-out` of a `tcpanaly --sender` census over it as pcaps. A
+/// change that should not move the replay work must leave these counts
+/// exactly as they are.
+#[test]
+fn census_replay_work_is_pinned_on_simulated_corpus() {
+    let dir = std::env::temp_dir().join(format!("tcpanaly_replay_work_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (i, (_, trace)) in simulated_corpus().iter().enumerate() {
+        let file = std::fs::File::create(dir.join(format!("t{i:02}.pcap"))).expect("create");
+        pcap_io::write_pcap(trace, file, TsResolution::Micro, 0).expect("write pcap");
+    }
+    let metrics = dir.join("metrics.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_tcpanaly"))
+        .args(["--jobs", "1", "--sender", "--metrics-out"])
+        .arg(&metrics)
+        .arg(&dir)
+        .output()
+        .expect("run tcpanaly");
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&metrics).expect("metrics file");
+    let doc = json::Value::parse(&text).expect("parse metrics");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("counter {name:?} missing from {text}"))
+    };
+    let work = [
+        counter("fingerprint.replays"),
+        counter("fingerprint.replay_records"),
+        counter("fingerprint.replays_settled_early"),
+    ];
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        work,
+        [2175, 127_697, 1103],
+        "replays, replay records, settled early"
     );
 }

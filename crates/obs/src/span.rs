@@ -36,7 +36,7 @@ impl Span {
             name,
             start,
             detail: String::new(),
-            traced: trace::open_span(),
+            traced: trace::open_span(start),
         }
     }
 

@@ -145,8 +145,15 @@ pub fn is_enabled() -> bool {
 }
 
 fn now_ns() -> u64 {
+    ns_at(Instant::now())
+}
+
+/// `at` as nanoseconds since the collector's epoch.
+fn ns_at(at: Instant) -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    at.saturating_duration_since(*epoch)
+        .as_nanos()
+        .min(u64::MAX as u128) as u64
 }
 
 /// Names the current thread's lane (`worker-0`, …). The default lane is
@@ -197,9 +204,10 @@ pub fn end_item() {
 }
 
 /// Called by [`crate::Span::start`]: allocates an id, pushes it on the
-/// open-span stack, and remembers the start time. Returns `None` (and
-/// records nothing) when tracing is off or no item context is open.
-pub(crate) fn open_span() -> Option<OpenSpan> {
+/// open-span stack, and remembers the span's start time `start`, so the
+/// span covers this bookkeeping too. Returns `None` (and records nothing)
+/// when tracing is off or no item context is open.
+pub(crate) fn open_span(start: Instant) -> Option<OpenSpan> {
     if !is_enabled() {
         return None;
     }
@@ -218,7 +226,7 @@ pub(crate) fn open_span() -> Option<OpenSpan> {
                 Some(OpenSpan {
                     id,
                     parent,
-                    ts_ns: now_ns(),
+                    ts_ns: ns_at(start),
                 })
             }
         }
@@ -226,9 +234,9 @@ pub(crate) fn open_span() -> Option<OpenSpan> {
 }
 
 /// Called by [`crate::Span`] on drop: pops the stack and buffers the
-/// complete (`ph:"X"`) event.
+/// complete (`ph:"X"`) event. The span ends once the event is buffered,
+/// so it covers this bookkeeping too.
 pub(crate) fn close_span(open: OpenSpan, name: &'static str, detail: &str) {
-    let dur_ns = now_ns().saturating_sub(open.ts_ns);
     CTX.with(|cell| {
         let mut ctx = cell.borrow_mut();
         let lane = ctx.lane();
@@ -252,10 +260,13 @@ pub(crate) fn close_span(open: OpenSpan, name: &'static str, detail: &str) {
             id: open.id,
             parent: open.parent,
             ts_ns: open.ts_ns,
-            dur_ns,
+            dur_ns: 0,
             detail: detail.to_string(),
         };
         ctx.buf.push(event);
+        if let Some(event) = ctx.buf.last_mut() {
+            event.dur_ns = now_ns().saturating_sub(event.ts_ns);
+        }
     });
 }
 

@@ -182,9 +182,13 @@ impl TraceInput {
                         detail: format!("{}: {e}", path.display()),
                     }
                 })?;
-                decode_bytes(&bytes, mode, &path.display())
+                // Owned, so a strict read frees the file's bytes inside
+                // its `ingest.read` span.
+                decode_bytes(bytes, mode, &path.display())
             }
-            TraceInput::PcapBytes(bytes) => decode_bytes(bytes, mode, &"<memory capture>"),
+            TraceInput::PcapBytes(bytes) => {
+                decode_bytes(bytes.as_slice(), mode, &"<memory capture>")
+            }
             // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus panic-isolation tests load on purpose
             TraceInput::Poison => panic!("poisoned corpus item loaded"),
             TraceInput::Flaky { remaining, trace } => {
@@ -219,7 +223,7 @@ impl TraceInput {
 
 /// Decodes capture bytes under the requested degradation mode.
 fn decode_bytes(
-    bytes: &[u8],
+    bytes: impl AsRef<[u8]>,
     mode: LoadMode,
     label: &dyn core::fmt::Display,
 ) -> Result<Loaded, LoadError> {
@@ -240,7 +244,7 @@ fn decode_bytes(
                 },
             }),
         LoadMode::Salvage => {
-            let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes);
+            let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes.as_ref());
             Ok(Loaded {
                 trace,
                 skipped: report.frames_skipped,

@@ -23,6 +23,14 @@ impl Summary {
         Summary::default()
     }
 
+    /// An empty summary with room for `n` samples.
+    pub fn with_capacity(n: usize) -> Summary {
+        Summary {
+            samples: Vec::with_capacity(n),
+            sorted: false,
+        }
+    }
+
     /// Adds one sample.
     pub fn add(&mut self, d: Duration) {
         self.samples.push(d);
@@ -112,6 +120,14 @@ impl RunningMedian {
     /// An empty running median.
     pub fn new() -> RunningMedian {
         RunningMedian::default()
+    }
+
+    /// An empty running median with room for `n` samples.
+    pub fn with_capacity(n: usize) -> RunningMedian {
+        RunningMedian {
+            lower: BinaryHeap::with_capacity(n.div_ceil(2)),
+            upper: BinaryHeap::with_capacity(n / 2),
+        }
     }
 
     /// Adds one sample.
