@@ -29,13 +29,14 @@
 //! * **One lifecycle** — the census and the CLI's per-trace reports run
 //!   the same item pipeline ([`run_corpus`]); only the per-item step
 //!   differs, and it calibrates each trace once ([`Analyzer::calibrate`]).
-//! * **Observability** — every stage records into the global
-//!   [`tcpa_obs`] registry (counters for retries, timeouts, panics,
-//!   degrade outcomes and salvage losses; log-bucket histograms for
-//!   stage durations), an optional [`CorpusConfig::audit_dir`] writes
-//!   one JSON event log per trace, and [`CorpusConfig::progress`]
-//!   prints a periodic stderr status line. None of it perturbs the
-//!   deterministic census.
+//! * **Observability** — each item is one [`tcpa_obs`] item log: its
+//!   stage spans and its fault and verdict events are recorded once,
+//!   and the stage histograms, the optional per-trace audit trail
+//!   ([`CorpusConfig::audit_dir`]) and the trace are derived from it
+//!   when the item ends. Counters for retries, timeouts, panics, degrade
+//!   outcomes and salvage losses go to the global registry, and
+//!   [`CorpusConfig::progress`] prints a periodic stderr status line.
+//!   None of it perturbs the deterministic census.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,9 +48,8 @@ use std::thread;
 use crate::calibrate::Vantage;
 use crate::fingerprint::CensusVerdict;
 use crate::report::{AnalysisReport, Analyzer};
-use tcpa_obs::audit::{self, AuditTrail, EventKind};
 use tcpa_obs::progress::{ItemClass, Progress};
-use tcpa_obs::trace;
+use tcpa_obs::{AuditTrail, EventKind};
 use tcpa_trace::pcap_io::IngestReport;
 use tcpa_trace::source::{CorpusItem, LoadError, LoadMode, Loaded, TraceInput, TraceSource};
 use tcpa_trace::{Duration, Summary};
@@ -596,19 +596,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The census step: calibrates one loaded trace, reads its connections
 /// through the census verdict path, distills them, and records the
-/// verdict in the item's audit trail.
+/// verdict as an item event.
 fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: Loaded) -> ItemSummary {
     let report = analyzer.calibrate(&loaded.trace).census();
-    let summary = tcpa_obs::time("stage.distill", || {
+    // The last stage frees the trace and states the verdict, so the
+    // stages span the item.
+    tcpa_obs::time("stage.distill", || {
         let records = loaded.trace.len();
-        // The last stage frees the trace, so the stages span the item.
         drop(loaded);
-        distill(report, records)
-    });
-    if audit::is_active() {
-        audit::event(EventKind::Verdict, "summary", summarize(&summary));
-    }
-    summary
+        let summary = distill(report, records);
+        tcpa_obs::event(EventKind::Verdict, "summary", summarize(&summary));
+        summary
+    })
 }
 
 /// Loads one input under the policy's load mode, retrying transient I/O
@@ -626,9 +625,11 @@ fn load_item(config: &CorpusConfig, input: &TraceInput) -> Result<Loaded, Analys
             Ok(loaded) => return Ok(loaded),
             Err(e) if e.is_transient() && attempt < config.io_retries => {
                 tcpa_obs::add("corpus.io_retries", 1);
-                let detail = format!("attempt {}: {e}", attempt + 1);
-                trace::instant("retry", &detail);
-                audit::event(EventKind::Retry, "load", detail);
+                tcpa_obs::event(
+                    EventKind::Retry,
+                    "retry",
+                    format!("attempt {}: {e}", attempt + 1),
+                );
                 thread::sleep(config.retry_backoff * 2u32.saturating_pow(attempt));
                 attempt += 1;
             }
@@ -669,12 +670,9 @@ fn analyze_guarded<T>(
         step(&analyzer, id, loaded)
     }))
     .map_err(|payload| match config.timeout {
-        Some(limit) if tcpa_obs::deadline::is_expiry(&*payload) => {
-            trace::instant("timeout", &format!("limit {} ms", limit.as_millis()));
-            AnalysisError::Timeout {
-                limit_ms: limit.as_millis() as u64,
-            }
-        }
+        Some(limit) if tcpa_obs::deadline::is_expiry(&*payload) => AnalysisError::Timeout {
+            limit_ms: limit.as_millis() as u64,
+        },
         _ => AnalysisError::Panicked {
             message: panic_message(payload),
         },
@@ -692,32 +690,25 @@ fn process_item<T>(
     id: &str,
     input: &TraceInput,
 ) -> (ItemOutcome<T>, Option<AuditTrail>) {
-    if config.audit_dir.is_some() {
-        audit::begin(id, index as u64);
-    }
-    trace::begin_item(id, index as u64);
+    tcpa_obs::begin_item(id, index as u64, config.audit_dir.is_some());
     let outcome = {
-        // The item's root span: every stage span and fault instant below
+        // The item's root span: every stage span and fault event below
         // parents under it.
         let mut root = tcpa_obs::span("corpus.item");
         root.note(id);
         let outcome = process_item_inner(config, step, id, input);
         match &outcome {
             ItemOutcome::Salvaged { report, .. } => {
-                trace::instant("salvage", &report.to_string());
+                tcpa_obs::event(EventKind::Info, "salvage", report.to_string());
             }
             ItemOutcome::Failed(e) => {
-                trace::instant("degrade", &format!("{}: {e}", e.class()));
+                tcpa_obs::event(EventKind::Error, e.class(), e.to_string());
             }
             ItemOutcome::Analyzed(_) => {}
         }
         outcome
     };
-    if let ItemOutcome::Failed(e) = &outcome {
-        audit::event(EventKind::Error, e.class(), e.to_string());
-    }
-    let trail = audit::take(&outcome.name());
-    trace::end_item();
+    let trail = tcpa_obs::end_item(&outcome.name());
     (outcome, trail)
 }
 
@@ -755,9 +746,6 @@ fn process_item_inner<T>(
         }
     };
     let damage = loaded.salvage.as_ref().filter(|r| !r.is_clean()).cloned();
-    if let Some(report) = &damage {
-        audit::event(EventKind::Info, "ingest.salvage", report.to_string());
-    }
     match analyze_guarded(step, config, id, loaded) {
         Ok(summary) => match damage {
             Some(report) => ItemOutcome::Salvaged { summary, report },
@@ -817,7 +805,7 @@ pub fn run_corpus<S: TraceSource, T: Send>(
     let emit = Mutex::new(emit);
     let stop = AtomicBool::new(false);
     let work = |worker: usize| {
-        trace::set_lane(&format!("worker-{worker}"));
+        tcpa_obs::trace::set_lane(&format!("worker-{worker}"));
         while !stop.load(Ordering::Relaxed) {
             let (index, item) = {
                 // A worker panicking while pulling would poison the

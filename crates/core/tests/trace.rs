@@ -2,7 +2,7 @@
 //! binary: schema validity of the Chrome trace_event export, parent /
 //! child invariants under an item deadline, named worker lanes,
 //! canonical-form determinism across worker counts, wall-clock coverage,
-//! and the typed
+//! the audit trail as a projection of the trace, and the typed
 //! write-error surface of `--trace-out` / `--metrics-out` /
 //! `--audit-dir`.
 
@@ -235,6 +235,116 @@ fn deadline_spans_stay_attached_to_item_tree() {
         "analysis parents under the item's root span"
     );
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// One item's records as `(name, detail)` pairs: its spans or stage
+/// events sorted, its instants or other events in record order.
+#[derive(Debug, Default, PartialEq)]
+struct ItemRecords {
+    stages: Vec<(String, String)>,
+    events: Vec<(String, String)>,
+}
+
+fn text_of(value: Option<&json::Value>) -> String {
+    value
+        .and_then(json::Value::as_str)
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The audit trail is a projection of the trace: for every item of a
+/// salvage run over the committed fixtures, clean and mangled, the audit
+/// trail's stage events are the item's complete spans and its other
+/// events are the item's instants, in order.
+#[test]
+fn audit_trail_is_a_projection_of_the_trace() {
+    let out_root =
+        std::env::temp_dir().join(format!("tcpanaly_trace_projection_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out_root);
+    let fixtures =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let trace_out = out_root.join("trace.json");
+    let audit_dir = out_root.join("audit");
+    let (stdout, stderr, code) = tcpanaly_code(&[
+        "--jobs",
+        "2",
+        "--degrade=salvage",
+        "--trace-out",
+        trace_out.to_str().unwrap(),
+        "--audit-dir",
+        audit_dir.to_str().unwrap(),
+        fixtures.to_str().unwrap(),
+        fixtures.join("mangled").to_str().unwrap(),
+    ]);
+    // Some mangled fixtures recover nothing even under salvage.
+    assert!(code == 0 || code == 1, "{stdout}\n{stderr}");
+
+    let doc = json::Value::parse(&std::fs::read_to_string(&trace_out).expect("trace file"))
+        .expect("parse trace");
+    let mut traced: std::collections::BTreeMap<u64, ItemRecords> = Default::default();
+    for event in doc
+        .get("traceEvents")
+        .and_then(json::Value::as_arr)
+        .expect("events")
+    {
+        let Some(args) = event
+            .get("args")
+            .filter(|_| event.get("ph").and_then(json::Value::as_str) != Some("M"))
+        else {
+            continue;
+        };
+        let item = args
+            .get("item")
+            .and_then(json::Value::as_u64)
+            .expect("item");
+        let record = (text_of(event.get("name")), text_of(args.get("detail")));
+        let records = traced.entry(item).or_default();
+        match event.get("ph").and_then(json::Value::as_str) {
+            Some("X") => records.stages.push(record),
+            _ => records.events.push(record),
+        }
+    }
+
+    let mut audited = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(&audit_dir).expect("audit dir") {
+        let trail = json::Value::parse(
+            &std::fs::read_to_string(entry.expect("entry").path()).expect("trail"),
+        )
+        .expect("parse trail");
+        let mut records = ItemRecords::default();
+        for event in trail
+            .get("events")
+            .and_then(json::Value::as_arr)
+            .expect("events")
+        {
+            let record = (text_of(event.get("name")), text_of(event.get("detail")));
+            match event.get("kind").and_then(json::Value::as_str) {
+                Some("stage") => records.stages.push(record),
+                _ => records.events.push(record),
+            }
+        }
+        let index = trail
+            .get("index")
+            .and_then(json::Value::as_u64)
+            .expect("index");
+        audited.insert(index, records);
+    }
+    for records in traced.values_mut().chain(audited.values_mut()) {
+        records.stages.sort();
+    }
+    assert!(audited.len() >= 11, "fixtures + mangled fixtures");
+    assert!(
+        audited.values().any(|r| !r.events.is_empty()),
+        "fault and verdict events expected"
+    );
+    assert_eq!(
+        audited.keys().collect::<Vec<_>>(),
+        traced.keys().collect::<Vec<_>>()
+    );
+    for (index, records) in &audited {
+        assert_eq!(Some(records), traced.get(index), "item {index}");
+    }
+    let _ = std::fs::remove_dir_all(out_root);
 }
 
 /// The items of a trace document whose `stage.*` spans cover less than

@@ -6,15 +6,14 @@
 //! `tcpa-audit/v1`) listing, in order, every stage that ran (with its
 //! duration), every retry and error, and the final verdict.
 //!
-//! The active trail lives in a thread-local so instrumentation deep in
-//! the analyzer ([`crate::span`], ad-hoc [`event`] calls) needs no
-//! plumbing: the corpus worker [`begin`]s a trail, the analysis runs,
-//! and the worker [`take`]s the finished trail and writes it out.
+//! A trail is a projection of the item's log ([`mod@crate::span`]): the
+//! corpus worker opens an item with auditing on, the analysis runs, and
+//! [`crate::end_item`] hands back the sealed trail for the worker to
+//! write out.
 
 use crate::json;
-use std::cell::RefCell;
+use crate::span::{nanos, ItemLog};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Cap on events kept per trail; a pathological trace must not turn its
 /// audit record into a memory leak. Overflow is counted, not silent.
@@ -53,8 +52,8 @@ impl EventKind {
 pub struct AuditEvent {
     /// Event kind.
     pub kind: EventKind,
-    /// Stage or subsystem name (`stage.fingerprint`, `load`, …).
-    pub name: String,
+    /// Stage or event name (`stage.fingerprint`, `retry`, …).
+    pub name: &'static str,
     /// Duration in nanoseconds, for `Stage` events.
     pub dur_ns: Option<u64>,
     /// Human-readable detail (may be empty).
@@ -72,32 +71,34 @@ pub struct AuditTrail {
     pub events: Vec<AuditEvent>,
     /// Events discarded beyond [`MAX_EVENTS`].
     pub dropped: u64,
-    /// Final outcome name (`analyzed`, `salvaged`, `failed.io`, …);
-    /// empty until [`take`] seals the trail.
+    /// Final outcome name (`analyzed`, `salvaged`, `failed.io`, …).
     pub outcome: String,
-    /// Wall-clock nanoseconds from [`begin`] to [`take`].
+    /// Wall-clock nanoseconds the item was open.
     pub total_ns: u64,
-    started: Instant,
 }
 
 impl AuditTrail {
-    fn new(trace_id: String, index: u64) -> AuditTrail {
+    /// The trail of a finished item: its log in record order, capped at
+    /// [`MAX_EVENTS`], sealed with `outcome`.
+    pub(crate) fn project(item: &ItemLog, outcome: &str) -> AuditTrail {
+        let events = item
+            .entries
+            .iter()
+            .take(MAX_EVENTS)
+            .map(|e| AuditEvent {
+                kind: e.kind,
+                name: e.name,
+                dur_ns: (e.kind == EventKind::Stage).then_some(e.dur_ns),
+                detail: e.detail.clone(),
+            })
+            .collect();
         AuditTrail {
-            trace_id,
-            index,
-            events: Vec::new(),
-            dropped: 0,
-            outcome: String::new(),
-            total_ns: 0,
-            started: Instant::now(),
-        }
-    }
-
-    fn push(&mut self, event: AuditEvent) {
-        if self.events.len() >= MAX_EVENTS {
-            self.dropped += 1;
-        } else {
-            self.events.push(event);
+            trace_id: item.id.to_string(),
+            index: item.index,
+            events,
+            dropped: item.entries.len().saturating_sub(MAX_EVENTS) as u64,
+            outcome: outcome.to_string(),
+            total_ns: nanos(item.started.elapsed()),
         }
     }
 
@@ -123,7 +124,7 @@ impl AuditTrail {
                 "\"kind\": {}, ",
                 json::escape(event.kind.as_str())
             ));
-            out.push_str(&format!("\"name\": {}, ", json::escape(&event.name)));
+            out.push_str(&format!("\"name\": {}, ", json::escape(event.name)));
             if let Some(ns) = event.dur_ns {
                 out.push_str(&format!("\"dur_ns\": {ns}, "));
             }
@@ -167,76 +168,19 @@ impl AuditTrail {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<AuditTrail>> = const { RefCell::new(None) };
-}
-
-/// Opens a trail for `trace_id` on this thread, replacing (and
-/// discarding) any unfinished one.
-pub fn begin(trace_id: impl Into<String>, index: u64) {
-    CURRENT.with(|cell| {
-        *cell.borrow_mut() = Some(AuditTrail::new(trace_id.into(), index));
-    });
-}
-
-/// `true` when a trail is open on this thread.
-pub fn is_active() -> bool {
-    CURRENT.with(|cell| cell.borrow().is_some())
-}
-
-/// Seals and returns this thread's trail, stamping the outcome and the
-/// total wall-clock. Returns `None` when no trail was open.
-pub fn take(outcome: &str) -> Option<AuditTrail> {
-    CURRENT.with(|cell| {
-        cell.borrow_mut().take().map(|mut trail| {
-            trail.outcome = outcome.to_string();
-            trail.total_ns = trail.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            trail
-        })
-    })
-}
-
-/// Appends an event to this thread's trail; a no-op when none is open.
-pub fn event(kind: EventKind, name: impl Into<String>, detail: impl Into<String>) {
-    CURRENT.with(|cell| {
-        if let Some(trail) = cell.borrow_mut().as_mut() {
-            trail.push(AuditEvent {
-                kind,
-                name: name.into(),
-                dur_ns: None,
-                detail: detail.into(),
-            });
-        }
-    });
-}
-
-/// Appends a completed-stage event (called by [`crate::Span`] on drop).
-pub(crate) fn stage_event(name: &'static str, elapsed: std::time::Duration, detail: String) {
-    CURRENT.with(|cell| {
-        if let Some(trail) = cell.borrow_mut().as_mut() {
-            trail.push(AuditEvent {
-                kind: EventKind::Stage,
-                name: name.to_string(),
-                dur_ns: Some(elapsed.as_nanos().min(u64::MAX as u128) as u64),
-                detail,
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{begin_item, end_item, event};
 
     #[test]
     fn trail_collects_spans_and_events() {
-        begin("tests/a.pcap", 7);
-        assert!(is_active());
+        let _guard = crate::test_lock();
+        begin_item("tests/a.pcap", 7, true);
         crate::time("stage.test_audit", || ());
-        event(EventKind::Retry, "load", "attempt 1: interrupted");
-        event(EventKind::Verdict, "outcome", "1 connection");
-        let trail = take("analyzed").expect("trail");
-        assert!(!is_active());
+        event(EventKind::Retry, "retry", "attempt 1: interrupted");
+        event(EventKind::Verdict, "summary", "1 connection");
+        let trail = end_item("analyzed").expect("trail");
         assert_eq!(trail.trace_id, "tests/a.pcap");
         assert_eq!(trail.index, 7);
         assert_eq!(trail.outcome, "analyzed");
@@ -244,34 +188,40 @@ mod tests {
         assert_eq!(trail.events[0].kind, EventKind::Stage);
         assert!(trail.events[0].dur_ns.is_some());
         assert_eq!(trail.events[1].kind, EventKind::Retry);
+        assert!(trail.events[1].dur_ns.is_none());
         let json = trail.to_json();
         assert!(crate::metrics::validate_audit(&json).is_ok(), "{json}");
         assert_eq!(trail.file_name(), "00007-tests_a.pcap.json");
+        let _ = crate::trace::drain();
     }
 
     #[test]
-    fn events_without_a_trail_are_dropped() {
-        assert!(take("x").is_none());
-        event(EventKind::Info, "nobody", "listening");
-        assert!(!is_active());
-    }
-
-    #[test]
-    fn overflow_is_counted() {
-        begin("big", 0);
-        for i in 0..(MAX_EVENTS + 10) {
+    fn overflow_is_counted_while_the_trace_keeps_every_entry() {
+        let _guard = crate::test_lock();
+        crate::trace::enable();
+        let _ = crate::trace::drain();
+        begin_item("big", 0, true);
+        for _ in 0..MAX_EVENTS {
+            crate::time("stage.test_cap", || ());
+        }
+        for i in 0..10 {
             event(EventKind::Info, "e", format!("{i}"));
         }
-        let trail = take("analyzed").expect("trail");
+        let trail = end_item("analyzed").expect("trail");
         assert_eq!(trail.events.len(), MAX_EVENTS);
         assert_eq!(trail.dropped, 10);
+        let events = crate::trace::drain();
+        assert_eq!(events.len(), MAX_EVENTS + 10);
+        assert_eq!(events[MAX_EVENTS + 9].detail, "9");
     }
 
     #[test]
     fn empty_trail_is_valid_json() {
-        begin("empty", 3);
-        let trail = take("failed.io").expect("trail");
+        let _guard = crate::test_lock();
+        begin_item("empty", 3, true);
+        let trail = end_item("failed.io").expect("trail");
         let json = trail.to_json();
         assert!(crate::metrics::validate_audit(&json).is_ok(), "{json}");
+        let _ = crate::trace::drain();
     }
 }

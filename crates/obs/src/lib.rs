@@ -7,21 +7,26 @@
 //! pipeline needs the same property at production scale — where did the
 //! wall-clock go, which items were retried or salvaged, what did each
 //! stage conclude — without taking on any external crate (CI is
-//! offline). This crate provides exactly that, in five always-cheap
-//! pieces:
+//! offline). This crate provides exactly that around one recorder:
 //!
-//! * **Stage spans + registry** ([`span`], [`registry`]) — RAII timers
-//!   that record into a global, thread-safe registry of counters and
-//!   log-scale duration histograms. Bucketed histograms merge by
-//!   addition, so the aggregated output is independent of worker count
-//!   and completion order.
-//! * **Metrics exposition** ([`metrics`]) — a versioned, stable JSON
-//!   schema (`tcpa-metrics/v1`). Everything outside the top-level
-//!   `wall_clock` object is deterministic: same corpus, same counters,
-//!   byte-identical, whatever `--jobs` was.
-//! * **Per-trace audit trail** ([`audit`]) — one JSON event log per
-//!   analyzed trace (schema `tcpa-audit/v1`) recording each stage's
-//!   duration, retries, errors, and the final verdict.
+//! * **The item recorder** ([`mod@span`]) — RAII stage timers ([`Span`]) and
+//!   [`event`]s (retries, errors, salvage ledgers, verdicts) append to
+//!   the log of the corpus item open on this thread; nothing else is
+//!   touched per span. When the item ends ([`end_item`]), three
+//!   projections are derived from that one log:
+//!   * **Metrics** ([`registry`], [`metrics`]) — the stage durations
+//!     merge under one lock into a global registry of counters and
+//!     log-scale duration histograms. Bucketed histograms merge by
+//!     addition, so the exposition (a versioned, stable JSON schema,
+//!     `tcpa-metrics/v1`) is byte-identical outside its top-level
+//!     `wall_clock` object whatever `--jobs` was. A span outside any
+//!     item records into the registry directly.
+//!   * **Audit trail** ([`audit`]) — one JSON event log per analyzed
+//!     trace (schema `tcpa-audit/v1`) recording each stage's duration,
+//!     retries, errors, and the final verdict.
+//!   * **Trace** ([`trace`]) — the item's span tree, exported as Chrome
+//!     `trace_event` JSON; its instants are the audit trail's non-stage
+//!     events.
 //! * **Item deadlines** ([`deadline`]) — a per-thread time budget that
 //!   span starts check, so an overrunning item unwinds out of its
 //!   analysis on its own worker.
@@ -43,12 +48,13 @@ pub mod span;
 pub mod trace;
 pub mod write;
 
+pub use audit::{AuditTrail, EventKind};
 pub use hist::LogHistogram;
 pub use metrics::MetricsSnapshot;
 pub use registry::Registry;
-pub use span::Span;
+pub use span::{begin_item, end_item, event, Span};
 
-/// Starts a stage span recording into the global registry on drop.
+/// Starts a stage span; it records when dropped (see [`mod@span`]).
 pub fn span(name: &'static str) -> Span {
     Span::start(name)
 }
@@ -70,4 +76,12 @@ pub fn time_noted<R>(name: &'static str, detail: &str, f: impl FnOnce() -> R) ->
 /// Adds to a counter in the global registry.
 pub fn add(name: &'static str, n: u64) {
     registry::global().add(name, n);
+}
+
+/// Serializes the unit tests that open items or drain the process-global
+/// trace collector.
+#[cfg(test)]
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    registry::lock_recover(&LOCK)
 }

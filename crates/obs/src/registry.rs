@@ -58,9 +58,15 @@ impl Registry {
 
     /// Records a duration into the histogram `name`.
     pub fn record(&self, name: &'static str, duration: Duration) {
-        let nanos = duration.as_nanos().min(u64::MAX as u128) as u64;
-        let mut durations = lock_recover(&self.durations);
-        durations.entry(name).or_default().record(nanos);
+        self.record_all([(name, crate::span::nanos(duration))]);
+    }
+
+    /// Records `(histogram, nanoseconds)` durations under one lock.
+    pub(crate) fn record_all(&self, durations: impl IntoIterator<Item = (&'static str, u64)>) {
+        let mut histograms = lock_recover(&self.durations);
+        for (name, nanos) in durations {
+            histograms.entry(name).or_default().record(nanos);
+        }
     }
 
     /// A point-in-time copy of every counter and histogram.
@@ -80,7 +86,7 @@ impl Registry {
 
 /// Locks a mutex, recovering from poisoning: metrics must never cascade
 /// a panic from an unrelated thread.
-fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -92,11 +98,6 @@ static GLOBAL: Registry = Registry::new();
 /// The process-wide registry every span and counter hook records into.
 pub fn global() -> &'static Registry {
     &GLOBAL
-}
-
-/// Adds to a counter in the global registry (convenience).
-pub fn add(name: &'static str, n: u64) {
-    GLOBAL.add(name, n);
 }
 
 #[cfg(test)]

@@ -1,19 +1,30 @@
-//! RAII stage spans.
+//! RAII stage spans and the item recorder they write into.
 //!
 //! A [`Span`] measures the wall-clock time of one pipeline stage with a
-//! monotonic clock. On drop it records the duration into the global
-//! registry's histogram for the stage and — when a per-trace audit trail
-//! is active on this thread — appends a `stage` event to it. Starting a
-//! span is also where an armed item [`crate::deadline`] is checked. This
-//! is the only instrumentation call sites need:
+//! monotonic clock. Starting a span is also where an armed item
+//! [`crate::deadline`] is checked. This is the only instrumentation call
+//! sites need:
 //!
 //! ```
 //! let result = tcpa_obs::time("stage.calibrate", || 2 + 2);
 //! assert_eq!(result, 4);
 //! ```
+//!
+//! While a corpus item is open on this thread ([`begin_item`]), each span
+//! drop and each [`event`] appends one entry to the item's log; nothing
+//! else is touched per span. [`end_item`] derives everything from that
+//! log once: the stage durations merge into the global registry under
+//! one lock, the span tree goes to the trace sink when tracing is
+//! enabled, and the audit trail is projected when the item asked for
+//! one. A span outside any item records straight into the global
+//! registry. An item runs start to finish on one thread, so the log
+//! needs no synchronization.
 
-use crate::{audit, deadline, registry, trace};
-use std::time::Instant;
+use crate::audit::{AuditTrail, EventKind};
+use crate::{deadline, registry, trace};
+use std::cell::RefCell;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// An in-flight stage timer; records on drop.
 #[derive(Debug)]
@@ -21,9 +32,9 @@ pub struct Span {
     name: &'static str,
     start: Instant,
     detail: String,
-    /// Span-tree bookkeeping, present only while tracing is enabled and
-    /// an item context is open on this thread.
-    traced: Option<trace::OpenSpan>,
+    /// The span's `(id, parent)` in the item open when it started; `None`
+    /// outside any item.
+    node: Option<(u64, Option<u64>)>,
 }
 
 impl Span {
@@ -32,57 +43,255 @@ impl Span {
     pub fn start(name: &'static str) -> Span {
         let start = Instant::now();
         deadline::check(start);
+        let node = with_item(|item| {
+            let id = item.next_id();
+            let parent = item.stack.last().copied();
+            item.stack.push(id);
+            (id, parent)
+        });
         Span {
             name,
             start,
             detail: String::new(),
-            traced: trace::open_span(start),
+            node,
         }
     }
 
-    /// Attaches a human-readable note carried into the audit event
-    /// (ignored by the metrics histogram).
+    /// Attaches a human-readable note carried into the audit event and
+    /// the trace `args.detail` (ignored by the metrics histogram).
     pub fn note(&mut self, detail: impl Into<String>) {
         self.detail = detail.into();
-    }
-
-    /// The stage name this span records under.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        registry::global().record(self.name, elapsed);
-        if let Some(open) = self.traced.take() {
-            trace::close_span(open, self.name, &self.detail);
+        let logged = self.node.and_then(|(id, parent)| {
+            with_item(|item| {
+                // Pop this span; an inner span left open is popped with it.
+                if let Some(pos) = item.stack.iter().rposition(|&open| open == id) {
+                    item.stack.truncate(pos);
+                }
+                item.entries.push(Entry {
+                    kind: EventKind::Stage,
+                    name: self.name,
+                    id,
+                    parent,
+                    start: self.start,
+                    dur_ns: 0,
+                    detail: std::mem::take(&mut self.detail),
+                });
+                // Measured last, so the span covers its own bookkeeping.
+                if let Some(entry) = item.entries.last_mut() {
+                    entry.dur_ns = nanos(self.start.elapsed());
+                }
+            })
+        });
+        if logged.is_none() {
+            registry::global().record(self.name, self.start.elapsed());
         }
-        audit::stage_event(self.name, elapsed, std::mem::take(&mut self.detail));
     }
+}
+
+/// One entry of an item's log: a closed span (kind [`EventKind::Stage`])
+/// or an event, in the order it was recorded.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    pub(crate) kind: EventKind,
+    pub(crate) name: &'static str,
+    /// 1-based sequence number within the item, taken when the span
+    /// opened or the event happened.
+    pub(crate) id: u64,
+    /// The span open around this entry, if any.
+    pub(crate) parent: Option<u64>,
+    pub(crate) start: Instant,
+    /// Span duration in nanoseconds (0 for events).
+    pub(crate) dur_ns: u64,
+    pub(crate) detail: String,
+}
+
+/// Everything recorded while one corpus item was open.
+#[derive(Debug)]
+pub(crate) struct ItemLog {
+    pub(crate) id: Arc<str>,
+    pub(crate) index: u64,
+    /// The lane (thread role) the item ran on.
+    pub(crate) lane: Arc<str>,
+    pub(crate) started: Instant,
+    pub(crate) entries: Vec<Entry>,
+    audit: bool,
+    /// The last id handed out.
+    seq: u64,
+    /// Ids of the spans open now; the top is the parent of the next entry.
+    stack: Vec<u64>,
+}
+
+impl ItemLog {
+    fn next_id(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+}
+
+struct Recorder {
+    lane: Arc<str>,
+    item: Option<ItemLog>,
+}
+
+thread_local! {
+    static RECORDER: RefCell<Recorder> = RefCell::new(Recorder {
+        lane: Arc::from("main"),
+        item: None,
+    });
+}
+
+/// Runs `f` on this thread's open item; `None` when no item is open.
+fn with_item<R>(f: impl FnOnce(&mut ItemLog) -> R) -> Option<R> {
+    RECORDER.with(|cell| cell.borrow_mut().item.as_mut().map(f))
+}
+
+pub(crate) fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Names the lane (thread role) of the items this thread opens from now on.
+pub(crate) fn set_lane(lane: Arc<str>) {
+    RECORDER.with(|cell| cell.borrow_mut().lane = lane);
+}
+
+/// Opens an item on this thread for the corpus item `(id, index)`,
+/// replacing (and discarding) any unfinished one. With `audit`,
+/// [`end_item`] returns the item's audit trail.
+pub fn begin_item(id: &str, index: u64, audit: bool) {
+    RECORDER.with(|cell| {
+        let mut recorder = cell.borrow_mut();
+        recorder.item = Some(ItemLog {
+            id: Arc::from(id),
+            index,
+            lane: Arc::clone(&recorder.lane),
+            started: Instant::now(),
+            entries: Vec::new(),
+            audit,
+            seq: 0,
+            stack: Vec::new(),
+        });
+    });
+}
+
+/// Appends an event to this thread's open item, parented under the
+/// innermost open span; a no-op when no item is open. In the audit trail
+/// it is an event of `kind`, in the trace an instant named `name`.
+pub fn event(kind: EventKind, name: &'static str, detail: impl Into<String>) {
+    with_item(|item| {
+        let id = item.next_id();
+        let parent = item.stack.last().copied();
+        item.entries.push(Entry {
+            kind,
+            name,
+            id,
+            parent,
+            start: Instant::now(),
+            dur_ns: 0,
+            detail: detail.into(),
+        });
+    });
+}
+
+/// Closes this thread's item and derives its records from the log: its
+/// stage durations merge into the global registry, its span tree goes to
+/// the trace sink when tracing is enabled, and, when the item was begun
+/// with `audit`, its audit trail is returned sealed with `outcome`.
+/// Returns `None` when no item was open or none was asked for.
+pub fn end_item(outcome: &str) -> Option<AuditTrail> {
+    let item = RECORDER.with(|cell| cell.borrow_mut().item.take())?;
+    registry::global().record_all(
+        item.entries
+            .iter()
+            .filter(|e| e.kind == EventKind::Stage)
+            .map(|e| (e.name, e.dur_ns)),
+    );
+    let trail = item.audit.then(|| AuditTrail::project(&item, outcome));
+    trace::ship(item);
+    trail
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::LogHistogram;
+
+    fn stage(name: &str) -> LogHistogram {
+        registry::global()
+            .snapshot()
+            .stages
+            .get(name)
+            .cloned()
+            .unwrap_or_default()
+    }
 
     #[test]
-    fn span_records_into_global_registry() {
-        let before = registry::global().snapshot();
+    fn span_outside_an_item_records_at_once() {
+        let before = stage("stage.test_span");
         {
             let mut s = Span::start("stage.test_span");
             s.note("noted");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let after = registry::global().snapshot();
-        let h = after.stages.get("stage.test_span").expect("recorded");
-        let earlier = before
-            .stages
-            .get("stage.test_span")
-            .map(|h| h.count())
-            .unwrap_or(0);
-        assert_eq!(h.count(), earlier + 1);
+        let h = stage("stage.test_span").since(&before);
+        assert_eq!(h.count(), 1);
         assert!(h.sum() >= 1_000_000, "slept ≥1ms");
+    }
+
+    #[test]
+    fn item_spans_reach_the_registry_at_item_end() {
+        let _guard = crate::test_lock();
+        let before = stage("stage.test_item");
+        begin_item("item.pcap", 0, true);
+        for i in 0..5 {
+            crate::time("stage.test_item", || {
+                std::thread::sleep(Duration::from_micros(100 * i))
+            });
+        }
+        assert_eq!(stage("stage.test_item").since(&before).count(), 0);
+        let trail = end_item("analyzed").expect("trail");
+        let mut direct = LogHistogram::default();
+        for e in &trail.events {
+            direct.record(e.dur_ns.expect("stage duration"));
+        }
+        let merged = stage("stage.test_item").since(&before);
+        assert_eq!(merged.count(), 5);
+        assert_eq!(merged.sum(), direct.sum());
+        assert_eq!(merged.max(), direct.max());
+        let _ = trace::drain();
+    }
+
+    #[test]
+    fn unwind_out_of_an_item_closes_its_open_spans() {
+        let _guard = crate::test_lock();
+        begin_item("panics.pcap", 1, true);
+        let unwound = std::panic::catch_unwind(|| {
+            let _outer = crate::span("stage.test_outer");
+            let _inner = crate::span("stage.test_inner");
+            panic!("boom");
+        });
+        assert!(unwound.is_err());
+        crate::time("stage.test_after", || ());
+        let trail = end_item("failed.panic").expect("trail");
+        let names: Vec<&str> = trail.events.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            ["stage.test_inner", "stage.test_outer", "stage.test_after"]
+        );
+        let _ = trace::drain();
+    }
+
+    #[test]
+    fn events_outside_an_item_are_dropped() {
+        let _guard = crate::test_lock();
+        assert!(end_item("x").is_none());
+        event(EventKind::Info, "nobody", "listening");
+        begin_item("quiet.pcap", 3, false);
+        assert!(end_item("analyzed").is_none(), "no audit asked for");
+        let _ = trace::drain();
     }
 }

@@ -11,12 +11,11 @@
 //! Design constraints, in order:
 //!
 //! * **Off means free.** Tracing is disabled until [`enable`] is called
-//!   (the CLI's `--trace-out`); every hook starts with one relaxed
-//!   atomic load and bails.
-//! * **Lock-free-enough.** Each thread appends events to a thread-local
-//!   buffer; the global sink mutex is touched only when an item
-//!   finishes ([`end_item`]) or a thread exits, so workers never contend
-//!   per-span.
+//!   (the CLI's `--trace-out`); until then a finished item's log is
+//!   simply dropped.
+//! * **One lock per item.** Spans and instants are entries of the item's
+//!   log ([`mod@crate::span`]); the global sink mutex is touched only when an
+//!   item ends, to append its events with the lane and item attached.
 //! * **Deterministic modulo timestamps.** Span ids are per-item
 //!   sequence numbers (an item runs start to finish on one worker, so
 //!   its id assignment does not depend on scheduling). [`canonicalize`]
@@ -24,11 +23,13 @@
 //!   timestamps, durations, and lane/thread assignment — and sorts by
 //!   `(item, id)`; the result is byte-identical whatever `--jobs` was.
 
-use crate::json::Value;
-use std::cell::RefCell;
+use crate::audit::EventKind;
+use crate::json::{escape, Value};
+use crate::registry::lock_recover;
+use crate::span::{nanos, ItemLog};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -66,266 +67,74 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// Context for one span opened on the current thread (held by
-/// [`crate::Span`] while in flight).
-#[derive(Debug, Clone, Copy)]
-pub struct OpenSpan {
-    id: u64,
-    parent: Option<u64>,
-    ts_ns: u64,
-}
-
-#[derive(Debug)]
-struct ItemCtx {
-    id: Arc<str>,
-    index: u64,
-    /// The last id handed out in this item.
-    seq: u64,
-    /// Open-span stack (ids); the top is the parent of the next event.
-    stack: Vec<u64>,
-}
-
-#[derive(Debug, Default)]
-struct ThreadCtx {
-    lane: Option<Arc<str>>,
-    item: Option<ItemCtx>,
-    buf: Vec<TraceEvent>,
-}
-
-impl ThreadCtx {
-    fn lane(&self) -> Arc<str> {
-        self.lane.clone().unwrap_or_else(|| Arc::from("main"))
-    }
-}
-
-impl Drop for ThreadCtx {
-    fn drop(&mut self) {
-        // A thread exiting with buffered events (worker threads flush per
-        // item, but a final partial buffer may remain) ships them to the
-        // sink so drain() sees them.
-        if !self.buf.is_empty() {
-            sink_append(std::mem::take(&mut self.buf));
-        }
-    }
-}
-
-thread_local! {
-    static CTX: RefCell<ThreadCtx> = RefCell::new(ThreadCtx::default());
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// Finished items' events, in completion order.
 static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 /// Every lane named with [`set_lane`] while recording, so the export
 /// names a worker that ran even if it recorded no event.
 static LANES: Mutex<BTreeSet<Arc<str>>> = Mutex::new(BTreeSet::new());
-/// Spans opened while no item context was active (they are not
-/// recorded); exposed so coverage tests can prove the blind spot is
-/// empty on instrumented paths.
-static ORPHAN_SPANS: AtomicU64 = AtomicU64::new(0);
 
-fn sink_append(mut events: Vec<TraceEvent>) {
-    let mut sink = match SINK.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    sink.append(&mut events);
-}
-
-/// Turns the collector on (idempotent). All spans and instants recorded
-/// after this call, on threads with an open item context, are kept.
+/// Turns the collector on (idempotent). Every item that ends after this
+/// call is kept.
 pub fn enable() {
     EPOCH.get_or_init(Instant::now);
     ENABLED.store(true, Ordering::Release);
 }
 
-/// `true` when the collector is recording.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-fn now_ns() -> u64 {
-    ns_at(Instant::now())
-}
-
 /// `at` as nanoseconds since the collector's epoch.
 fn ns_at(at: Instant) -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
-    at.saturating_duration_since(*epoch)
-        .as_nanos()
-        .min(u64::MAX as u128) as u64
+    nanos(at.saturating_duration_since(*epoch))
 }
 
 /// Names the current thread's lane (`worker-0`, …). The default lane is
 /// `main`. Cheap no-op when tracing is off.
 pub fn set_lane(name: &str) {
-    if !is_enabled() {
+    if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let lane: Arc<str> = Arc::from(name);
-    LANES
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .insert(Arc::clone(&lane));
-    CTX.with(|cell| cell.borrow_mut().lane = Some(lane));
+    lock_recover(&LANES).insert(Arc::clone(&lane));
+    crate::span::set_lane(lane);
 }
 
-/// Opens an item context on this thread: subsequent spans and instants
-/// are attributed to `(id, index)` with ids drawn from a fresh counter.
-pub fn begin_item(id: &str, index: u64) {
-    if !is_enabled() {
+/// Hands a finished item's log to the sink, attaching its lane and
+/// item; dropped when tracing is off.
+pub(crate) fn ship(item: ItemLog) {
+    if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    CTX.with(|cell| {
-        cell.borrow_mut().item = Some(ItemCtx {
-            id: Arc::from(id),
-            index,
-            seq: 0,
-            stack: Vec::new(),
-        });
+    let ItemLog {
+        id: item_id,
+        index,
+        lane,
+        entries,
+        ..
+    } = item;
+    let events = entries.into_iter().map(|e| TraceEvent {
+        phase: match e.kind {
+            EventKind::Stage => Phase::Complete,
+            _ => Phase::Instant,
+        },
+        name: e.name,
+        lane: Arc::clone(&lane),
+        item_id: Arc::clone(&item_id),
+        item_index: index,
+        id: e.id,
+        parent: e.parent,
+        ts_ns: ns_at(e.start),
+        dur_ns: e.dur_ns,
+        detail: e.detail,
     });
+    lock_recover(&SINK).extend(events);
 }
 
-/// Closes this thread's item context and flushes the thread-local
-/// buffer into the global sink.
-pub fn end_item() {
-    if !is_enabled() {
-        return;
-    }
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        ctx.item = None;
-        if !ctx.buf.is_empty() {
-            let events = std::mem::take(&mut ctx.buf);
-            drop(ctx);
-            sink_append(events);
-        }
-    });
-}
-
-/// Called by [`crate::Span::start`]: allocates an id, pushes it on the
-/// open-span stack, and remembers the span's start time `start`, so the
-/// span covers this bookkeeping too. Returns `None` (and records nothing)
-/// when tracing is off or no item context is open.
-pub(crate) fn open_span(start: Instant) -> Option<OpenSpan> {
-    if !is_enabled() {
-        return None;
-    }
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        match ctx.item.as_mut() {
-            None => {
-                ORPHAN_SPANS.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Some(item) => {
-                item.seq += 1;
-                let id = item.seq;
-                let parent = item.stack.last().copied();
-                item.stack.push(id);
-                Some(OpenSpan {
-                    id,
-                    parent,
-                    ts_ns: ns_at(start),
-                })
-            }
-        }
-    })
-}
-
-/// Called by [`crate::Span`] on drop: pops the stack and buffers the
-/// complete (`ph:"X"`) event. The span ends once the event is buffered,
-/// so it covers this bookkeeping too.
-pub(crate) fn close_span(open: OpenSpan, name: &'static str, detail: &str) {
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        let lane = ctx.lane();
-        let Some(item) = ctx.item.as_mut() else {
-            // The item closed while this span was open (should not
-            // happen on instrumented paths); drop the event rather than
-            // misattribute it.
-            return;
-        };
-        // Pop this span (it is the top unless an inner span leaked, in
-        // which case retain-to-position keeps the stack consistent).
-        if let Some(pos) = item.stack.iter().rposition(|&id| id == open.id) {
-            item.stack.truncate(pos);
-        }
-        let event = TraceEvent {
-            phase: Phase::Complete,
-            name,
-            lane,
-            item_id: Arc::clone(&item.id),
-            item_index: item.index,
-            id: open.id,
-            parent: open.parent,
-            ts_ns: open.ts_ns,
-            dur_ns: 0,
-            detail: detail.to_string(),
-        };
-        ctx.buf.push(event);
-        if let Some(event) = ctx.buf.last_mut() {
-            event.dur_ns = now_ns().saturating_sub(event.ts_ns);
-        }
-    });
-}
-
-/// Records an instant event (`ph:"i"`) attached to the currently-open
-/// span: retries, timeouts, degrade decisions, salvage ledgers. A no-op
-/// when tracing is off or no item context is open.
-pub fn instant(name: &'static str, detail: &str) {
-    if !is_enabled() {
-        return;
-    }
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        let lane = ctx.lane();
-        let Some(item) = ctx.item.as_mut() else {
-            return;
-        };
-        item.seq += 1;
-        let id = item.seq;
-        let event = TraceEvent {
-            phase: Phase::Instant,
-            name,
-            lane,
-            item_id: Arc::clone(&item.id),
-            item_index: item.index,
-            id,
-            parent: item.stack.last().copied(),
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            detail: detail.to_string(),
-        };
-        ctx.buf.push(event);
-    });
-}
-
-/// Spans started under tracing but outside any item context (they were
-/// not recorded). Zero on fully instrumented paths.
-pub fn orphan_spans() -> u64 {
-    ORPHAN_SPANS.load(Ordering::Relaxed)
-}
-
-/// Flushes the calling thread's buffer and takes every collected event,
-/// sorted deterministically by `(item_index, id, ts)`. The collector
-/// keeps running; a subsequent drain returns only newer events.
+/// Takes every collected event, sorted deterministically by
+/// `(item_index, id, ts)`. The collector keeps running; a subsequent
+/// drain returns only newer events.
 pub fn drain() -> Vec<TraceEvent> {
-    CTX.with(|cell| {
-        let mut ctx = cell.borrow_mut();
-        if !ctx.buf.is_empty() {
-            let events = std::mem::take(&mut ctx.buf);
-            drop(ctx);
-            sink_append(events);
-        }
-    });
-    let mut events = {
-        let mut sink = match SINK.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut *sink)
-    };
+    let mut events = std::mem::take(&mut *lock_recover(&SINK));
     events.sort_by(|a, b| {
         (a.item_index, a.id, a.ts_ns)
             .cmp(&(b.item_index, b.id, b.ts_ns))
@@ -335,20 +144,21 @@ pub fn drain() -> Vec<TraceEvent> {
 }
 
 /// Microseconds with 3 decimals (Chrome `ts`/`dur` are µs floats).
-fn micros(ns: u64) -> Value {
-    Value::Num(format!("{}.{:03}", ns / 1000, ns % 1000))
+struct Micros(u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    }
 }
 
 /// Renders events as a Chrome `trace_event` JSON document: one process,
 /// one lane (tid) per thread role — every lane an event ran on or
 /// [`set_lane`] named — with `thread_name` metadata first, then complete
 /// and instant events with `args` carrying the item key and the
-/// span-tree links.
+/// span-tree links. Each event is written straight into the text.
 pub fn render_chrome(events: &[TraceEvent]) -> String {
-    let mut lanes = LANES
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .clone();
+    let mut lanes = lock_recover(&LANES).clone();
     lanes.extend(events.iter().map(|e| Arc::clone(&e.lane)));
     let lanes: Vec<Arc<str>> = lanes.into_iter().collect();
     let tid_of = |lane: &str| -> u64 {
@@ -359,71 +169,54 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
             .unwrap_or(0)
             + 1
     };
-    // Each event is written out as soon as it is built, so the rendering
-    // never holds more than one event's tree beside the text.
     let mut doc = String::from("{\n  \"traceEvents\": [");
-    let mut out = |event: Value| {
-        if !doc.ends_with('[') {
-            doc.push(',');
-        }
-        doc.push_str("\n    ");
-        event.write(&mut doc, 2);
+    let metadata = |doc: &mut String, name: &str, tid: u64, value: &str| {
+        let _ = write!(
+            doc,
+            "\n    {{\n      \"name\": \"{name}\",\n      \"ph\": \"M\",\n      \"pid\": 1,\
+             \n      \"tid\": {tid},\n      \"args\": {{\n        \"name\": {}\n      }}\n    }}",
+            escape(value)
+        );
     };
-    out(Value::Obj(vec![
-        ("name".into(), Value::Str("process_name".into())),
-        ("ph".into(), Value::Str("M".into())),
-        ("pid".into(), Value::Num("1".into())),
-        ("tid".into(), Value::Num("0".into())),
-        (
-            "args".into(),
-            Value::Obj(vec![("name".into(), Value::Str("tcpanaly".into()))]),
-        ),
-    ]));
+    metadata(&mut doc, "process_name", 0, "tcpanaly");
     for lane in &lanes {
-        out(Value::Obj(vec![
-            ("name".into(), Value::Str("thread_name".into())),
-            ("ph".into(), Value::Str("M".into())),
-            ("pid".into(), Value::Num("1".into())),
-            ("tid".into(), Value::Num(tid_of(lane).to_string())),
-            (
-                "args".into(),
-                Value::Obj(vec![("name".into(), Value::Str(lane.to_string()))]),
-            ),
-        ]));
+        doc.push(',');
+        metadata(&mut doc, "thread_name", tid_of(lane), lane);
     }
     for e in events {
-        let cat = e.name.split('.').next().unwrap_or("event").to_string();
-        let mut args = vec![
-            ("trace".into(), Value::Str(e.item_id.to_string())),
-            ("item".into(), Value::Num(e.item_index.to_string())),
-            ("id".into(), Value::Num(e.id.to_string())),
-        ];
+        let cat = e.name.split('.').next().unwrap_or("event");
+        let ph = match e.phase {
+            Phase::Complete => "X",
+            Phase::Instant => "i",
+        };
+        let _ = write!(
+            doc,
+            ",\n    {{\n      \"name\": {},\n      \"cat\": {},\n      \"ph\": \"{ph}\",\
+             \n      \"pid\": 1,\n      \"tid\": {},\n      \"ts\": {},\n      ",
+            escape(e.name),
+            escape(cat),
+            tid_of(&e.lane),
+            Micros(e.ts_ns)
+        );
+        let _ = match e.phase {
+            Phase::Complete => write!(doc, "\"dur\": {}", Micros(e.dur_ns)),
+            Phase::Instant => write!(doc, "\"s\": \"t\""),
+        };
+        let _ = write!(
+            doc,
+            ",\n      \"args\": {{\n        \"trace\": {},\n        \"item\": {},\
+             \n        \"id\": {}",
+            escape(&e.item_id),
+            e.item_index,
+            e.id
+        );
         if let Some(parent) = e.parent {
-            args.push(("parent".into(), Value::Num(parent.to_string())));
+            let _ = write!(doc, ",\n        \"parent\": {parent}");
         }
         if !e.detail.is_empty() {
-            args.push(("detail".into(), Value::Str(e.detail.clone())));
+            let _ = write!(doc, ",\n        \"detail\": {}", escape(&e.detail));
         }
-        let mut members = vec![
-            ("name".into(), Value::Str(e.name.to_string())),
-            ("cat".into(), Value::Str(cat)),
-            (
-                "ph".into(),
-                Value::Str(match e.phase {
-                    Phase::Complete => "X".into(),
-                    Phase::Instant => "i".into(),
-                }),
-            ),
-            ("pid".into(), Value::Num("1".into())),
-            ("tid".into(), Value::Num(tid_of(&e.lane).to_string())),
-            ("ts".into(), micros(e.ts_ns)),
-        ];
-        match e.phase {
-            Phase::Complete => members.push(("dur".into(), micros(e.dur_ns))),
-            Phase::Instant => members.push(("s".into(), Value::Str("t".into()))),
-        }
-        members.push(("args".into(), Value::Obj(args)));
-        out(Value::Obj(members));
+        doc.push_str("\n      }\n    }");
     }
     doc.push_str("\n  ]\n}\n");
     doc
@@ -602,42 +395,31 @@ pub fn summary_line(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
 
-    // The collector is process-global; tests that enable it and drain
-    // must not interleave.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _guard = locked();
-        // Not enabled in this thread of execution yet (or drained below
-        // anyway): spans without enable() must not allocate contexts.
-        if !is_enabled() {
-            begin_item("x", 0);
+        let _guard = crate::test_lock();
+        // Once another test has enabled the collector this cannot be
+        // observed in-process any more.
+        if !ENABLED.load(Ordering::Relaxed) {
+            crate::begin_item("x", 0, false);
             crate::time("stage.trace_off", || ());
-            end_item();
+            crate::end_item("analyzed");
             assert!(drain().is_empty());
         }
     }
 
     #[test]
     fn span_tree_nests_and_exports() {
-        let _guard = locked();
+        let _guard = crate::test_lock();
         enable();
         let _ = drain();
-        begin_item("tests/a.pcap", 3);
+        crate::begin_item("tests/a.pcap", 3, false);
         {
             let _outer = crate::span("corpus.item_test");
-            instant("retry", "attempt 1");
+            crate::event(EventKind::Retry, "retry", "attempt 1");
             crate::time("stage.inner_test", || ());
         }
-        end_item();
+        crate::end_item("analyzed");
         let events = drain();
         assert_eq!(events.len(), 3, "{events:?}");
         // Sorted by id: outer span has id 1 but closes last; ordering is
@@ -658,23 +440,28 @@ mod tests {
         assert!(json.contains("\"thread_name\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
         assert!(json.contains("\"ph\": \"i\""), "{json}");
+        assert_eq!(
+            Value::parse(&json).expect("parse").to_json(),
+            json,
+            "layout"
+        );
     }
 
     #[test]
     fn canonicalize_strips_timing_and_lanes() {
-        let _guard = locked();
+        let _guard = crate::test_lock();
         enable();
         let _ = drain();
         set_lane("worker-0");
-        begin_item("c.pcap", 1);
+        crate::begin_item("c.pcap", 1, false);
         crate::time("stage.canon_test", || ());
-        end_item();
+        crate::end_item("analyzed");
         let first = render_chrome(&drain());
 
         set_lane("worker-5");
-        begin_item("c.pcap", 1);
+        crate::begin_item("c.pcap", 1, false);
         crate::time("stage.canon_test", || ());
-        end_item();
+        crate::end_item("analyzed");
         let second = render_chrome(&drain());
 
         assert_ne!(first, second, "raw exports differ in lane and ts");
