@@ -1,7 +1,8 @@
 //! Golden stdout and exit code of the `tcpanaly` binary over the
 //! committed fixtures, the damaged fixtures under salvage, one filtered
-//! receiver-side trace written by the test, and two `--jobs 1`
-//! censuses. Any change to what the command prints — a header, the
+//! receiver-side trace written by the test, three `--jobs 1` censuses
+//! (the damaged one both salvaged and skipped) and one strict-mode
+//! abort. Any change to what the command prints — a header, the
 //! auto-vantage line, a report figure, the `--impl` detail, the
 //! handshake and receiver-fingerprint sections, a census row — shows up
 //! as a diff.
@@ -147,6 +148,17 @@ fn cli_output_matches_golden() {
         &mut doc,
         &root,
         &["--jobs", "1", "--degrade=salvage", "tests/fixtures/mangled"],
+    );
+    // The strict reader's damage reports: the default skip policy turns
+    // each into a failed-item line, and strict mode aborts on the first.
+    run(&mut doc, &root, &["--jobs", "1", "tests/fixtures/mangled"]);
+    run(
+        &mut doc,
+        &root,
+        &[
+            "--degrade=strict",
+            "tests/fixtures/mangled/mid-record-eof.pcap",
+        ],
     );
 
     if doc != GOLDEN {
