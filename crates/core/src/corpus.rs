@@ -894,8 +894,25 @@ pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> Corpu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use tcpa_trace::source::MemorySource;
     use tcpa_trace::Trace;
+
+    /// An item whose first `failures` loads fail with a transient I/O
+    /// error before an empty trace loads.
+    fn flaky(id: &str, failures: u32) -> CorpusItem {
+        let remaining = AtomicU32::new(failures);
+        CorpusItem::loader(id, move || {
+            match remaining.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            {
+                Ok(_) => Err(LoadError::Io {
+                    kind: std::io::ErrorKind::Interrupted,
+                    detail: "injected transient i/o failure".into(),
+                }),
+                Err(_) => Ok(Trace::new()),
+            }
+        })
+    }
 
     #[test]
     fn empty_corpus_renders() {
@@ -936,11 +953,7 @@ mod tests {
     #[test]
     fn transient_io_errors_retry_and_count() {
         let before = tcpa_obs::registry::global().snapshot();
-        let source = MemorySource::new(vec![tcpa_trace::CorpusItem::flaky(
-            "flaky.pcap",
-            Trace::new(),
-            2,
-        )]);
+        let source = MemorySource::new(vec![flaky("flaky.pcap", 2)]);
         let config = CorpusConfig {
             jobs: 1,
             retry_backoff: std::time::Duration::from_millis(1),
@@ -965,7 +978,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tcpa-audit-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let source = MemorySource::new(vec![
-            tcpa_trace::CorpusItem::flaky("flaky.pcap", Trace::new(), 1),
+            flaky("flaky.pcap", 1),
             tcpa_trace::CorpusItem::pcap("/nonexistent/never.pcap"),
         ]);
         let config = CorpusConfig {

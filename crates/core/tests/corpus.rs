@@ -74,7 +74,7 @@ fn one_poisoned_trace_costs_one_item_not_the_pipeline() {
     let prior = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut items = build_corpus();
-    items[17] = CorpusItem::poison("t17");
+    items[17] = CorpusItem::loader("t17", || panic!("poisoned corpus item loaded"));
     let report = analyze_corpus(MemorySource::new(items), &config(4));
     std::panic::set_hook(prior);
 

@@ -5,8 +5,8 @@
 //! *file-level* analogue is a capture that has been truncated, spliced,
 //! or bit-rotted in transit — and an unattended corpus run must survive
 //! it. This module deterministically injects that damage so the salvage
-//! reader ([`crate::pcap_io::read_pcap_salvage`]) can be tested class by
-//! class: every fault is tagged with a [`FaultKind`] and the byte offset
+//! reader ([`crate::pcap_io::read_pcap_salvage_bytes`]) can be tested class
+//! by class: every fault is tagged with a [`FaultKind`] and the byte offset
 //! where it was applied.
 //!
 //! All injection is seeded and pure: the same input bytes, fault kind and
@@ -14,7 +14,7 @@
 //! are reproducible.
 
 pub use tcpa_wire::pcap::FaultKind;
-use tcpa_wire::pcap::{TsResolution, MAX_INCL_LEN};
+use tcpa_wire::pcap::{Layout, PcapRecord, Records, MAX_INCL_LEN};
 
 /// One fault the mangler applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,91 +51,25 @@ impl SplitMix64 {
     }
 }
 
-/// Endianness + resolution of a clean capture, for in-place field edits.
-#[derive(Clone, Copy)]
-struct Layout {
-    swapped: bool,
-    resolution: TsResolution,
-}
-
-impl Layout {
-    fn put_u32(&self, buf: &mut [u8], value: u32) {
-        let bytes = if self.swapped {
-            value.to_be_bytes()
-        } else {
-            value.to_le_bytes()
-        };
-        buf.copy_from_slice(&bytes);
-    }
-}
-
-/// Byte extent of one record in a clean capture.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    /// Offset of the 16-byte record header.
-    offset: usize,
-    /// Captured data length.
-    data_len: usize,
-}
-
-impl Span {
-    fn data_offset(&self) -> usize {
-        self.offset + 16
-    }
-}
-
-/// Parses the record layout of a *well-formed* capture. Returns `None`
-/// when the input is not a clean little-or-big-endian classic pcap —
-/// the mangler only damages intact files.
-fn parse_spans(bytes: &[u8]) -> Option<(Layout, Vec<Span>)> {
-    if bytes.len() < 24 {
-        return None;
-    }
-    let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    let layout = match magic {
-        0xa1b2_c3d4 => Layout {
-            swapped: false,
-            resolution: TsResolution::Micro,
-        },
-        0xd4c3_b2a1 => Layout {
-            swapped: true,
-            resolution: TsResolution::Micro,
-        },
-        0xa1b2_3c4d => Layout {
-            swapped: false,
-            resolution: TsResolution::Nano,
-        },
-        0x4d3c_b2a1 => Layout {
-            swapped: true,
-            resolution: TsResolution::Nano,
-        },
-        _ => return None,
+/// Writes `value` over the four bytes at `at`, in the capture's byte order.
+fn put_u32(buf: &mut [u8], at: usize, layout: Layout, value: u32) {
+    let bytes = if layout.swapped {
+        value.to_be_bytes()
+    } else {
+        value.to_le_bytes()
     };
-    let read_u32 = |b: &[u8]| {
-        let arr = [b[0], b[1], b[2], b[3]];
-        if layout.swapped {
-            u32::from_be_bytes(arr)
-        } else {
-            u32::from_le_bytes(arr)
-        }
-    };
-    let mut spans = Vec::new();
-    let mut pos = 24usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 16 {
-            return None;
-        }
-        let incl_len = read_u32(&bytes[pos + 8..pos + 12]) as usize;
-        if bytes.len() - pos - 16 < incl_len {
-            return None;
-        }
-        spans.push(Span {
-            offset: pos,
-            data_len: incl_len,
-        });
-        pos += 16 + incl_len;
-    }
-    Some((layout, spans))
+    buf[at..at + 4].copy_from_slice(&bytes);
+}
+
+/// The layout and records of a *well-formed* capture, read by the strict
+/// walk. Returns `None` for anything else — the mangler only damages
+/// intact files.
+fn clean_records(bytes: &[u8]) -> Option<(Layout, Vec<PcapRecord<'_>>)> {
+    let mut walk = Records::strict(bytes).ok()?;
+    let layout = walk.layout();
+    let records = walk.by_ref().collect();
+    walk.finish().ok()?;
+    Some((layout, records))
 }
 
 /// `true` for fault kinds that cut the file short (at most one such fault
@@ -149,14 +83,14 @@ fn is_truncating(kind: FaultKind) -> bool {
     )
 }
 
-/// Applies one `kind` fault to `buf` targeting record `span`, drawing any
+/// Applies one `kind` fault to `buf` targeting record `rec`, drawing any
 /// free parameters (cut point, garbage length) from `rng`. Returns the
 /// fault actually applied, or `None` when the record cannot host it
 /// (e.g. a mid-record cut in an empty record).
 fn apply(
     buf: &mut Vec<u8>,
     layout: Layout,
-    span: Span,
+    rec: PcapRecord<'_>,
     kind: FaultKind,
     rng: &mut SplitMix64,
 ) -> Option<InjectedFault> {
@@ -167,50 +101,47 @@ fn apply(
             keep as u64
         }
         FaultKind::BadMagic => {
-            layout.put_u32(&mut buf[0..4], 0x0bad_f00d);
+            put_u32(buf, 0, layout, 0x0bad_f00d);
             0
         }
         FaultKind::TruncatedRecordHeader => {
-            let cut = span.offset + 1 + rng.below(15) as usize;
+            let cut = rec.offset + 1 + rng.below(15) as usize;
             buf.truncate(cut);
-            span.offset as u64
+            rec.offset as u64
         }
         FaultKind::MidRecordEof => {
-            if span.data_len < 2 {
+            if rec.data.len() < 2 {
                 return None;
             }
-            let cut = span.data_offset() + 1 + rng.below(span.data_len as u64 - 1) as usize;
+            let cut = rec.offset + 16 + 1 + rng.below(rec.data.len() as u64 - 1) as usize;
             buf.truncate(cut);
-            span.offset as u64
+            rec.offset as u64
         }
         FaultKind::GarbageSplice => {
             let len = 16 + rng.below(240) as usize;
             let garbage: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-            let at = span.offset;
+            let at = rec.offset;
             buf.splice(at..at, garbage);
             at as u64
         }
         FaultKind::ZeroLength => {
-            if span.data_len == 0 {
+            if rec.data.is_empty() {
                 return None;
             }
-            let at = span.offset + 8;
-            layout.put_u32(&mut buf[at..at + 4], 0);
-            span.offset as u64
+            put_u32(buf, rec.offset + 8, layout, 0);
+            rec.offset as u64
         }
         FaultKind::OversizedLength => {
-            let at = span.offset + 8;
             let bogus = MAX_INCL_LEN + 1 + rng.below(0x1000) as u32;
-            layout.put_u32(&mut buf[at..at + 4], bogus);
-            span.offset as u64
+            put_u32(buf, rec.offset + 8, layout, bogus);
+            rec.offset as u64
         }
         FaultKind::CorruptTimestamp => {
             let units = layout.resolution.units_per_sec();
             let room = u64::from(u32::MAX) - units;
             let bogus = (units + 1 + rng.below(room)) as u32;
-            let at = span.offset + 4;
-            layout.put_u32(&mut buf[at..at + 4], bogus);
-            span.offset as u64
+            put_u32(buf, rec.offset + 4, layout, bogus);
+            rec.offset as u64
         }
     };
     Some(InjectedFault { kind, offset })
@@ -222,16 +153,16 @@ fn apply(
 /// Returns `None` when `bytes` is not a well-formed capture or has no
 /// record able to host the fault.
 pub fn inject(bytes: &[u8], kind: FaultKind, seed: u64) -> Option<(Vec<u8>, InjectedFault)> {
-    let (layout, spans) = parse_spans(bytes)?;
-    if spans.is_empty() {
+    let (layout, records) = clean_records(bytes)?;
+    if records.is_empty() {
         return None;
     }
     let mut rng = SplitMix64::new(seed ^ (kind as u64).wrapping_mul(0x9e37_79b9));
     // Target a mid-corpus record so damage sits between good records
     // (truncations naturally target wherever they cut).
-    let span = spans[rng.below(spans.len() as u64) as usize];
+    let rec = records[rng.below(records.len() as u64) as usize];
     let mut out = bytes.to_vec();
-    let fault = apply(&mut out, layout, span, kind, &mut rng)?;
+    let fault = apply(&mut out, layout, rec, kind, &mut rng)?;
     Some((out, fault))
 }
 
@@ -265,10 +196,10 @@ impl Default for MangleSpec {
 /// [`InjectedFault`] survives into the returned bytes. Returns the input
 /// unchanged (no faults) when it is not a well-formed capture.
 pub fn mangle(bytes: &[u8], spec: &MangleSpec) -> (Vec<u8>, Vec<InjectedFault>) {
-    let Some((layout, spans)) = parse_spans(bytes) else {
+    let Some((layout, records)) = clean_records(bytes) else {
         return (bytes.to_vec(), Vec::new());
     };
-    if spans.is_empty() || spec.kinds.is_empty() || spec.faults == 0 {
+    if records.is_empty() || spec.kinds.is_empty() || spec.faults == 0 {
         return (bytes.to_vec(), Vec::new());
     }
     let mut rng = SplitMix64::new(spec.seed);
@@ -286,7 +217,7 @@ pub fn mangle(bytes: &[u8], spec: &MangleSpec) -> (Vec<u8>, Vec<InjectedFault>) 
     }
 
     // Assign distinct target records: a Fisher-Yates shuffle of indices.
-    let mut order: Vec<usize> = (0..spans.len()).collect();
+    let mut order: Vec<usize> = (0..records.len()).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, rng.below(i as u64 + 1) as usize);
     }
@@ -298,35 +229,35 @@ pub fn mangle(bytes: &[u8], spec: &MangleSpec) -> (Vec<u8>, Vec<InjectedFault>) 
 
     // Plan: truncation targets the last record; in-place faults target
     // shuffled earlier records. Apply in descending offset order.
-    let mut plan: Vec<(Span, FaultKind)> = Vec::new();
+    let mut plan: Vec<(PcapRecord<'_>, FaultKind)> = Vec::new();
     if let Some(kind) = truncating {
-        let span = if kind == FaultKind::TruncatedGlobalHeader {
-            spans[0] // ignored by apply; header damage has no record target
+        let rec = if kind == FaultKind::TruncatedGlobalHeader {
+            records[0] // ignored by apply; header damage has no record target
         } else {
-            spans[spans.len() - 1]
+            records[records.len() - 1]
         };
-        plan.push((span, kind));
+        plan.push((rec, kind));
     }
     let reserved = usize::from(truncating.is_some());
     for (kind, &idx) in in_place.iter().zip(
         order
             .iter()
-            .filter(|&&i| i + reserved < spans.len() || reserved == 0),
+            .filter(|&&i| i + reserved < records.len() || reserved == 0),
     ) {
-        plan.push((spans[idx], *kind));
+        plan.push((records[idx], *kind));
     }
     plan.sort_by_key(|p| std::cmp::Reverse(p.0.offset));
 
     let mut out = bytes.to_vec();
     let mut faults: Vec<InjectedFault> = Vec::new();
-    for (span, kind) in plan {
+    for (rec, kind) in plan {
         // A global-header truncation wipes the whole record stream; it is
         // only applied alone.
         if kind == FaultKind::TruncatedGlobalHeader && !faults.is_empty() {
             continue;
         }
         let before = out.len();
-        if let Some(fault) = apply(&mut out, layout, span, kind, &mut rng) {
+        if let Some(fault) = apply(&mut out, layout, rec, kind, &mut rng) {
             // A splice inserts bytes at its offset, shifting every fault
             // already applied (they all sit at higher offsets).
             let inserted = out.len().saturating_sub(before) as u64;
@@ -350,11 +281,10 @@ pub fn mangle(bytes: &[u8], spec: &MangleSpec) -> (Vec<u8>, Vec<InjectedFault>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcap_io::write_pcap;
+    use crate::pcap_io::{read_pcap_salvage_bytes, write_pcap};
     use crate::record::test_util::rec;
     use crate::record::Trace;
-    use tcpa_wire::pcap::salvage_records;
-    use tcpa_wire::TcpFlags;
+    use tcpa_wire::{TcpFlags, TsResolution};
 
     fn clean_capture() -> Vec<u8> {
         let trace: Trace = vec![
@@ -382,19 +312,16 @@ mod tests {
     #[test]
     fn every_kind_damages_the_file() {
         let clean = clean_capture();
-        let (clean_recs, clean_summary) = salvage_records(&clean);
-        assert!(clean_summary.is_clean());
+        let (_, clean_report) = read_pcap_salvage_bytes(&clean);
+        assert!(clean_report.is_clean());
         for kind in FaultKind::ALL {
             let (mangled, fault) = inject(&clean, kind, 7).expect("fault applies");
             assert_eq!(fault.kind, kind);
             assert_ne!(mangled, clean, "{kind}: output must differ");
-            let (recs, summary) = salvage_records(&mangled);
+            let (_, report) = read_pcap_salvage_bytes(&mangled);
+            assert!(!report.is_clean(), "{kind}: salvage must notice the damage");
             assert!(
-                !summary.is_clean(),
-                "{kind}: salvage must notice the damage"
-            );
-            assert!(
-                recs.len() <= clean_recs.len() + 1,
+                report.records <= clean_report.records + 1,
                 "{kind}: salvage must not invent records"
             );
         }

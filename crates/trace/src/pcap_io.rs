@@ -13,8 +13,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use tcpa_wire::ethernet::{EtherType, EthernetRepr, MacAddr};
 use tcpa_wire::pcap::{
-    salvage_records, DamageRegion, FaultKind, PcapError, PcapReader, PcapRecord, PcapWriter,
-    LINKTYPE_ETHERNET,
+    DamageRegion, FaultKind, PcapError, PcapRecord, PcapWriter, Records, LINKTYPE_ETHERNET,
 };
 use tcpa_wire::{Ipv4Repr, TcpRepr, TsResolution};
 
@@ -71,7 +70,7 @@ pub fn write_pcap<W: Write>(
     let effective_snap = if snaplen == 0 { u32::MAX } else { snaplen };
     let mut writer = PcapWriter::new(out, resolution, LINKTYPE_ETHERNET, effective_snap)?;
     for rec in trace.iter() {
-        let frame = frame_bytes(rec);
+        let mut frame = frame_bytes(rec);
         let orig_len = u32::try_from(frame.len()).map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -83,13 +82,11 @@ pub fn write_pcap<W: Write>(
         })?;
         // A snap length that does not fit usize cannot truncate anything
         // addressable, so it is equivalent to "keep everything".
-        let keep = frame
-            .len()
-            .min(usize::try_from(effective_snap).unwrap_or(usize::MAX));
+        frame.truncate(usize::try_from(effective_snap).unwrap_or(usize::MAX));
         // pcap timestamps are unsigned; clamp pathological negative stamps
         // (real time-travel traces are produced in-memory, not via pcap).
         let ts = rec.ts.as_nanos().max(0) as u64;
-        writer.write_record(ts, orig_len, &frame[..keep])?;
+        writer.write_record(ts, orig_len, &frame)?;
     }
     writer.finish()
 }
@@ -98,33 +95,53 @@ pub fn write_pcap<W: Write>(
 /// skipped (the paper's filters matched TCP packets only). Frames whose
 /// TCP header itself is truncated by the snap length are skipped too, with
 /// their count returned alongside the trace.
-pub fn read_pcap<R: Read>(input: R) -> Result<(Trace, usize), PcapError> {
+pub fn read_pcap<R: Read>(mut input: R) -> Result<(Trace, usize), PcapError> {
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    read_pcap_bytes(bytes)
+}
+
+/// [`read_pcap`] over capture bytes already in memory: strict ingest, so
+/// the first malformed byte fails the read. An owned buffer is freed
+/// before the `ingest.read` span closes.
+pub fn read_pcap_bytes(bytes: impl AsRef<[u8]>) -> Result<(Trace, usize), PcapError> {
     let _span = tcpa_obs::span("ingest.read");
-    let mut reader = PcapReader::new(input)?;
-    if reader.linktype() != LINKTYPE_ETHERNET {
-        return Err(PcapError::UnsupportedLinkType {
-            linktype: reader.linktype(),
-        });
-    }
-    let mut trace = Trace::new();
-    let mut skipped = 0usize;
-    while let Some(pkt) = reader.next_record()? {
-        match decode_frame(&pkt) {
-            Some(rec) => trace.push(rec),
-            None => skipped += 1,
+    let read = Records::strict(bytes.as_ref()).and_then(|mut walk| {
+        if walk.linktype() != LINKTYPE_ETHERNET {
+            return Err(PcapError::UnsupportedLinkType {
+                linktype: walk.linktype(),
+            });
         }
-    }
+        let decoded = decode(&mut walk);
+        walk.finish().map(|()| decoded)
+    });
+    drop(bytes);
+    let (trace, skipped) = read?;
     tcpa_obs::add("ingest.reads", 1);
     tcpa_obs::add("ingest.frames", trace.len() as u64);
     tcpa_obs::add("ingest.frames_skipped", skipped as u64);
     Ok((trace, skipped))
 }
 
+/// The one frame-decoding loop, for both damage policies: decodes every
+/// record the walk yields, counting the frames skipped.
+fn decode(walk: &mut Records<'_>) -> (Trace, usize) {
+    let mut trace = Trace::new();
+    let mut skipped = 0usize;
+    for pkt in walk {
+        match decode_frame(&pkt) {
+            Some(rec) => trace.push(rec),
+            None => skipped += 1,
+        }
+    }
+    (trace, skipped)
+}
+
 /// Decodes one captured Ethernet frame into a [`TraceRecord`], or `None`
 /// when it is not a parseable TCP/IPv4 frame (the paper's filters matched
 /// TCP packets only; everything else is counted and skipped).
 fn decode_frame(pkt: &PcapRecord) -> Option<TraceRecord> {
-    let (eth, ip_bytes) = EthernetRepr::parse(&pkt.data).ok()?;
+    let (eth, ip_bytes) = EthernetRepr::parse(pkt.data).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
@@ -236,17 +253,11 @@ impl core::fmt::Display for IngestReport {
 /// decoded exactly as [`read_pcap`] would.
 pub fn read_pcap_salvage_bytes(bytes: &[u8]) -> (Trace, IngestReport) {
     let _span = tcpa_obs::span("ingest.salvage");
-    let (records, summary) = salvage_records(bytes);
-    let mut trace = Trace::new();
-    let mut frames_skipped = 0usize;
-    for pkt in &records {
-        match decode_frame(pkt) {
-            Some(rec) => trace.push(rec),
-            None => frames_skipped += 1,
-        }
-    }
+    let mut walk = Records::salvage(bytes);
+    let (trace, frames_skipped) = decode(&mut walk);
+    let summary = walk.into_summary();
     let report = IngestReport {
-        records: records.len(),
+        records: trace.len() + frames_skipped,
         frames: trace.len(),
         frames_skipped,
         bytes_total: summary.bytes_total,
@@ -262,15 +273,6 @@ pub fn read_pcap_salvage_bytes(bytes: &[u8]) -> (Trace, IngestReport) {
     tcpa_obs::add("ingest.damage_regions", report.damage.len() as u64);
     tcpa_obs::add("ingest.headers_assumed", report.header_assumed as u64);
     (trace, report)
-}
-
-/// Salvage-mode ingest from any reader (buffers the capture; resync needs
-/// random access). Only genuine I/O failure is an error — malformed bytes
-/// degrade into the [`IngestReport`] instead.
-pub fn read_pcap_salvage<R: Read>(mut input: R) -> std::io::Result<(Trace, IngestReport)> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    Ok(read_pcap_salvage_bytes(&bytes))
 }
 
 #[cfg(test)]
@@ -357,7 +359,7 @@ mod tests {
         let trace = sample_trace();
         let bytes = write_pcap(&trace, Vec::new(), TsResolution::Nano, 0).unwrap();
         let (strict, _) = read_pcap(Cursor::new(&bytes[..])).unwrap();
-        let (salvaged, report) = read_pcap_salvage(Cursor::new(&bytes[..])).unwrap();
+        let (salvaged, report) = read_pcap_salvage_bytes(&bytes);
         assert!(report.is_clean());
         assert_eq!(report.frames, strict.len());
         assert_eq!(report.bytes_skipped, 0);

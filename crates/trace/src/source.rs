@@ -34,21 +34,22 @@ pub enum TraceInput {
     /// item (mangled-corpus tests, network-received captures). `Arc`'d so
     /// cloning an item does not copy the capture.
     PcapBytes(Arc<Vec<u8>>),
-    /// Fault injection: panics on load. Exists so the pipeline's
-    /// panic-isolation guarantee (one poisoned trace must cost one item,
-    /// not the whole run) stays testable without a real analyzer bug.
-    Poison,
-    /// Fault injection: the first `remaining` loads fail with a
-    /// *transient* I/O error (interrupted), after which the trace loads
-    /// normally. Exists so the pipeline's retry path — and its retry
-    /// accounting — stays testable without real flaky storage. Clones
-    /// share the countdown.
-    Flaky {
-        /// Failures left to inject; decremented per load attempt.
-        remaining: Arc<std::sync::atomic::AtomicU32>,
-        /// The trace yielded once the failures are exhausted.
-        trace: Trace,
-    },
+    /// A trace produced by a caller-supplied loader, run by the worker
+    /// that claims the item on every load attempt. Tests inject faults
+    /// through it: a loader that panics, or one that fails transiently
+    /// before it succeeds.
+    Loader(Loader),
+}
+
+/// The closure behind [`TraceInput::Loader`]. `Arc`'d so clones of an
+/// item share the closure and any state it keeps.
+#[derive(Clone)]
+pub struct Loader(Arc<dyn Fn() -> Result<Trace, LoadError> + Send + Sync>);
+
+impl core::fmt::Debug for Loader {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("Loader(..)")
+    }
 }
 
 impl CorpusItem {
@@ -77,23 +78,15 @@ impl CorpusItem {
         }
     }
 
-    /// A poisoned item whose load panics (fault injection for tests).
-    pub fn poison(id: impl Into<String>) -> CorpusItem {
+    /// An item whose trace comes from `load`, called on every load
+    /// attempt.
+    pub fn loader(
+        id: impl Into<String>,
+        load: impl Fn() -> Result<Trace, LoadError> + Send + Sync + 'static,
+    ) -> CorpusItem {
         CorpusItem {
             id: id.into(),
-            input: TraceInput::Poison,
-        }
-    }
-
-    /// An item whose first `failures` loads fail transiently before the
-    /// trace loads (fault injection for retry-path tests).
-    pub fn flaky(id: impl Into<String>, trace: Trace, failures: u32) -> CorpusItem {
-        CorpusItem {
-            id: id.into(),
-            input: TraceInput::Flaky {
-                remaining: Arc::new(std::sync::atomic::AtomicU32::new(failures)),
-                trace,
-            },
+            input: TraceInput::Loader(Loader(Arc::new(load))),
         }
     }
 }
@@ -169,12 +162,8 @@ impl TraceInput {
     /// calling thread. Takes `&self` so a caller can retry transient I/O
     /// failures without re-claiming the item.
     pub fn load_mode(&self, mode: LoadMode) -> Result<Loaded, LoadError> {
-        match self {
-            TraceInput::Memory(trace) => Ok(Loaded {
-                trace: trace.clone(),
-                skipped: 0,
-                salvage: None,
-            }),
+        let trace = match self {
+            TraceInput::Memory(trace) => trace.clone(),
             TraceInput::PcapFile(path) => {
                 let bytes = tcpa_obs::time("ingest.file", || std::fs::read(path)).map_err(|e| {
                     LoadError::Io {
@@ -184,40 +173,18 @@ impl TraceInput {
                 })?;
                 // Owned, so a strict read frees the file's bytes inside
                 // its `ingest.read` span.
-                decode_bytes(bytes, mode, &path.display())
+                return decode_bytes(bytes, mode, &path.display());
             }
             TraceInput::PcapBytes(bytes) => {
-                decode_bytes(bytes.as_slice(), mode, &"<memory capture>")
+                return decode_bytes(bytes.as_slice(), mode, &"<memory capture>")
             }
-            // tcpa-lint: allow(no-unwrap-in-analyzer) -- Poison exists to panic: it is the fault-injection probe the corpus panic-isolation tests load on purpose
-            TraceInput::Poison => panic!("poisoned corpus item loaded"),
-            TraceInput::Flaky { remaining, trace } => {
-                use std::sync::atomic::Ordering;
-                let injected = remaining
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok();
-                if injected {
-                    Err(LoadError::Io {
-                        kind: ErrorKind::Interrupted,
-                        detail: "injected transient i/o failure".into(),
-                    })
-                } else {
-                    Ok(Loaded {
-                        trace: trace.clone(),
-                        skipped: 0,
-                        salvage: None,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Strict-mode load with stringly errors — the original corpus-item
-    /// contract, kept for callers that do not care about the taxonomy.
-    pub fn load(self) -> Result<Trace, String> {
-        self.load_mode(LoadMode::Strict)
-            .map(|loaded| loaded.trace)
-            .map_err(|e| e.to_string())
+            TraceInput::Loader(Loader(load)) => load()?,
+        };
+        Ok(Loaded {
+            trace,
+            skipped: 0,
+            salvage: None,
+        })
     }
 }
 
@@ -228,20 +195,14 @@ fn decode_bytes(
     label: &dyn core::fmt::Display,
 ) -> Result<Loaded, LoadError> {
     match mode {
-        LoadMode::Strict => pcap_io::read_pcap(std::io::Cursor::new(bytes))
+        LoadMode::Strict => pcap_io::read_pcap_bytes(bytes)
             .map(|(trace, skipped)| Loaded {
                 trace,
                 skipped,
                 salvage: None,
             })
-            .map_err(|e| match e {
-                tcpa_wire::pcap::PcapError::Io(io) => LoadError::Io {
-                    kind: io.kind(),
-                    detail: format!("{label}: {io}"),
-                },
-                other => LoadError::Malformed {
-                    detail: format!("{label}: {other}"),
-                },
+            .map_err(|e| LoadError::Malformed {
+                detail: format!("{label}: {e}"),
             }),
         LoadMode::Salvage => {
             let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes.as_ref());
@@ -258,7 +219,7 @@ fn decode_bytes(
 ///
 /// Implementations must be `Send`: the batch pipeline moves the source
 /// behind a mutex shared by its workers. `next_item` should be cheap —
-/// return paths or handles and let [`TraceInput::load`] do the heavy
+/// return paths or handles and let [`TraceInput::load_mode`] do the heavy
 /// lifting on the claiming worker.
 pub trait TraceSource: Send {
     /// Total number of items, when known up front (sizes progress output).
@@ -330,12 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_pcap_is_a_load_error_not_a_panic() {
-        let item = CorpusItem::pcap("/nonexistent/never.pcap");
-        assert!(item.input.load().is_err());
-    }
-
-    #[test]
     fn missing_pcap_is_io_in_both_modes_and_not_transient() {
         let item = CorpusItem::pcap("/nonexistent/never.pcap");
         for mode in [LoadMode::Strict, LoadMode::Salvage] {
@@ -366,13 +321,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "poisoned corpus item")]
-    fn poison_panics_on_load() {
-        let _ = CorpusItem::poison("bad").input.load();
+    fn loader_panic_escapes_load() {
+        let item = CorpusItem::loader("bad", || panic!("poisoned corpus item loaded"));
+        let _ = item.input.load_mode(LoadMode::Strict);
     }
 
     #[test]
-    fn flaky_fails_transiently_then_loads() {
-        let item = CorpusItem::flaky("flaky", Trace::new(), 2);
+    fn loader_runs_on_every_load_attempt() {
+        let remaining = std::sync::atomic::AtomicU32::new(2);
+        let item = CorpusItem::loader("flaky", move || {
+            use std::sync::atomic::Ordering;
+            match remaining.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            {
+                Ok(_) => Err(LoadError::Io {
+                    kind: ErrorKind::Interrupted,
+                    detail: "injected transient i/o failure".into(),
+                }),
+                Err(_) => Ok(Trace::new()),
+            }
+        });
         for _ in 0..2 {
             match item.input.load_mode(LoadMode::Strict) {
                 Err(e @ LoadError::Io { kind, .. }) => {

@@ -4,10 +4,13 @@
 
 use proptest::prelude::*;
 use std::io::Cursor;
+use tcpa_trace::mangle::{self, FaultKind};
 use tcpa_trace::{
     pcap_io, Connection, Duration, Histogram, RunningMedian, Summary, Time, Trace, TraceRecord,
 };
-use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr, TsResolution};
+use tcpa_wire::{
+    IpProtocol, Ipv4Addr, Ipv4Repr, PcapError, SeqNum, TcpFlags, TcpRepr, TsResolution,
+};
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (
@@ -195,6 +198,36 @@ proptest! {
     }
 }
 
+/// Where a strict read found its damage (header damage sits at byte 0).
+fn damage_offset(e: &PcapError) -> u64 {
+    match *e {
+        PcapError::TruncatedRecordHeader { offset, .. }
+        | PcapError::TruncatedRecordData { offset, .. }
+        | PcapError::BadRecordLength { offset, .. }
+        | PcapError::BadTimestamp { offset, .. } => offset,
+        _ => 0,
+    }
+}
+
+/// Strict ingest fails if and only if salvage ingest reports damage, and
+/// then names the first damaged region: same offset, matching class.
+fn strict_agrees_with_salvage(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (_, report) = pcap_io::read_pcap_salvage_bytes(bytes);
+    match (pcap_io::read_pcap_bytes(bytes), report.damage.first()) {
+        (Ok(_), None) => prop_assert!(report.is_clean()),
+        (Err(e), Some(first)) => {
+            prop_assert_eq!(FaultKind::of(&e), Some(first.kind), "{e}");
+            prop_assert_eq!(damage_offset(&e), first.offset, "{e}");
+        }
+        (strict, first) => prop_assert!(
+            false,
+            "strict read error {:?} disagrees with salvage's first damage {first:?}",
+            strict.err()
+        ),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -232,6 +265,32 @@ proptest! {
                 n - salvaged.len().min(n)
             ),
         }
+    }
+
+    /// Strict and salvage ingest agree on damage: strict fails exactly
+    /// when salvage reports damage, and then at the first damaged
+    /// region's offset with the matching class. Checked on one injected
+    /// fault and on a multi-fault mangle of the same clean capture.
+    #[test]
+    fn strict_fails_where_salvage_finds_damage(
+        records in proptest::collection::vec(arb_record(), 2..24),
+        kind_idx in any::<proptest::sample::Index>(),
+        faults in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let kind = FaultKind::ALL[kind_idx.index(FaultKind::ALL.len())];
+        let trace: Trace = records.into_iter().collect();
+        let base = pcap_io::write_pcap(&trace, Vec::new(), TsResolution::Micro, 0).unwrap();
+        strict_agrees_with_salvage(&base)?;
+        if let Some((mangled, _)) = mangle::inject(&base, kind, seed) {
+            strict_agrees_with_salvage(&mangled)?;
+        }
+        let spec = mangle::MangleSpec {
+            seed,
+            faults,
+            kinds: FaultKind::ALL.to_vec(),
+        };
+        strict_agrees_with_salvage(&mangle::mangle(&base, &spec).0)?;
     }
 
     /// Injection is deterministic: same bytes, kind and seed → same file.

@@ -11,9 +11,12 @@
 //! (the file-kind → reported-kind mapping below is part of the pin).
 
 use std::path::PathBuf;
-use tcpa_trace::mangle::FaultKind;
-use tcpa_trace::pcap_io::read_pcap_salvage_bytes;
+use tcpa_tcpsim::harness::{run_transfer, PathSpec};
+use tcpa_tcpsim::profiles;
+use tcpa_trace::mangle::{inject, FaultKind};
+use tcpa_trace::pcap_io::{self, read_pcap_salvage_bytes};
 use tcpa_trace::source::{CorpusItem, LoadMode};
+use tcpa_wire::{PcapError, TsResolution};
 
 fn mangled_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mangled")
@@ -185,5 +188,55 @@ fn strict_load_rejects_every_fixture_salvage_load_accepts() {
             .expect("salvage never fails on readable bytes");
         let report = loaded.salvage.expect("pcap inputs carry a report");
         assert_eq!(report.frames, g.frames, "{}", g.file);
+    }
+}
+
+/// `gen_mangled_fixtures`' clean base capture: a Reno transfer written
+/// as microsecond pcap.
+fn fixture_base_capture() -> Vec<u8> {
+    let out = run_transfer(
+        profiles::reno(),
+        profiles::reno(),
+        &PathSpec::default(),
+        24 * 1024,
+        1997,
+    );
+    pcap_io::write_pcap(&out.sender_trace(), Vec::new(), TsResolution::Micro, 0)
+        .expect("write base capture")
+}
+
+#[test]
+fn mangler_reproduces_every_committed_fixture() {
+    // `gen_mangled_fixtures`' injection seed.
+    const SEED: u64 = 0x5eed_f00d;
+    let base = fixture_base_capture();
+    for kind in FaultKind::ALL {
+        let (bytes, _) = inject(&base, kind, SEED).expect("every kind applies");
+        let path = mangled_dir().join(format!("{}.pcap", kind.label()));
+        let committed = std::fs::read(&path).expect("fixture readable");
+        assert!(
+            bytes == committed,
+            "{kind}: inject no longer reproduces {}",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn strict_fails_at_salvage_first_damage_on_fixtures() {
+    for g in GOLDEN {
+        let bytes = std::fs::read(mangled_dir().join(g.file)).unwrap();
+        let (_, report) = read_pcap_salvage_bytes(&bytes);
+        let first = report.damage.first().expect("fixtures are damaged");
+        let err = pcap_io::read_pcap_bytes(&bytes).expect_err("strict rejects damage");
+        let offset = match err {
+            PcapError::TruncatedRecordHeader { offset, .. }
+            | PcapError::TruncatedRecordData { offset, .. }
+            | PcapError::BadRecordLength { offset, .. }
+            | PcapError::BadTimestamp { offset, .. } => offset,
+            _ => 0,
+        };
+        assert_eq!(FaultKind::of(&err), Some(first.kind), "{}: {err}", g.file);
+        assert_eq!(offset, first.offset, "{}: {err}", g.file);
     }
 }
