@@ -1,8 +1,9 @@
 //! Golden stdout and exit code of the `tcpanaly` binary over the
 //! committed fixtures, the damaged fixtures under salvage, one filtered
 //! receiver-side trace written by the test, three `--jobs 1` censuses
-//! (the damaged one both salvaged and skipped) and one strict-mode
-//! abort. Any change to what the command prints — a header, the
+//! (the damaged one both salvaged and skipped), one strict-mode abort
+//! and one `--impl` check whose issue lines include an unexplained
+//! retransmission. Any change to what the command prints — a header, the
 //! auto-vantage line, a report figure, the `--impl` detail, the
 //! handshake and receiver-fingerprint sections, a census row — shows up
 //! as a diff.
@@ -158,6 +159,17 @@ fn cli_output_matches_golden() {
         &[
             "--degrade=strict",
             "tests/fixtures/mangled/mid-record-eof.pcap",
+        ],
+    );
+    // A candidate that leaves a retransmission unexplained: its issue
+    // lines name the candidate.
+    run(
+        &mut doc,
+        &root,
+        &[
+            "--impl",
+            "Trumpet/Winsock 2.0b",
+            "tests/fixtures/tahoe_loss.pcap",
         ],
     );
 
