@@ -45,6 +45,7 @@ use tcpanaly::fingerprint::{fingerprint_one, fingerprint_receiver};
 use tcpanaly::handshake::analyze_handshake;
 use tcpanaly::obs::{self, log};
 use tcpanaly::report::emit_stdout;
+use tcpanaly::sender::SenderIssueKind;
 use tcpanaly::{Analyzer, ItemOutcome};
 
 #[derive(Default)]
@@ -308,7 +309,12 @@ fn check_one(out: &mut String, cfg: &TcpConfig, calibrated: &Calibrated) {
                         .unwrap_or_default()
                 );
                 for issue in fit.analysis.issues.iter().take(10) {
-                    let _ = writeln!(out, "   {:?} @{}: {}", issue.kind, issue.time, issue.detail);
+                    let _ = write!(out, "   {:?} @{}: {}", issue.kind, issue.time, issue.detail);
+                    // The replay's detail names no candidate.
+                    if issue.kind == SenderIssueKind::UnexplainedRetransmission {
+                        let _ = write!(out, " of {}", cfg.name);
+                    }
+                    out.push('\n');
                 }
                 if fit.analysis.issues.len() > 10 {
                     let _ = writeln!(out, "   … {} more", fit.analysis.issues.len() - 10);

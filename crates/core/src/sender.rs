@@ -27,7 +27,7 @@
 //! *source quench* (a lull whose aftermath looks like a fresh slow
 //! start).
 
-use tcpa_tcpsim::config::{FastRecovery, QuenchResponse, TcpConfig};
+use tcpa_tcpsim::config::{CwndIncrease, FastRecovery, QuenchResponse, RtoScheme, TcpConfig};
 use tcpa_tcpsim::congestion::CcState;
 use tcpa_tcpsim::rtt::RttEstimator;
 use tcpa_trace::{Connection, Dir, Duration, RunningMedian, Summary, Time, TraceRecord};
@@ -300,11 +300,23 @@ impl Facts {
     }
 }
 
+/// Whether `rec`, an ack from the receiver, is a duplicate ack as the
+/// replay counts one: a pure ack at `snd_una` that leaves the offered
+/// window unchanged while data is outstanding. `at` is the trace state
+/// before `rec`.
+fn is_dup_ack(rec: &TraceRecord, at: &Facts) -> bool {
+    rec.tcp.ack == at.snd_una
+        && rec.is_pure_ack()
+        && u32::from(rec.tcp.window) == at.peer_window
+        && at.snd_una.before(at.snd_max_seen)
+}
+
 /// The per-record [`Facts`] of a connection, one walk over its records:
 /// entry `i` holds the state in force when record `i` is replayed, and a
 /// last entry, one past the final record, the state after it. Also
-/// returns the times of the liberating acks, in trace order.
-fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>) {
+/// returns the times of the liberating acks, in trace order, and whether
+/// any ack is a duplicate ack.
+fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>, bool) {
     let snd_una = pre.iss + 1;
     let mut state = Facts {
         snd_una,
@@ -321,6 +333,7 @@ fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>) {
     let mut first_send_time = SendTimes::with_capacity(pre.segments_sent);
     let mut last_sent = SendTimes::with_capacity(pre.segments_sent);
     let mut liberating_ack_times = Vec::new();
+    let mut dup_ack = false;
     let mut facts = Vec::with_capacity(conn.records.len() + 1);
     for (dir, rec) in &conn.records {
         // `state` carries no per-record fact; `at` adds this record's.
@@ -344,6 +357,7 @@ fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>) {
                     liberating_ack_times.push(rec.ts);
                 } else if tcp.ack == state.snd_una {
                     // A window update (unchanged when it is a duplicate).
+                    dup_ack |= is_dup_ack(rec, &state);
                     state.peer_window = u32::from(tcp.window);
                 }
             }
@@ -373,7 +387,7 @@ fn facts(conn: &Connection, pre: &Prescan) -> (Vec<Facts>, Vec<Time>) {
         left += at.peak_sends_from;
         at.peak_sends_from = left;
     }
-    (facts, liberating_ack_times)
+    (facts, liberating_ack_times, dup_ack)
 }
 
 /// Analyzes a connection's sender behavior against one candidate config.
@@ -402,19 +416,137 @@ pub(crate) struct Prepared<'c> {
     /// Times of the liberating acks, for the §8.6 odd retransmission and
     /// for reconstructing slow-start growth after an inferred quench.
     liberating_ack_times: Vec<Time>,
+    /// Some ack is a duplicate ack ([`is_dup_ack`]).
+    dup_ack: bool,
 }
 
 impl<'c> Prepared<'c> {
     /// Prepares `conn`; `None` when it carries no data to analyze.
     pub(crate) fn new(conn: &'c Connection) -> Option<Prepared<'c>> {
         let pre = prescan(conn)?;
-        let (facts, liberating_ack_times) = facts(conn, &pre);
+        let (facts, liberating_ack_times, dup_ack) = facts(conn, &pre);
         Some(Prepared {
             conn,
             pre,
             facts,
             liberating_ack_times,
+            dup_ack,
         })
+    }
+
+    /// What a replay of `cfg` starts from at establishment: the MSS of
+    /// its window arithmetic, the MSS it sends and its congestion state.
+    fn establishment(&self, cfg: &TcpConfig) -> (u32, u32, CcState) {
+        let pre = &self.pre;
+        let cwnd_mss = cfg.cwnd_mss(pre.peer_mss);
+        let eff_mss = cfg.effective_send_mss(pre.peer_mss);
+        let cc = CcState::at_establishment(cfg, cwnd_mss, pre.peer_sent_mss || !pre.have_handshake);
+        (cwnd_mss, eff_mss, cc)
+    }
+
+    /// The values of `cfg` that a replay of this connection can read.
+    /// Candidates of one class replay it alike: the same analysis, apart
+    /// from the candidate's name.
+    pub(crate) fn replay_class(&self, cfg: &TcpConfig) -> ReplayClass {
+        // Exhaustive, so that a new knob does not compile until it is
+        // placed in a tier or shown never to be read by the replay.
+        let TcpConfig {
+            name: _,
+            lineage: _,
+            // Read only through the establishment values.
+            mss: _,
+            default_peer_mss: _,
+            mss_includes_options: _,
+            cwnd_init_from_offered_mss: _,
+            initial_cwnd_segs: _,
+            initial_ssthresh_segs: _,
+            uninit_cwnd_bug: _,
+            cwnd_increase,
+            ss_test_strict,
+            no_congestion_window,
+            quench_response,
+            fast_retransmit,
+            dupack_threshold,
+            fast_recovery,
+            dupack_updates_cwnd,
+            min_ssthresh_segs,
+            ssthresh_round_down,
+            header_prediction_bug,
+            fencepost_bug,
+            rto_scheme,
+            initial_rto,
+            min_rto,
+            max_rto,
+            rto_granularity,
+            rto_backoff,
+            burst_retransmit,
+            retransmit_on_first_dupack,
+            retransmit_after_ack_period,
+            clear_dupacks_on_timeout,
+            // Never read by the sender replay: the candidate's own SYN
+            // option and timers, connection-lifetime limits, the send
+            // buffer (inferred from the trace instead, §6.2) and the
+            // receiver side.
+            send_mss_option: _,
+            syn_rto: _,
+            syn_backoff_flat: _,
+            max_retransmits: _,
+            keepalive_interval: _,
+            rst_on_give_up: _,
+            send_buffer: _,
+            recv_window: _,
+            recv_window_schedule: _,
+            ack_policy: _,
+            ack_every_n: _,
+            initial_ack_every_packet: _,
+            gratuitous_ack_bug: _,
+            app_read_rate: _,
+            persist_initial: _,
+            persist_max: _,
+        } = cfg;
+        let (cwnd_mss, eff_mss, cc) = self.establishment(cfg);
+        let retransmits = self
+            .facts
+            .last()
+            .is_some_and(|f| f.last_retx_time.is_some());
+        ReplayClass {
+            cwnd_mss,
+            eff_mss,
+            cwnd: cc.cwnd,
+            ssthresh: cc.ssthresh,
+            cwnd_increase: *cwnd_increase,
+            ss_test_strict: *ss_test_strict,
+            no_congestion_window: *no_congestion_window,
+            // Only a slow-start response ever infers a quench.
+            quench_response: match quench_response {
+                QuenchResponse::CwndDownOneSegment | QuenchResponse::Ignore => None,
+                slow_start => Some(*slow_start),
+            },
+            dup_ack: self.dup_ack.then_some(DupAckKnobs {
+                fast_retransmit: *fast_retransmit,
+                dupack_threshold: *dupack_threshold,
+                fast_recovery: *fast_recovery,
+                dupack_updates_cwnd: *dupack_updates_cwnd,
+                min_ssthresh_segs: *min_ssthresh_segs,
+                ssthresh_round_down: *ssthresh_round_down,
+                header_prediction_bug: *header_prediction_bug,
+                fencepost_bug: *fencepost_bug,
+            }),
+            retransmission: retransmits.then_some(RetxKnobs {
+                rto_scheme: *rto_scheme,
+                initial_rto: *initial_rto,
+                min_rto: *min_rto,
+                max_rto: *max_rto,
+                rto_granularity: *rto_granularity,
+                rto_backoff: *rto_backoff,
+                burst_retransmit: *burst_retransmit,
+                retransmit_on_first_dupack: *retransmit_on_first_dupack,
+                retransmit_after_ack_period: *retransmit_after_ack_period,
+                clear_dupacks_on_timeout: *clear_dupacks_on_timeout,
+                min_ssthresh_segs: *min_ssthresh_segs,
+                ssthresh_round_down: *ssthresh_round_down,
+            }),
+        }
     }
 
     /// Replays `cfg` over the whole connection: [`analyze_sender_with`].
@@ -430,6 +562,58 @@ impl<'c> Prepared<'c> {
     pub(crate) fn verdict(&self, cfg: &TcpConfig) -> (SenderAnalysis, ReplayWork) {
         run(self, cfg, &ReplayOptions::default(), Until::Verdict)
     }
+}
+
+/// A candidate's replay class on one connection
+/// ([`Prepared::replay_class`]): what the replay can read of its config.
+/// The establishment values are derived, not raw knobs, and the two
+/// optional tiers are read only when the connection has a duplicate ack
+/// or a retransmission.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ReplayClass {
+    cwnd_mss: u32,
+    eff_mss: u32,
+    cwnd: u64,
+    ssthresh: u64,
+    cwnd_increase: CwndIncrease,
+    ss_test_strict: bool,
+    no_congestion_window: bool,
+    /// `None` for a response that never infers a quench (§6.2).
+    quench_response: Option<QuenchResponse>,
+    dup_ack: Option<DupAckKnobs>,
+    retransmission: Option<RetxKnobs>,
+}
+
+/// The knobs a duplicate ack reads: fast retransmit, recovery and its
+/// exit bugs, and the ssthresh cut.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DupAckKnobs {
+    fast_retransmit: bool,
+    dupack_threshold: u32,
+    fast_recovery: FastRecovery,
+    dupack_updates_cwnd: bool,
+    min_ssthresh_segs: u32,
+    ssthresh_round_down: bool,
+    header_prediction_bug: bool,
+    fencepost_bug: bool,
+}
+
+/// The knobs a retransmission reads: the RTO estimator, the
+/// retransmission rules and a timeout's ssthresh cut.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RetxKnobs {
+    rto_scheme: RtoScheme,
+    initial_rto: Duration,
+    min_rto: Duration,
+    max_rto: Duration,
+    rto_granularity: Duration,
+    rto_backoff: f64,
+    burst_retransmit: bool,
+    retransmit_on_first_dupack: bool,
+    retransmit_after_ack_period: u32,
+    clear_dupacks_on_timeout: bool,
+    min_ssthresh_segs: u32,
+    ssthresh_round_down: bool,
 }
 
 /// The replay work spent on one candidate.
@@ -614,10 +798,9 @@ fn replay(
         pre,
         facts,
         liberating_ack_times,
+        dup_ack: _,
     } = prepared;
-    let cwnd_mss = cfg.cwnd_mss(pre.peer_mss);
-    let eff_mss = cfg.effective_send_mss(pre.peer_mss);
-    let cc = CcState::at_establishment(cfg, cwnd_mss, pre.peer_sent_mss || !pre.have_handshake);
+    let (cwnd_mss, eff_mss, cc) = prepared.establishment(cfg);
     let mut rp = Replay {
         cfg,
         pre,
@@ -830,9 +1013,7 @@ impl<'a> Replay<'a> {
             }
             self.push_liberation(rec.ts);
         } else if ack == self.now.snd_una {
-            let window_changed = u32::from(tcp.window) != self.now.peer_window;
-            let outstanding = self.now.snd_una.before(self.now.snd_max_seen);
-            if rec.is_pure_ack() && !window_changed && outstanding {
+            if is_dup_ack(rec, self.now) {
                 self.cc.dup_acks += 1;
                 if self.cfg.dupack_updates_cwnd {
                     self.cc.open_window(self.cfg, self.cwnd_mss);
@@ -857,7 +1038,7 @@ impl<'a> Replay<'a> {
                     self.cc.recovery_inflate(self.cwnd_mss);
                     self.push_liberation(rec.ts);
                 }
-            } else if window_changed {
+            } else if u32::from(tcp.window) != self.now.peer_window {
                 self.now = next;
                 self.push_liberation(rec.ts);
             }
@@ -1033,9 +1214,11 @@ impl<'a> Replay<'a> {
                 kind: SenderIssueKind::UnexplainedRetransmission,
                 index,
                 time: t,
+                // Names no candidate, so that a class-mate's analysis can
+                // be this one's.
                 detail: format!(
-                    "retransmission of {} (dup_acks {}) fits no rule of {}",
-                    seq, self.cc.dup_acks, self.cfg.name
+                    "retransmission of {} (dup_acks {}) fits no rule",
+                    seq, self.cc.dup_acks
                 ),
             });
             return;
@@ -1284,17 +1467,20 @@ mod tests {
         assert!(a.response_delays.max().unwrap() <= Duration::from_millis(5));
     }
 
+    /// [`slow_start_trace`], but a 4th segment in flight 3 exceeds
+    /// cwnd=3·512.
+    fn overshoot_trace() -> Connection {
+        let mut v = slow_start_trace().records;
+        v.push((Dir::SenderToReceiver, rec(307, 1, 2, A, 4073, 512, 9001)));
+        Connection {
+            records: v,
+            ..slow_start_trace()
+        }
+    }
+
     #[test]
     fn overshoot_is_a_window_violation() {
-        // Same trace, but a 4th segment in flight 3 exceeds cwnd=3·512.
-        let conn = {
-            let mut v = slow_start_trace().records;
-            v.push((Dir::SenderToReceiver, rec(307, 1, 2, A, 4073, 512, 9001)));
-            Connection {
-                records: v,
-                ..slow_start_trace()
-            }
-        };
+        let conn = overshoot_trace();
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.hard_issues(), 1, "{:?}", a.issues);
         assert!(matches!(a.issues[0].kind, SenderIssueKind::WindowViolation));
@@ -1640,10 +1826,9 @@ mod tests {
         assert_eq!(windows, [32_768, 32_768, 4096]);
     }
 
-    #[test]
-    fn unseen_source_quench_inferred() {
-        // cwnd is ~4 segments; suddenly the sender pauses 400 ms and then
-        // trickles out a lone segment — the §6.2 slow-start signature.
+    /// cwnd is ~4 segments; suddenly the sender pauses 400 ms and then
+    /// trickles out a lone segment — the §6.2 slow-start signature.
+    fn quench_trace() -> Connection {
         let mut v = vec![
             with_mss(rec(0, 1, 2, S, 1000, 0, 0), 512),
             with_mss(rec(50, 2, 1, SA, 9000, 0, 1001), 512),
@@ -1659,7 +1844,12 @@ mod tests {
             rec(751, 1, 2, A, 3049, 512, 9001),
         ];
         let trace: Trace = v.drain(..).collect();
-        let conn = Connection::split(&trace).remove(0);
+        Connection::split(&trace).remove(0)
+    }
+
+    #[test]
+    fn unseen_source_quench_inferred() {
+        let conn = quench_trace();
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.inferred_quenches.len(), 1, "{:?}", a.issues);
         assert_eq!(a.lulls(), 0);
@@ -1706,6 +1896,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `cfg`'s replay class on `conn`.
+    fn class(conn: &Connection, cfg: &TcpConfig) -> ReplayClass {
+        Prepared::new(conn).unwrap().replay_class(cfg)
+    }
+
+    /// The replay classes of every profile on `conn`.
+    fn classes(conn: &Connection) -> Vec<(&'static str, ReplayClass)> {
+        profiles::all_profiles()
+            .iter()
+            .map(|cfg| (cfg.name, class(conn, cfg)))
+            .collect()
+    }
+
+    #[test]
+    fn loss_free_trace_reads_neither_optional_tier() {
+        let all = classes(&slow_start_trace());
+        for (name, class) in &all {
+            assert_eq!(class.dup_ack, None, "{name}");
+            assert_eq!(class.retransmission, None, "{name}");
+        }
+        // BSDI 1.1 differs from Reno only in a recovery-exit bug.
+        let of = |name: &str| all.iter().find(|(n, _)| *n == name).unwrap().1;
+        assert_eq!(of("BSDI 1.1"), of("Generic Reno"));
+        assert_ne!(of("Generic Tahoe"), of("Generic Reno"));
+    }
+
+    #[test]
+    fn syn_ack_without_mss_option_moves_net3_out_of_renos_class() {
+        let (reno, net3) = (profiles::reno(), profiles::net3());
+        let with_option = slow_start_trace();
+        assert_eq!(class(&with_option, &net3), class(&with_option, &reno));
+
+        // The same trace, with a SYN-ack that offers no MSS: the Net/3
+        // uninitialized-cwnd bug (§8.4) opens a huge window.
+        let mut without = slow_start_trace();
+        without.records[1].1.tcp.options.clear();
+        let net3_class = class(&without, &net3);
+        assert_ne!(net3_class, class(&without, &reno));
+        for cfg in profiles::all_profiles() {
+            if class(&without, &cfg) == net3_class {
+                assert!(cfg.uninit_cwnd_bug, "{} shares Net/3's class", cfg.name);
+            }
+        }
+    }
+
+    #[test]
+    fn lossy_trace_separates_the_rto_schemes() {
+        let reno = profiles::reno();
+        let fixed = TcpConfig {
+            rto_scheme: tcpa_tcpsim::config::RtoScheme::Fixed,
+            ..profiles::reno()
+        };
+        let clean = slow_start_trace();
+        assert_eq!(class(&clean, &reno), class(&clean, &fixed));
+
+        // One timeout retransmission, no duplicate ack.
+        let mut v = vec![
+            with_mss(rec(0, 1, 2, S, 1000, 0, 0), 512),
+            with_mss(rec(100, 2, 1, SA, 9000, 0, 1001), 512),
+            rec(102, 1, 2, A, 1001, 512, 9001),
+            rec(3200, 1, 2, A, 1001, 512, 9001),
+        ];
+        let trace: Trace = v.drain(..).collect();
+        let conn = Connection::split(&trace).remove(0);
+        let reno_class = class(&conn, &reno);
+        assert!(reno_class.retransmission.is_some() && reno_class.dup_ack.is_none());
+        assert_ne!(reno_class, class(&conn, &fixed));
+    }
+
+    #[test]
+    fn growth_knobs_separate_classes_whose_replays_differ() {
+        use tcpa_tcpsim::config::QuenchResponse::{CwndDownOneSegment, Ignore};
+        let reno = profiles::reno();
+
+        // Without a congestion window the overshoot is no violation.
+        let conn = overshoot_trace();
+        let no_cwnd = TcpConfig {
+            no_congestion_window: true,
+            ..profiles::reno()
+        };
+        assert_eq!(analyze_sender(&conn, &reno).unwrap().hard_issues(), 1);
+        assert_eq!(analyze_sender(&conn, &no_cwnd).unwrap().hard_issues(), 0);
+        assert_ne!(class(&conn, &reno), class(&conn, &no_cwnd));
+
+        // Only a slow-start response infers a quench, so the two others
+        // replay alike.
+        let conn = quench_trace();
+        let ignore = TcpConfig {
+            quench_response: Ignore,
+            ..profiles::reno()
+        };
+        let cwnd_down = TcpConfig {
+            quench_response: CwndDownOneSegment,
+            ..profiles::reno()
+        };
+        assert_eq!(
+            analyze_sender(&conn, &reno)
+                .unwrap()
+                .inferred_quenches
+                .len(),
+            1
+        );
+        assert!(analyze_sender(&conn, &ignore)
+            .unwrap()
+            .inferred_quenches
+            .is_empty());
+        assert_ne!(class(&conn, &reno), class(&conn, &ignore));
+        assert_eq!(class(&conn, &ignore), class(&conn, &cwnd_down));
+    }
+
+    #[test]
+    fn duplicate_acks_read_the_fast_retransmit_tier() {
+        let mut v = vec![
+            with_mss(rec(0, 1, 2, S, 1000, 0, 0), 512),
+            with_mss(rec(50, 2, 1, SA, 9000, 0, 1001), 512),
+            rec(51, 1, 2, A, 1001, 512, 9001),
+            rec(52, 1, 2, A, 1513, 512, 9001),
+            rec(150, 2, 1, A, 9001, 0, 1513),
+            // A duplicate, then a window update at the same ack.
+            rec(151, 2, 1, A, 9001, 0, 1513),
+        ];
+        let mut update = rec(152, 2, 1, A, 9001, 0, 1513);
+        update.tcp.window = 4096;
+        v.push(update);
+        let trace: Trace = v.drain(..).collect();
+        let conn = Connection::split(&trace).remove(0);
+        let prepared = Prepared::new(&conn).unwrap();
+        let (dup, window) = (&conn.records[5].1, &conn.records[6].1);
+        assert!(is_dup_ack(dup, &prepared.facts[5]));
+        assert!(!is_dup_ack(window, &prepared.facts[6]));
+        let reno = prepared.replay_class(&profiles::reno());
+        assert!(reno.dup_ack.is_some() && reno.retransmission.is_none());
+        assert_ne!(reno, prepared.replay_class(&profiles::bsdi_1_1()));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The census reads each connection's fingerprint through
 //! [`Calibrated::census`], which replays a candidate only until it is
-//! settled whether it fits closely and skips profiles that behave exactly
-//! like an earlier one. This suite checks that the shortcut never changes
+//! settled whether it fits closely and replays each replay class of the
+//! connection once: a profile whose replay of the connection can read
+//! only the knob values an earlier profile's can takes that profile's
+//! verdict. This suite checks that the shortcut never changes
 //! what the census reads, against the full [`Analyzer::analyze`], on every
 //! connection of the committed fixtures and of a simulated corpus over
 //! all 22 profiles with loss and with socket-buffer-limited senders (the
@@ -13,9 +15,10 @@
 //! * the set of close candidates.
 //!
 //! On the same connections, [`fingerprint`] (one preparation of the
-//! connection shared by every candidate) must give each candidate what
-//! [`fingerprint_one`] (a preparation per candidate) gives it, and the
-//! census's replay work on the simulated corpus is pinned exactly.
+//! connection shared by every candidate, one replay per class) must give
+//! each candidate what [`fingerprint_one`] (a preparation and a replay
+//! per candidate) gives it, field by field, and the census's replay work
+//! on the simulated corpus is pinned exactly.
 
 use std::path::Path;
 use std::process::Command;
@@ -29,7 +32,7 @@ use tcpa_trace::Trace;
 use tcpa_wire::TsResolution;
 use tcpanaly::fingerprint::{close_fits, fingerprint, fingerprint_one, FitClass};
 use tcpanaly::obs::json;
-use tcpanaly::Analyzer;
+use tcpanaly::{Analyzer, SenderAnalysis};
 
 /// The committed fixture traces, by path.
 fn fixture_traces() -> Vec<(String, Trace)> {
@@ -163,8 +166,8 @@ fn census_reading_matches_full_analysis_on_simulated_corpus() {
 }
 
 /// Checks, on every connection of `trace`, that [`fingerprint`] gives
-/// each candidate what [`fingerprint_one`] gives it; returns how many
-/// candidate analyses were compared.
+/// each candidate what [`fingerprint_one`] gives it, in every field of
+/// its analysis; returns how many candidate analyses were compared.
 fn check_entry_points(label: &str, analyzer: &Analyzer, trace: &Trace) -> usize {
     let mut compared = 0;
     for conn in &analyzer.calibrate(trace).connections {
@@ -181,26 +184,63 @@ fn check_entry_points(label: &str, analyzer: &Analyzer, trace: &Trace) -> usize 
                 .iter()
                 .find(|r| r.name == one.name)
                 .unwrap_or_else(|| panic!("{what}: missing from fingerprint()"));
-            let (a, b) = (&r.analysis, &one.analysis);
             assert_eq!(r.fit, one.fit, "{what}: fit");
-            assert_eq!(a.issues, b.issues, "{what}: issues");
-            assert_eq!(
-                a.response_delays.samples(),
-                b.response_delays.samples(),
-                "{what}: response delays"
-            );
-            assert_eq!(
-                a.inferred_sender_window, b.inferred_sender_window,
-                "{what}: inferred sender window"
-            );
-            assert_eq!(
-                a.inferred_quenches, b.inferred_quenches,
-                "{what}: inferred quenches"
-            );
+            assert_same_analysis(&what, &r.analysis, &one.analysis);
             compared += 1;
         }
     }
     compared
+}
+
+/// Asserts that two analyses agree in every field. The destructuring is
+/// exhaustive, so a new field fails to compile here until it is compared.
+fn assert_same_analysis(what: &str, got: &SenderAnalysis, want: &SenderAnalysis) {
+    let SenderAnalysis {
+        config_name,
+        response_delays,
+        issues,
+        reseq_cured_violations,
+        inferred_sender_window,
+        inferred_quenches,
+        zero_window_probes,
+        data_packets,
+        retransmissions,
+        retx_causes,
+        cwnd_mss,
+    } = got;
+    assert_eq!(*config_name, want.config_name, "{what}: config name");
+    assert_eq!(
+        response_delays.samples(),
+        want.response_delays.samples(),
+        "{what}: response delays"
+    );
+    assert_eq!(*issues, want.issues, "{what}: issues");
+    assert_eq!(
+        *reseq_cured_violations, want.reseq_cured_violations,
+        "{what}: cured violations"
+    );
+    assert_eq!(
+        *inferred_sender_window, want.inferred_sender_window,
+        "{what}: inferred sender window"
+    );
+    assert_eq!(
+        *inferred_quenches, want.inferred_quenches,
+        "{what}: inferred quenches"
+    );
+    assert_eq!(
+        *zero_window_probes, want.zero_window_probes,
+        "{what}: zero-window probes"
+    );
+    assert_eq!(*data_packets, want.data_packets, "{what}: data packets");
+    assert_eq!(
+        *retransmissions, want.retransmissions,
+        "{what}: retransmissions"
+    );
+    assert_eq!(
+        *retx_causes, want.retx_causes,
+        "{what}: retransmission causes"
+    );
+    assert_eq!(*cwnd_mss, want.cwnd_mss, "{what}: cwnd MSS");
 }
 
 #[test]
@@ -222,9 +262,11 @@ fn shared_preparation_matches_per_candidate_fingerprint_on_simulated_corpus() {
 }
 
 /// The census's replay work on the simulated corpus, read back from the
-/// `--metrics-out` of a `tcpanaly --sender` census over it as pcaps. A
-/// change that should not move the replay work must leave these counts
-/// exactly as they are.
+/// `--metrics-out` of a `tcpanaly --sender` census over it as pcaps: the
+/// replay passes, the records they visit, the candidates settled before
+/// the last record, and the candidates that took a class-mate's verdict
+/// without a replay. A change that should not move the replay work must
+/// leave these counts exactly as they are.
 #[test]
 fn census_replay_work_is_pinned_on_simulated_corpus() {
     let dir = std::env::temp_dir().join(format!("tcpanaly_replay_work_{}", std::process::id()));
@@ -253,11 +295,12 @@ fn census_replay_work_is_pinned_on_simulated_corpus() {
         counter("fingerprint.replays"),
         counter("fingerprint.replay_records"),
         counter("fingerprint.replays_settled_early"),
+        counter("fingerprint.replays_shared"),
     ];
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         work,
-        [2175, 127_697, 1103],
-        "replays, replay records, settled early"
+        [1319, 77_375, 677, 984],
+        "replays, replay records, settled early, shared"
     );
 }

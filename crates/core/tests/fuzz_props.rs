@@ -1,7 +1,9 @@
 //! Robustness properties: whatever a packet filter does to a trace —
 //! sheds records, duplicates them, scrambles their order, warps their
 //! clock, truncates their payloads — the analyzer must neither panic nor
-//! blame the TCP for the filter's sins when told about the filter.
+//! blame the TCP for the filter's sins when told about the filter, and
+//! replaying one candidate per replay class must give every candidate
+//! exactly what its own replay gives it.
 
 use proptest::prelude::*;
 use tcpa_filter::{apply, ClockModel, DropModel, DupModel, FilterConfig, ReseqModel};
@@ -10,6 +12,7 @@ use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration, Time};
 use tcpanaly::calibrate::Calibrator;
+use tcpanaly::fingerprint::{fingerprint, fingerprint_one};
 use tcpanaly::receiver::analyze_receiver;
 use tcpanaly::sender::analyze_sender;
 use tcpanaly::Analyzer;
@@ -111,6 +114,38 @@ proptest! {
                 cfg.name,
                 a.issues.iter().take(2).collect::<Vec<_>>()
             );
+        }
+    }
+    /// Replay classes are sound: on every connection of a filtered
+    /// transfer between random profiles, with or without loss, each
+    /// `fingerprint()` entry equals what `fingerprint_one` gives that
+    /// candidate alone, for all 22 candidates.
+    #[test]
+    fn shared_class_replays_match_single_candidate_replays(
+        profile_idx in 0usize..32,
+        peer_idx in 0usize..32,
+        loss in prop_oneof![1 => Just(LossModel::None), 2 => (6u64..40).prop_map(LossModel::Periodic)],
+        filter in arb_filter(),
+        seed in any::<u64>(),
+    ) {
+        let profiles = all_profiles();
+        let cfg = profiles[profile_idx % profiles.len()].clone();
+        let peer = profiles[peer_idx % profiles.len()].clone();
+        let path = PathSpec {
+            loss_data: loss,
+            ..PathSpec::default()
+        };
+        let out = run_transfer(cfg, peer, &path, 48 * 1024, seed);
+        let (measured, _) = apply(&out.sender_tap, &filter, seed);
+        for conn in &Analyzer::at_sender().calibrate(&measured).connections {
+            let shared = fingerprint(conn);
+            let single: Vec<_> = profiles.iter().filter_map(|c| fingerprint_one(conn, c)).collect();
+            prop_assert_eq!(shared.len(), single.len());
+            for one in &single {
+                let r = shared.iter().find(|r| r.name == one.name);
+                // Debug renders every field of the result and its analysis.
+                prop_assert_eq!(format!("{r:?}"), format!("{:?}", Some(one)));
+            }
         }
     }
 }
