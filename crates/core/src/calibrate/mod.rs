@@ -104,16 +104,19 @@ pub struct Calibrated {
 /// the result; `keep` runs inside `stage.calibrate`, so a caller that
 /// discards the trace frees it there.
 ///
-/// The three steps are sibling spans — `stage.dedup`, `stage.split`,
-/// `stage.calibrate` — so stage durations never count the split twice.
+/// The three steps are contiguous sibling spans — `stage.dedup`,
+/// `stage.split`, `stage.calibrate` — so stage durations never count the
+/// split twice.
 pub(crate) fn calibrate_once<K>(
     trace: &Trace,
     vantage: impl FnOnce(&[Connection]) -> Vantage,
     keep: impl FnOnce(Trace) -> K,
 ) -> (K, Calibrated) {
-    let (clean, duplicates) = tcpa_obs::time("stage.dedup", || dups::remove_duplicates(trace));
-    let connections = tcpa_obs::time("stage.split", || Connection::split(&clean));
-    let _span = tcpa_obs::span("stage.calibrate");
+    let span = tcpa_obs::span("stage.dedup");
+    let (clean, duplicates) = dups::remove_duplicates(trace);
+    let span = span.then("stage.split");
+    let connections = Connection::split(&clean);
+    let _span = span.then("stage.calibrate");
     let time_travel = timing::detect_time_travel(&clean);
     let resequencing = connections
         .iter()

@@ -162,6 +162,8 @@ impl Calibrated {
         // The connection key rides on every per-connection span so the
         // exported trace can answer "which connection was this?". It is
         // the connection's first piece of work, so its first span times it.
+        // The stages run back to back, each span starting where the last
+        // one ends.
         let mut span = tcpa_obs::span("stage.fingerprint");
         let key = format!("{} -> {}", conn.sender, conn.receiver);
         span.note(key.as_str());
@@ -172,22 +174,27 @@ impl Calibrated {
             Vantage::Receiver => F::default(),
             _ => fingerprint_stage(conn),
         };
-        drop(span);
-        let receiver = tcpa_obs::time_noted("stage.receiver", &key, || match self.vantage {
+        let span = span.then("stage.receiver");
+        let receiver = match self.vantage {
             Vantage::Sender => None,
             _ => analyze_receiver(conn),
-        });
-        let receiver_fingerprint =
-            tcpa_obs::time_noted("stage.receiver_fingerprint", &key, || match self.vantage {
-                Vantage::Receiver => fingerprint_receiver(conn),
-                _ => Vec::new(),
-            });
+        };
+        let span = span.then("stage.receiver_fingerprint");
+        let receiver_fingerprint = match self.vantage {
+            Vantage::Receiver => fingerprint_receiver(conn),
+            _ => Vec::new(),
+        };
+        let span = span.then("stage.handshake");
+        let handshake = analyze_handshake(conn);
+        let span = span.then("stage.stats");
+        let stats = tcpa_trace::ConnStats::of(conn);
+        drop(span);
         ConnectionReport {
             fingerprint,
             receiver,
             receiver_fingerprint,
-            handshake: tcpa_obs::time_noted("stage.handshake", &key, || analyze_handshake(conn)),
-            stats: tcpa_obs::time_noted("stage.stats", &key, || tcpa_trace::ConnStats::of(conn)),
+            handshake,
+            stats,
             description: key,
         }
     }

@@ -65,14 +65,6 @@ pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Times a closure as a stage span carrying a human-readable note
-/// (surfaced in the audit trail and the trace `args.detail`).
-pub fn time_noted<R>(name: &'static str, detail: &str, f: impl FnOnce() -> R) -> R {
-    let mut span = Span::start(name);
-    span.note(detail);
-    f()
-}
-
 /// Adds to a counter in the global registry.
 pub fn add(name: &'static str, n: u64) {
     registry::global().add(name, n);

@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 /// An in-flight stage timer; records on drop.
 #[derive(Debug)]
 pub struct Span {
-    name: &'static str,
+    /// `None` once the span is recorded.
+    name: Option<&'static str>,
     start: Instant,
     detail: String,
     /// The span's `(id, parent)` in the item open when it started; `None`
@@ -41,7 +42,10 @@ impl Span {
     /// Starts timing `name` now, first unwinding out of the item if this
     /// thread's deadline has passed.
     pub fn start(name: &'static str) -> Span {
-        let start = Instant::now();
+        Span::start_at(name, Instant::now())
+    }
+
+    fn start_at(name: &'static str, start: Instant) -> Span {
         deadline::check(start);
         let node = with_item(|item| {
             let id = item.next_id();
@@ -50,7 +54,7 @@ impl Span {
             (id, parent)
         });
         Span {
-            name,
+            name: Some(name),
             start,
             detail: String::new(),
             node,
@@ -62,10 +66,25 @@ impl Span {
     pub fn note(&mut self, detail: impl Into<String>) {
         self.detail = detail.into();
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    /// Ends this span and starts the next stage, `name`, with the same
+    /// note at the same instant: consecutive stages share one clock read
+    /// and leave no gap between them.
+    pub fn then(mut self, name: &'static str) -> Span {
+        let now = Instant::now();
+        let detail = self.detail.clone();
+        self.finish(Some(now));
+        let mut next = Span::start_at(name, now);
+        next.detail = detail;
+        next
+    }
+
+    /// Records the span as ending at `end`, or when its bookkeeping is
+    /// done when `end` is `None`, and marks it finished.
+    fn finish(&mut self, end: Option<Instant>) {
+        let Some(name) = self.name.take() else {
+            return;
+        };
         let logged = self.node.and_then(|(id, parent)| {
             with_item(|item| {
                 // Pop this span; an inner span left open is popped with it.
@@ -74,7 +93,7 @@ impl Drop for Span {
                 }
                 item.entries.push(Entry {
                     kind: EventKind::Stage,
-                    name: self.name,
+                    name,
                     id,
                     parent,
                     start: self.start,
@@ -83,13 +102,21 @@ impl Drop for Span {
                 });
                 // Measured last, so the span covers its own bookkeeping.
                 if let Some(entry) = item.entries.last_mut() {
-                    entry.dur_ns = nanos(self.start.elapsed());
+                    let end = end.unwrap_or_else(Instant::now);
+                    entry.dur_ns = nanos(end.duration_since(self.start));
                 }
             })
         });
         if logged.is_none() {
-            registry::global().record(self.name, self.start.elapsed());
+            let end = end.unwrap_or_else(Instant::now);
+            registry::global().record(name, end.duration_since(self.start));
         }
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.finish(None);
     }
 }
 
@@ -262,6 +289,33 @@ mod tests {
         assert_eq!(merged.count(), 5);
         assert_eq!(merged.sum(), direct.sum());
         assert_eq!(merged.max(), direct.max());
+        let _ = trace::drain();
+    }
+
+    #[test]
+    fn then_starts_the_next_stage_where_the_last_one_ends() {
+        let _guard = crate::test_lock();
+        begin_item("chain.pcap", 2, true);
+        let mut first = crate::span("stage.test_first");
+        first.note("192.0.2.1:1 -> 192.0.2.2:2");
+        let second = first.then("stage.test_second");
+        std::thread::sleep(Duration::from_micros(100));
+        drop(second);
+        let spans: Vec<_> = with_item(|item| {
+            item.entries
+                .iter()
+                .map(|e| (e.name, e.start, e.dur_ns, e.detail.clone()))
+                .collect()
+        })
+        .expect("item open");
+        let [(a, a_start, a_dur, a_note), (b, b_start, b_dur, b_note)] = &spans[..] else {
+            panic!("two spans expected: {spans:?}");
+        };
+        assert_eq!((*a, *b), ("stage.test_first", "stage.test_second"));
+        assert_eq!(*a_start + Duration::from_nanos(*a_dur), *b_start);
+        assert!(*b_dur >= 100_000, "slept 100 µs");
+        assert_eq!(a_note, b_note, "the note carries over");
+        let _ = end_item("analyzed");
         let _ = trace::drain();
     }
 
