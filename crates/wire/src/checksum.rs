@@ -3,6 +3,11 @@
 //! The checksum is the 16-bit ones'-complement of the ones'-complement sum
 //! of the data, taken in big-endian 16-bit words with an implicit zero pad
 //! byte when the length is odd.
+//!
+//! Byte slices are summed a native-endian 8-byte word at a time into a
+//! `u64`, then folded to 16 bits and byte-swapped once (RFC 1071 §2: the
+//! sum is byte-order independent, so a swap of the folded sum equals the
+//! sum of swapped words).
 
 /// Incremental ones'-complement accumulator.
 ///
@@ -18,7 +23,8 @@
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
-    sum: u32,
+    /// Ones'-complement sum of big-endian words, with end-around carry.
+    sum: u64,
 }
 
 impl Checksum {
@@ -31,34 +37,77 @@ impl Checksum {
     /// padded with a zero byte, per RFC 1071; callers must therefore only
     /// pass odd-length slices as the *final* section.
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
-        }
+        let native = data
+            .chunks(BLOCK)
+            .fold(0, |sum, block| add_carry(sum, sum_block(block)));
+        self.add_u16(u16::from_be(fold(native)));
     }
 
     /// Folds one big-endian 16-bit word into the running sum.
     pub fn add_u16(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.sum = add_carry(self.sum, u64::from(word));
     }
 
     /// Folds a 32-bit value as two 16-bit words.
     pub fn add_u32(&mut self, word: u32) {
-        self.add_u16((word >> 16) as u16);
-        self.add_u16(word as u16);
+        let [a, b, c, d] = word.to_be_bytes();
+        self.add_u16(u16::from_be_bytes([a, b]));
+        self.add_u16(u16::from_be_bytes([c, d]));
     }
 
     /// Reduces the running sum and returns the checksum field value
     /// (the complement of the folded sum).
-    pub fn finish(mut self) -> u16 {
-        while self.sum > 0xffff {
-            self.sum = (self.sum & 0xffff) + (self.sum >> 16);
-        }
-        !(self.sum as u16)
+    pub fn finish(self) -> u16 {
+        !fold(self.sum)
     }
+}
+
+/// Bytes summed by [`sum_block`] at a time: 2^20 words add at most
+/// 2^20 × 2 × (2^32 − 1) < 2^54, so a block's plain `u64` sum is exact.
+const BLOCK: usize = 8 << 20;
+
+/// The sum of a block's native-endian 8-byte words, each added as its two
+/// 32-bit halves so no carry is lost. A trailing partial word is
+/// zero-padded: an odd last byte then sits in the high half of its
+/// big-endian 16-bit word, which is RFC 1071's pad.
+fn sum_block(block: &[u8]) -> u64 {
+    let halves = |bytes: [u8; 8]| {
+        let word = u64::from_ne_bytes(bytes);
+        (word & 0xffff_ffff) + (word >> 32)
+    };
+    let mut words = block.chunks_exact(8);
+    let mut sum = 0;
+    for word in &mut words {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        sum += halves(bytes);
+    }
+    let mut tail = [0u8; 8];
+    tail.iter_mut()
+        .zip(words.remainder())
+        .for_each(|(dst, src)| *dst = *src);
+    sum + halves(tail)
+}
+
+/// Ones'-complement addition of two 64-bit words: the carry out of the
+/// top bit wraps around into the bottom (it cannot carry again, since a
+/// wrapped sum is at most `u64::MAX - 1`).
+fn add_carry(a: u64, b: u64) -> u64 {
+    let (sum, carry) = a.overflowing_add(b);
+    sum + u64::from(carry)
+}
+
+/// Folds a 64-bit ones'-complement sum to 16 bits, keeping the byte order
+/// of its 16-bit lanes.
+fn fold(sum: u64) -> u16 {
+    let [a, b, c, d, e, f, g, h] = sum.to_be_bytes();
+    let hi = u32::from_be_bytes([a, b, c, d]);
+    let lo = u32::from_be_bytes([e, f, g, h]);
+    let (sum, carry) = hi.overflowing_add(lo);
+    let sum = sum + u32::from(carry);
+    let [a, b, c, d] = sum.to_be_bytes();
+    let (sum, carry) = u16::from_be_bytes([a, b]).overflowing_add(u16::from_be_bytes([c, d]));
+    sum + u16::from(carry)
 }
 
 /// Computes the checksum of a single contiguous buffer.
@@ -117,6 +166,65 @@ mod tests {
         inc.add_bytes(&data[..100]);
         inc.add_bytes(&data[100..]);
         assert_eq!(inc.finish(), checksum(&data));
+    }
+
+    /// The RFC 1071 definition, one big-endian 16-bit word at a time.
+    fn reference(data: &[u8]) -> u16 {
+        let mut sum = 0u64;
+        let mut words = data.chunks_exact(2);
+        for w in &mut words {
+            sum += u64::from(u16::from_be_bytes([w[0], w[1]]));
+        }
+        if let [last] = words.remainder() {
+            sum += u64::from(u16::from_be_bytes([*last, 0]));
+        }
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn word_sum_matches_per_word_reference() {
+        // A deterministic pseudo-random buffer (SplitMix-style mixing).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let data: Vec<u8> = (0..4200)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        // Every length 0..4096 (odd ones included), each at a start
+        // offset that cycles through the eight word alignments.
+        for len in 0..4096 {
+            let start = len % 8;
+            let slice = &data[start..start + len];
+            assert_eq!(checksum(slice), reference(slice), "start {start} len {len}");
+        }
+        for len in [0, 1, 2, 7, 8, 9, 63, 64, 65, 1500, 4095] {
+            for fill in [0x00, 0xff] {
+                let buf = vec![fill; len];
+                assert_eq!(checksum(&buf), reference(&buf), "fill {fill:#x} len {len}");
+            }
+        }
+        // Incremental: a split at any even point equals the whole.
+        let whole = &data[3..3 + 301];
+        for at in (0..=300).step_by(2) {
+            let mut inc = Checksum::new();
+            inc.add_bytes(&whole[..at]);
+            inc.add_bytes(&whole[at..]);
+            assert_eq!(inc.finish(), reference(whole), "split at {at}");
+        }
+    }
+
+    #[test]
+    fn large_slice_does_not_overflow() {
+        // 128 Ki words of 0xffff: a u32 word sum overflows well before this.
+        let data = vec![0xff; 256 * 1024];
+        assert_eq!(checksum(&data), 0);
+        assert_eq!(checksum(&data), reference(&data));
     }
 
     #[test]

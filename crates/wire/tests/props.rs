@@ -64,6 +64,22 @@ fn arb_tcp_repr() -> impl Strategy<Value = TcpRepr> {
         })
 }
 
+/// The RFC 1071 definition, one big-endian 16-bit word at a time.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    let mut words = data.chunks_exact(2);
+    for w in &mut words {
+        sum += u64::from(u16::from_be_bytes([w[0], w[1]]));
+    }
+    if let [last] = words.remainder() {
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 proptest! {
     #[test]
     fn tcp_round_trips(repr in arb_tcp_repr(), payload in proptest::collection::vec(any::<u8>(), 0..256),
@@ -149,6 +165,29 @@ proptest! {
         inc.add_bytes(&data[..split]);
         inc.add_bytes(&data[split..]);
         prop_assert_eq!(inc.finish(), checksum::checksum(&data));
+    }
+
+    #[test]
+    fn checksum_matches_per_word_reference(data in proptest::collection::vec(any::<u8>(), 0..4104),
+                                           start in 0usize..8,
+                                           fill in 0u8..3,
+                                           cut in any::<proptest::sample::Index>()) {
+        // `fill` 1 and 2 replace the bytes with all-0x00 and all-0xff.
+        let data: Vec<u8> = match fill {
+            1 => vec![0x00; data.len()],
+            2 => vec![0xff; data.len()],
+            _ => data,
+        };
+        // An unaligned start offset, leaving any length 0..4096, odd or
+        // even.
+        let slice = data.get(start..).unwrap_or(&[]);
+        let slice = &slice[..slice.len().min(4096)];
+        prop_assert_eq!(checksum::checksum(slice), reference_checksum(slice));
+        let split = cut.index(slice.len() + 1) & !1; // even split point
+        let mut inc = checksum::Checksum::new();
+        inc.add_bytes(&slice[..split]);
+        inc.add_bytes(&slice[split..]);
+        prop_assert_eq!(inc.finish(), reference_checksum(slice));
     }
 
     #[test]
