@@ -203,8 +203,8 @@ impl Sections {
     /// One trace's report: the ingest header, the auto-vantage line, then
     /// either the `--impl` check or the full report with the
     /// `--handshake` / `--receiver-fingerprint` sections, all drawn from
-    /// one calibration of the trace.
-    fn render(&self, analyzer: &Analyzer, id: &str, loaded: &Loaded) -> String {
+    /// one calibration of the trace, into which the trace's records move.
+    fn render(&self, analyzer: &Analyzer, id: &str, loaded: Loaded) -> String {
         let mut out = match &loaded.salvage {
             Some(report) => format!("== {id}: {report}\n"),
             None => format!(
@@ -213,7 +213,7 @@ impl Sections {
                 loaded.skipped
             ),
         };
-        let calibrated = analyzer.calibrate(&loaded.trace);
+        let calibrated = analyzer.calibrate(loaded.trace);
         if analyzer.vantage() == Vantage::Unknown {
             let _ = writeln!(
                 out,
@@ -373,7 +373,7 @@ fn run(opts: &Options) -> ExitCode {
                 MemorySource::new(items),
                 &config,
                 |analyzer: &Analyzer, id: &str, loaded: Loaded| {
-                    opts.sections.render(analyzer, id, &loaded)
+                    opts.sections.render(analyzer, id, loaded)
                 },
                 |item| match item.outcome {
                     // A closed stdout ends the run.

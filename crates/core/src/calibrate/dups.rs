@@ -30,7 +30,13 @@ pub struct DupRemoval {
 const DUP_WINDOW: tcpa_trace::Duration = tcpa_trace::Duration::from_millis(80);
 
 /// Removes measurement duplicates, keeping the earlier copy of each pair.
-pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
+///
+/// The scan runs over the whole capture in filter order, not per
+/// connection: a record of another connection more than [`DUP_WINDOW`]
+/// away (say, after a backward clock step) ends the scan, where a
+/// per-connection scan would go on past it. The removed records are
+/// dropped in place, and only when there are any.
+pub fn remove_duplicates(mut trace: Trace) -> (Trace, Vec<DupRemoval>) {
     let n = trace.len();
     let mut removed = vec![false; n];
     let mut removals = Vec::new();
@@ -56,6 +62,7 @@ pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
                 && a.ip.src == b.ip.src
                 && a.ip.dst == b.ip.dst
                 && a.tcp.src_port == b.tcp.src_port
+                && a.tcp.dst_port == b.tcp.dst_port
                 && a.tcp.seq == b.tcp.seq
                 && a.tcp.ack == b.tcp.ack
                 && a.tcp.flags == b.tcp.flags
@@ -70,14 +77,14 @@ pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
             }
         }
     }
-    let clean = trace
-        .records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !removed[*i])
-        .map(|(_, r)| r.clone())
-        .collect();
-    (clean, removals)
+    if !removals.is_empty() {
+        // `retain` visits the records once each, in order.
+        let mut removed = removed.into_iter();
+        trace
+            .records
+            .retain(|_| !removed.next().unwrap_or_default());
+    }
+    (trace, removals)
 }
 
 fn time_gap(a: Time, b: Time) -> tcpa_trace::Duration {
@@ -120,7 +127,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let (clean, removals) = remove_duplicates(&trace);
+        let (clean, removals) = remove_duplicates(trace);
         assert_eq!(clean.len(), 2);
         assert_eq!(removals.len(), 1);
         assert_eq!(removals[0].kept_index, 0);
@@ -133,7 +140,7 @@ mod tests {
         let trace: Trace = vec![rec(0, 1, 100, 512), rec(500, 7, 100, 512)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
+        let (clean, removals) = remove_duplicates(trace);
         assert_eq!(clean.len(), 2, "same seq, different ident: a retransmit");
         assert!(removals.is_empty());
     }
@@ -145,7 +152,7 @@ mod tests {
         let trace: Trace = vec![rec(0, 1, 100, 512), rec(200_000, 1, 100, 512)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
+        let (clean, removals) = remove_duplicates(trace);
         assert_eq!(clean.len(), 2);
         assert!(removals.is_empty());
     }
@@ -155,7 +162,7 @@ mod tests {
         let trace: Trace = vec![rec(0, 3, 0, 100), rec(250, 3, 0, 100)]
             .into_iter()
             .collect();
-        let (_, removals) = remove_duplicates(&trace);
+        let (_, removals) = remove_duplicates(trace);
         assert_eq!(removals[0].spread, Duration::from_micros(250));
     }
 
@@ -164,8 +171,44 @@ mod tests {
         let trace: Trace = vec![rec(0, 9, 0, 64), rec(100, 9, 0, 64), rec(200, 9, 0, 64)]
             .into_iter()
             .collect();
-        let (clean, removals) = remove_duplicates(&trace);
+        let (clean, removals) = remove_duplicates(trace);
         assert_eq!(clean.len(), 1);
         assert_eq!(removals.len(), 2);
+    }
+
+    #[test]
+    fn different_destination_ports_are_different_packets() {
+        // Same ident, addresses, source port and segment, but bound for
+        // two ports: two datagrams, not one recorded twice.
+        let mut other = rec(300, 4, 0, 100);
+        other.tcp.dst_port = 2001;
+        let trace: Trace = vec![rec(0, 4, 0, 100), other].into_iter().collect();
+        let (clean, removals) = remove_duplicates(trace);
+        assert_eq!(clean.len(), 2);
+        assert!(removals.is_empty());
+    }
+
+    #[test]
+    fn another_connections_record_ends_the_scan() {
+        // Connection A's record, then connection B's record stamped after
+        // the filter clock stepped back 100 ms, then A's filter copy.
+        let mut stepped_back = rec(0, 8, 0, 0);
+        stepped_back.ip.src = tcpa_wire::Ipv4Addr::from_host_id(3);
+        let original = rec(100_000, 5, 0, 512);
+        let copy = rec(100_400, 5, 0, 512);
+        let trace: Trace = vec![original.clone(), stepped_back, copy.clone()]
+            .into_iter()
+            .collect();
+        // The global scan stops at B's record, more than DUP_WINDOW from
+        // A's, so the copy survives ...
+        let (clean, removals) = remove_duplicates(trace);
+        assert_eq!(clean.len(), 3);
+        assert!(removals.is_empty());
+        // ... where a scan over connection A alone would remove it. Dedup
+        // stays global so its findings match the capture's filter order.
+        let only_a: Trace = vec![original, copy].into_iter().collect();
+        let (clean_a, removals_a) = remove_duplicates(only_a);
+        assert_eq!(clean_a.len(), 1);
+        assert_eq!(removals_a.len(), 1);
     }
 }

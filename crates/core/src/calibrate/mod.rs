@@ -76,9 +76,10 @@ impl Calibrator {
     }
 
     /// Calibrates a trace: removes measurement duplicates, then runs every
-    /// detector on the cleaned trace.
+    /// detector on the cleaned trace. The calibration consumes a copy of
+    /// `trace`, and the cleaned trace returned is a second one.
     pub fn calibrate(&self, trace: &Trace) -> (Trace, CalibrationReport) {
-        let (clean, calibrated) = calibrate_once(trace, |_| self.vantage, |clean| clean);
+        let (clean, calibrated) = calibrate_once(trace.clone(), |_| self.vantage, Trace::clone);
         (clean, calibrated.report)
     }
 }
@@ -97,27 +98,28 @@ pub struct Calibrated {
     pub report: CalibrationReport,
 }
 
-/// The one calibration sequence, each step once: remove duplicates,
-/// split the cleaned trace, then detect time travel and resequencing,
-/// settle the vantage from those same connections, and run the drop
-/// checks under it. Returns what `keep` makes of the cleaned trace beside
-/// the result; `keep` runs inside `stage.calibrate`, so a caller that
-/// discards the trace frees it there.
+/// The one calibration sequence, each step once: remove duplicates and
+/// detect time travel on the cleaned trace, move its records into their
+/// connections, then detect resequencing, settle the vantage from those
+/// connections, and run the drop checks under it. Returns what `keep`
+/// makes of the cleaned trace, before the split consumes it, beside the
+/// result.
 ///
 /// The three steps are contiguous sibling spans — `stage.dedup`,
 /// `stage.split`, `stage.calibrate` — so stage durations never count the
-/// split twice.
+/// split twice. The trace's own buffer is freed inside `stage.split`.
 pub(crate) fn calibrate_once<K>(
-    trace: &Trace,
+    trace: Trace,
     vantage: impl FnOnce(&[Connection]) -> Vantage,
-    keep: impl FnOnce(Trace) -> K,
+    keep: impl FnOnce(&Trace) -> K,
 ) -> (K, Calibrated) {
     let span = tcpa_obs::span("stage.dedup");
     let (clean, duplicates) = dups::remove_duplicates(trace);
-    let span = span.then("stage.split");
-    let connections = Connection::split(&clean);
-    let _span = span.then("stage.calibrate");
     let time_travel = timing::detect_time_travel(&clean);
+    let kept = keep(&clean);
+    let span = span.then("stage.split");
+    let connections = Connection::split_owned(clean);
+    let _span = span.then("stage.calibrate");
     let resequencing = connections
         .iter()
         .flat_map(reseq::detect_resequencing)
@@ -134,7 +136,7 @@ pub(crate) fn calibrate_once<K>(
         drop_evidence,
     };
     (
-        keep(clean),
+        kept,
         Calibrated {
             vantage,
             connections,

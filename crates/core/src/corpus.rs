@@ -596,14 +596,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The census step: calibrates one loaded trace, reads its connections
 /// through the census verdict path, distills them, and records the
-/// verdict as an item event.
+/// verdict as an item event. The trace's records move into the
+/// calibration's connections.
 fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: Loaded) -> ItemSummary {
-    let report = analyzer.calibrate(&loaded.trace).census();
-    // The last stage frees the trace and states the verdict, so the
-    // stages span the item.
+    let records = loaded.trace.len();
+    let report = analyzer.calibrate(loaded.trace).census();
+    // The last stage states the verdict, so the stages span the item.
     tcpa_obs::time("stage.distill", || {
-        let records = loaded.trace.len();
-        drop(loaded);
         let summary = distill(report, records);
         tcpa_obs::event(EventKind::Verdict, "summary", summarize(&summary));
         summary

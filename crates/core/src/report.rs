@@ -87,7 +87,7 @@ impl Analyzer {
     /// calibration pass.
     pub fn auto(trace: &Trace) -> Analyzer {
         Analyzer {
-            vantage: Analyzer::new().calibrate(trace).vantage,
+            vantage: Analyzer::new().calibrate(trace.clone()).vantage,
         }
     }
 
@@ -100,12 +100,14 @@ impl Analyzer {
     /// that is unknown, the connections the calibration split vote on it
     /// (each by [`crate::calibrate::infer_vantage`]) before the drop
     /// checks run, and the result carries the vantage they settled on.
-    pub fn calibrate(&self, trace: &Trace) -> Calibrated {
+    ///
+    /// The trace's records move into the calibrated connections.
+    pub fn calibrate(&self, trace: Trace) -> Calibrated {
         let vantage = |connections: &[Connection]| match self.vantage {
             Vantage::Unknown => vote(connections),
             fixed => fixed,
         };
-        calibrate_once(trace, vantage, drop).1
+        calibrate_once(trace, vantage, |_| ()).1
     }
 
     /// Runs the full pipeline on a trace.
@@ -118,7 +120,7 @@ impl Analyzer {
     /// all under the umbrella `analyze.total`.
     pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
         let _total = tcpa_obs::span("analyze.total");
-        self.calibrate(trace).analyze()
+        self.calibrate(trace.clone()).analyze()
     }
 }
 
@@ -341,7 +343,7 @@ mod tests {
         ] {
             let auto = Analyzer::auto(trace);
             assert_eq!(auto.vantage(), vantage);
-            let one_pass = Analyzer::new().calibrate(trace);
+            let one_pass = Analyzer::new().calibrate(trace.clone());
             assert_eq!(one_pass.vantage, vantage);
             assert_eq!(auto.analyze(trace).render(), one_pass.analyze().render());
         }

@@ -101,7 +101,7 @@ struct Tally {
 /// connection by connection.
 fn check(label: &str, analyzer: &Analyzer, trace: &Trace, tally: &mut Tally) {
     let full = analyzer.analyze(trace);
-    let census = analyzer.calibrate(trace).census();
+    let census = analyzer.calibrate(trace.clone()).census();
     assert_eq!(
         census.connections.len(),
         full.connections.len(),
@@ -170,7 +170,7 @@ fn census_reading_matches_full_analysis_on_simulated_corpus() {
 /// its analysis; returns how many candidate analyses were compared.
 fn check_entry_points(label: &str, analyzer: &Analyzer, trace: &Trace) -> usize {
     let mut compared = 0;
-    for conn in &analyzer.calibrate(trace).connections {
+    for conn in &analyzer.calibrate(trace.clone()).connections {
         let shared = fingerprint(conn);
         let single: Vec<_> = all_profiles()
             .iter()

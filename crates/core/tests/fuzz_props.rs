@@ -3,9 +3,14 @@
 //! clock, truncates their payloads — the analyzer must neither panic nor
 //! blame the TCP for the filter's sins when told about the filter, and
 //! replaying one candidate per replay class must give every candidate
-//! exactly what its own replay gives it.
+//! exactly what its own replay gives it. The owned calibration pass
+//! reproduces the clone-based dedup and split it replaced.
+
+#[path = "support/reference_pass.rs"]
+mod reference_pass;
 
 use proptest::prelude::*;
+use reference_pass::{check_against_reference, interleaved, Flow};
 use tcpa_filter::{apply, ClockModel, DropModel, DupModel, FilterConfig, ReseqModel};
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
@@ -137,7 +142,7 @@ proptest! {
         };
         let out = run_transfer(cfg, peer, &path, 48 * 1024, seed);
         let (measured, _) = apply(&out.sender_tap, &filter, seed);
-        for conn in &Analyzer::at_sender().calibrate(&measured).connections {
+        for conn in &Analyzer::at_sender().calibrate(measured).connections {
             let shared = fingerprint(conn);
             let single: Vec<_> = profiles.iter().filter_map(|c| fingerprint_one(conn, c)).collect();
             prop_assert_eq!(shared.len(), single.len());
@@ -147,5 +152,28 @@ proptest! {
                 prop_assert_eq!(format!("{r:?}"), format!("{:?}", Some(one)));
             }
         }
+    }
+
+    /// The owned calibration pass (in-place dedup, time travel on the
+    /// cleaned records, each record moved once into its connection)
+    /// matches the clone-based reference on 2–3 interleaved connections
+    /// through any filter.
+    #[test]
+    fn owned_pass_matches_clone_based_reference(
+        flows in proptest::collection::vec(
+            (0usize..22, prop_oneof![1 => Just(None), 1 => (8u64..40).prop_map(Some)], 0i64..400)
+                .prop_map(|(profile, loss_every, start_ms)| Flow { profile, loss_every, start_ms }),
+            2..4,
+        ),
+        filter in prop_oneof![
+            Just(FilterConfig::irix_duplicating()),
+            Just(FilterConfig::solaris_resequencing()),
+            Just(FilterConfig::time_travelling(Time::from_secs(120))),
+            arb_filter(),
+        ],
+        seed in any::<u64>(),
+    ) {
+        let trace = interleaved(&flows, &filter, seed);
+        check_against_reference("owned pass", &trace);
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::record::{Trace, TraceRecord};
 use core::fmt;
+use std::collections::BTreeMap;
 use tcpa_wire::Ipv4Addr;
 
 /// One endpoint of a connection.
@@ -65,15 +66,20 @@ impl ConnKey {
     /// The key for a record's four-tuple.
     pub fn of_record(rec: &TraceRecord) -> ConnKey {
         ConnKey::new(
-            Endpoint {
-                addr: rec.ip.src,
-                port: rec.tcp.src_port,
-            },
+            source(rec),
             Endpoint {
                 addr: rec.ip.dst,
                 port: rec.tcp.dst_port,
             },
         )
+    }
+}
+
+/// The endpoint that sent a record.
+fn source(rec: &TraceRecord) -> Endpoint {
+    Endpoint {
+        addr: rec.ip.src,
+        port: rec.tcp.src_port,
     }
 }
 
@@ -94,68 +100,93 @@ impl Connection {
     /// Splits a trace into connections. The data sender of each connection
     /// is the endpoint that shipped more payload bytes (ties go to the
     /// SYN initiator, then to the canonical `a` endpoint).
+    ///
+    /// This clones every record; [`Connection::split_owned`] moves them.
     pub fn split(trace: &Trace) -> Vec<Connection> {
-        // Preserve first-seen order of connections.
-        let mut order: Vec<ConnKey> = Vec::new();
-        let mut groups: std::collections::BTreeMap<ConnKey, Vec<TraceRecord>> =
-            std::collections::BTreeMap::new();
-        for rec in trace.iter() {
-            let key = ConnKey::of_record(rec);
-            groups
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(rec.clone());
-        }
-        order
-            .into_iter()
-            .map(|key| Connection::orient(key, groups.remove(&key).unwrap_or_default()))
-            .collect()
+        Connection::split_owned(trace.clone())
     }
 
-    fn orient(key: ConnKey, records: Vec<TraceRecord>) -> Connection {
-        let src_of = |rec: &TraceRecord| Endpoint {
-            addr: rec.ip.src,
-            port: rec.tcp.src_port,
-        };
+    /// [`Connection::split`] over an owned trace: each record is moved
+    /// once into its connection, whose vector is sized up front.
+    /// Connections come out in first-seen order.
+    pub fn split_owned(trace: Trace) -> Vec<Connection> {
+        // First pass: each record's connection slot. Consecutive records
+        // mostly share a connection, so the last key skips the map.
+        let mut seen: Vec<(ConnKey, usize)> = Vec::new();
+        let mut slots: BTreeMap<ConnKey, usize> = BTreeMap::new();
+        let mut last: Option<(ConnKey, usize)> = None;
+        let record_slots: Vec<usize> = trace
+            .iter()
+            .map(|rec| {
+                let key = ConnKey::of_record(rec);
+                let slot = match last {
+                    Some((last_key, slot)) if last_key == key => slot,
+                    _ => *slots.entry(key).or_insert_with(|| {
+                        seen.push((key, 0));
+                        seen.len() - 1
+                    }),
+                };
+                last = Some((key, slot));
+                if let Some((_, count)) = seen.get_mut(slot) {
+                    *count += 1;
+                }
+                slot
+            })
+            .collect();
+        let mut connections: Vec<Connection> = seen
+            .into_iter()
+            .map(|(key, count)| Connection {
+                key,
+                sender: key.a,
+                receiver: key.b,
+                records: Vec::with_capacity(count),
+            })
+            .collect();
+        // Second pass: move each record, tagged as if `a` sent the data.
+        for (slot, rec) in record_slots.into_iter().zip(trace.records) {
+            if let Some(conn) = connections.get_mut(slot) {
+                let dir = if source(&rec) == conn.key.a {
+                    Dir::SenderToReceiver
+                } else {
+                    Dir::ReceiverToSender
+                };
+                conn.records.push((dir, rec));
+            }
+        }
+        for conn in &mut connections {
+            conn.orient();
+        }
+        connections
+    }
+
+    /// Settles which endpoint is the data sender, for records tagged as if
+    /// it were `a`, and flips the tags in place when it is `b`.
+    fn orient(&mut self) {
         let mut bytes_from_a: u64 = 0;
         let mut bytes_from_b: u64 = 0;
         let mut syn_initiator: Option<Endpoint> = None;
-        for rec in &records {
-            let src = src_of(rec);
+        for (dir, rec) in &self.records {
+            let from_a = *dir == Dir::SenderToReceiver;
             if rec.tcp.flags.syn() && !rec.tcp.flags.ack() && syn_initiator.is_none() {
-                syn_initiator = Some(src);
+                syn_initiator = Some(if from_a { self.key.a } else { self.key.b });
             }
-            if src == key.a {
+            if from_a {
                 bytes_from_a += u64::from(rec.payload_len);
             } else {
                 bytes_from_b += u64::from(rec.payload_len);
             }
         }
         let sender = match bytes_from_a.cmp(&bytes_from_b) {
-            core::cmp::Ordering::Greater => key.a,
-            core::cmp::Ordering::Less => key.b,
-            core::cmp::Ordering::Equal => syn_initiator.unwrap_or(key.a),
+            core::cmp::Ordering::Greater => self.key.a,
+            core::cmp::Ordering::Less => self.key.b,
+            core::cmp::Ordering::Equal => syn_initiator.unwrap_or(self.key.a),
         };
-        let receiver = if sender == key.a { key.b } else { key.a };
-        let records = records
-            .into_iter()
-            .map(|rec| {
-                let dir = if src_of(&rec) == sender {
-                    Dir::SenderToReceiver
-                } else {
-                    Dir::ReceiverToSender
-                };
-                (dir, rec)
-            })
-            .collect();
-        Connection {
-            key,
-            sender,
-            receiver,
-            records,
+        if sender != self.key.a {
+            self.sender = self.key.b;
+            self.receiver = self.key.a;
+            for (dir, _) in &mut self.records {
+                *dir = dir.flip();
+            }
         }
     }
 
