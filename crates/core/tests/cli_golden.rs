@@ -1,12 +1,12 @@
 //! Golden stdout and exit code of the `tcpanaly` binary over the
 //! committed fixtures, the damaged fixtures under salvage, one filtered
 //! receiver-side trace written by the test, three `--jobs 1` censuses
-//! (the damaged one both salvaged and skipped), one strict-mode abort
-//! and one `--impl` check whose issue lines include an unexplained
-//! retransmission. Any change to what the command prints — a header, the
-//! auto-vantage line, a report figure, the `--impl` detail, the
-//! handshake and receiver-fingerprint sections, a census row — shows up
-//! as a diff.
+//! (the damaged one both salvaged and skipped), one strict-mode abort,
+//! one `--impl` check whose issue lines include an unexplained
+//! retransmission and two `--receiver` censuses. Any change to what the
+//! command prints — a header, the auto-vantage line, a report figure,
+//! the `--impl` detail, the handshake and receiver-fingerprint
+//! sections, a census row — shows up as a diff.
 //!
 //! Every run uses paths relative to its working directory, so the
 //! document does not depend on where the repository is checked out. On
@@ -170,6 +170,24 @@ fn cli_output_matches_golden() {
             "--impl",
             "Trumpet/Winsock 2.0b",
             "tests/fixtures/tahoe_loss.pcap",
+        ],
+    );
+    // Censuses at a declared receiver vantage, where no connection is
+    // fingerprinted.
+    run(
+        &mut doc,
+        &root,
+        &["--jobs", "1", "--receiver", "tests/fixtures"],
+    );
+    run(
+        &mut doc,
+        &root,
+        &[
+            "--jobs",
+            "1",
+            "--receiver",
+            "--degrade=salvage",
+            "tests/fixtures/mangled",
         ],
     );
 
