@@ -38,15 +38,14 @@ use std::time::Instant;
 use tcpa_tcpsim::profiles::{all_profiles, profile_by_name};
 use tcpa_tcpsim::TcpConfig;
 use tcpa_trace::source::{CorpusItem, Loaded, TraceSource};
-use tcpa_trace::{Connection, MemorySource};
+use tcpa_trace::MemorySource;
 use tcpanaly::calibrate::{Calibrated, Vantage};
 use tcpanaly::corpus::{analyze_corpus, run_corpus, AnalysisError, CorpusConfig, DegradePolicy};
-use tcpanaly::fingerprint::{fingerprint_one, fingerprint_receiver};
-use tcpanaly::handshake::analyze_handshake;
+use tcpanaly::fingerprint::{fingerprint_one, fingerprint_receiver, receiver_fits};
 use tcpanaly::obs::{self, log};
 use tcpanaly::report::emit_stdout;
 use tcpanaly::sender::SenderIssueKind;
-use tcpanaly::{Analyzer, ItemOutcome};
+use tcpanaly::{AnalysisReport, Analyzer, ItemOutcome};
 
 #[derive(Default)]
 struct Options {
@@ -230,37 +229,40 @@ impl Sections {
         let report = calibrated.analyze();
         obs::time("stage.render", || {
             out.push_str(&report.render());
-            for conn in &calibrated.connections {
-                self.render_sections(&mut out, conn);
-            }
+            self.render_sections(&mut out, &calibrated, &report);
         });
         out
     }
 
-    /// The `--handshake` and `--receiver-fingerprint` sections of one
-    /// connection.
-    fn render_sections(&self, out: &mut String, conn: &Connection) {
-        if self.handshake {
-            match analyze_handshake(conn) {
-                Some(h) => {
-                    let _ = writeln!(
-                        out,
-                        "handshake {} -> {}: {} retries, initial RTO {}, backoff {:?}",
-                        conn.sender,
-                        conn.receiver,
-                        h.retries(),
-                        h.initial_rto
-                            .map(|d| d.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                        h.shape
-                    );
+    /// Each connection's `--handshake` and `--receiver-fingerprint` sections.
+    fn render_sections(&self, out: &mut String, calibrated: &Calibrated, report: &AnalysisReport) {
+        for (report, conn) in report.connections.iter().zip(&calibrated.connections) {
+            if self.handshake {
+                match &report.handshake {
+                    Some(h) => {
+                        let _ = writeln!(
+                            out,
+                            "handshake {}: {} retries, initial RTO {}, backoff {:?}",
+                            report.description,
+                            h.retries(),
+                            h.initial_rto.map_or_else(|| "-".into(), |d| d.to_string()),
+                            h.shape
+                        );
+                    }
+                    None => out.push_str("handshake: no SYN captured\n"),
                 }
-                None => out.push_str("handshake: no SYN captured\n"),
             }
-        }
-        if self.receiver_fp {
+            if !self.receiver_fp {
+                continue;
+            }
+            let fits = match calibrated.vantage {
+                Vantage::Receiver => report.receiver_fingerprint.clone(),
+                // A sender vantage runs no receiver stage.
+                Vantage::Sender => fingerprint_receiver(conn),
+                Vantage::Unknown => report.receiver.iter().flat_map(receiver_fits).collect(),
+            };
             out.push_str("receiver-side candidates (consistent first):\n");
-            for fit in fingerprint_receiver(conn).iter().take(8) {
+            for fit in fits.iter().take(8) {
                 let _ = writeln!(
                     out,
                     "  {:<22} {}",

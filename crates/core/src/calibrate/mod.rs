@@ -7,6 +7,7 @@ pub mod reseq;
 pub mod timing;
 pub mod vantage;
 
+use tcpa_obs::Span;
 use tcpa_trace::{Connection, Trace};
 
 pub use drops::{DropCheck, DropEvidence, Vantage};
@@ -79,7 +80,7 @@ impl Calibrator {
     /// detector on the cleaned trace. The calibration consumes a copy of
     /// `trace`, and the cleaned trace returned is a second one.
     pub fn calibrate(&self, trace: &Trace) -> (Trace, CalibrationReport) {
-        let (clean, calibrated) = calibrate_once(trace.clone(), |_| self.vantage, Trace::clone);
+        let (clean, calibrated, _) = calibrate_once(trace.clone(), |_| self.vantage, Trace::clone);
         (clean, calibrated.report)
     }
 }
@@ -108,18 +109,19 @@ pub struct Calibrated {
 /// The three steps are contiguous sibling spans — `stage.dedup`,
 /// `stage.split`, `stage.calibrate` — so stage durations never count the
 /// split twice. The trace's own buffer is freed inside `stage.split`.
+/// The `stage.calibrate` span is returned open, for a next stage to chain.
 pub(crate) fn calibrate_once<K>(
     trace: Trace,
     vantage: impl FnOnce(&[Connection]) -> Vantage,
     keep: impl FnOnce(&Trace) -> K,
-) -> (K, Calibrated) {
+) -> (K, Calibrated, Span) {
     let span = tcpa_obs::span("stage.dedup");
     let (clean, duplicates) = dups::remove_duplicates(trace);
     let time_travel = timing::detect_time_travel(&clean);
     let kept = keep(&clean);
     let span = span.then("stage.split");
     let connections = Connection::split_owned(clean);
-    let _span = span.then("stage.calibrate");
+    let span = span.then("stage.calibrate");
     let resequencing = connections
         .iter()
         .flat_map(reseq::detect_resequencing)
@@ -142,5 +144,6 @@ pub(crate) fn calibrate_once<K>(
             connections,
             report,
         },
+        span,
     )
 }

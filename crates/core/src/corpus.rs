@@ -45,9 +45,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread;
 
-use crate::calibrate::Vantage;
+use crate::calibrate::{CalibrationReport, Vantage};
 use crate::fingerprint::CensusVerdict;
-use crate::report::{AnalysisReport, Analyzer};
+use crate::report::Analyzer;
 use tcpa_obs::progress::{ItemClass, Progress};
 use tcpa_obs::{AuditTrail, EventKind};
 use tcpa_trace::pcap_io::IngestReport;
@@ -326,11 +326,9 @@ pub struct ItemReport<T = ItemSummary> {
 }
 
 /// The distilled per-trace conclusions kept by the census: the part
-/// Table 1 needs. The census never builds the full [`AnalysisReport`],
-/// which replays every candidate to the end and ranks them all; each
-/// connection's fingerprint is only its
-/// [`CensusVerdict`], for which a
-/// candidate is replayed only until it is settled whether it fits closely
+/// Table 1 needs. The census runs no stage but each connection's
+/// [`CensusVerdict`], for which a candidate is replayed only until it is
+/// settled whether it fits closely
 /// ([`Calibrated::census`](crate::calibrate::Calibrated::census)). The
 /// summary is the same as the full report's.
 #[derive(Debug, Clone, PartialEq)]
@@ -361,27 +359,24 @@ impl ItemSummary {
     }
 }
 
-/// Distills the census's reading of a trace into its summary: the best
-/// close fit of each connection, that fit's response delays, and the
-/// calibration counts. Only the verdicts' `best` is read here.
-fn distill(report: AnalysisReport<CensusVerdict>, records: usize) -> ItemSummary {
-    let mut best_fits = Vec::with_capacity(report.connections.len());
+/// Distills the census's verdicts and calibration counts into the
+/// trace's summary. Only the verdicts' `best` is read here.
+fn distill(verdicts: Vec<CensusVerdict>, cal: &CalibrationReport, records: usize) -> ItemSummary {
     let mut response_delays = Vec::new();
-    for conn in &report.connections {
-        let best = conn.fingerprint.best.as_ref();
-        best_fits.push(best.map(|top| top.name.to_owned()));
-        if let Some(top) = best {
-            response_delays.extend_from_slice(top.analysis.response_delays.samples());
-        }
+    for top in verdicts.iter().filter_map(|v| v.best.as_ref()) {
+        response_delays.extend_from_slice(top.analysis.response_delays.samples());
     }
     ItemSummary {
         records,
-        connections: report.connections.len(),
-        best_fits,
-        duplicates: report.calibration.duplicates.len(),
-        time_travel: report.calibration.time_travel.len(),
-        resequencing: report.calibration.resequencing.len(),
-        drop_evidence: report.calibration.drop_evidence.len(),
+        connections: verdicts.len(),
+        best_fits: verdicts
+            .iter()
+            .map(|v| v.best.as_ref().map(|top| top.name.to_owned()))
+            .collect(),
+        duplicates: cal.duplicates.len(),
+        time_travel: cal.time_travel.len(),
+        resequencing: cal.resequencing.len(),
+        drop_evidence: cal.drop_evidence.len(),
         response_delays,
     }
 }
@@ -594,19 +589,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The census step: calibrates one loaded trace, reads its connections
-/// through the census verdict path, distills them, and records the
-/// verdict as an item event. The trace's records move into the
-/// calibration's connections.
+/// The census step: calibrates one loaded trace, reads its census
+/// verdicts, distills them, and records the verdict as an item event, in
+/// stage spans chained from `stage.dedup` to `stage.distill`. The trace's
+/// records move into the calibration's connections, freed in the last.
 fn analyze_one(analyzer: &Analyzer, _id: &str, loaded: Loaded) -> ItemSummary {
     let records = loaded.trace.len();
-    let report = analyzer.calibrate(loaded.trace).census();
-    // The last stage states the verdict, so the stages span the item.
-    tcpa_obs::time("stage.distill", || {
-        let summary = distill(report, records);
-        tcpa_obs::event(EventKind::Verdict, "summary", summarize(&summary));
-        summary
-    })
+    let (calibrated, span) = analyzer.calibrate_open(loaded.trace);
+    let (verdicts, span) = calibrated.census(span);
+    // The last stage states the verdict, so the stages span the item. It
+    // is the trace's stage, so it drops the last connection's key.
+    let mut span = span.then("stage.distill");
+    span.note(String::new());
+    let summary = distill(verdicts, &calibrated.report, records);
+    drop(calibrated);
+    tcpa_obs::event(EventKind::Verdict, "summary", summarize(&summary));
+    drop(span);
+    summary
 }
 
 /// Loads one input under the policy's load mode, retrying transient I/O

@@ -15,9 +15,10 @@
 //! of the connection (the knob values its replay can read) and give the
 //! others its result; [`fingerprint_one`] replays its candidate alone.
 
+use crate::receiver::{analyze_receiver, AckClass, PolicyGuess, ReceiverAnalysis};
 use crate::sender::{Prepared, ReplayClass, ReplayOptions, ReplayWork, SenderAnalysis};
 use std::sync::OnceLock;
-use tcpa_tcpsim::config::TcpConfig;
+use tcpa_tcpsim::config::{AckPolicy, TcpConfig};
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration};
 
@@ -329,10 +330,7 @@ pub struct ReceiverFit {
 }
 
 /// Checks one receiver analysis against one candidate's receiver config.
-pub fn receiver_fit(analysis: &crate::receiver::ReceiverAnalysis, cfg: &TcpConfig) -> ReceiverFit {
-    use crate::receiver::{AckClass, PolicyGuess};
-    use tcpa_tcpsim::config::AckPolicy;
-
+pub fn receiver_fit(analysis: &ReceiverAnalysis, cfg: &TcpConfig) -> ReceiverFit {
     let mut contradictions = Vec::new();
 
     // Policy kind (§9.1). `Unknown` never contradicts — it means the
@@ -399,16 +397,19 @@ pub fn receiver_fit(analysis: &crate::receiver::ReceiverAnalysis, cfg: &TcpConfi
     }
 }
 
-/// Runs every known profile's receiver side against a receiver-vantage
-/// connection; consistent candidates first.
-pub fn fingerprint_receiver(conn: &Connection) -> Vec<ReceiverFit> {
-    let Some(analysis) = crate::receiver::analyze_receiver(conn) else {
-        return Vec::new();
-    };
-    let mut fits: Vec<ReceiverFit> = all_profiles()
+/// Ranks every known profile's receiver side against one receiver
+/// analysis; consistent candidates first.
+pub fn receiver_fits(analysis: &ReceiverAnalysis) -> Vec<ReceiverFit> {
+    let mut fits: Vec<ReceiverFit> = profiles()
         .iter()
-        .map(|cfg| receiver_fit(&analysis, cfg))
+        .map(|cfg| receiver_fit(analysis, cfg))
         .collect();
     fits.sort_by_key(|f| (!f.consistent, f.contradictions.len()));
     fits
+}
+
+/// [`receiver_fits`] of a receiver-vantage connection's
+/// [`analyze_receiver`]; empty when no data flowed.
+pub fn fingerprint_receiver(conn: &Connection) -> Vec<ReceiverFit> {
+    analyze_receiver(conn).map_or_else(Vec::new, |analysis| receiver_fits(&analysis))
 }

@@ -2,35 +2,34 @@
 
 use crate::calibrate::{calibrate_once, vote, Calibrated, CalibrationReport, Vantage};
 use crate::fingerprint::{
-    census_verdict, fingerprint, fingerprint_receiver, CensusVerdict, FingerprintResult, FitClass,
+    census_verdict, fingerprint, receiver_fits, CensusVerdict, FingerprintResult, FitClass,
     ReceiverFit,
 };
 use crate::handshake::{analyze_handshake, HandshakeAnalysis};
 use crate::receiver::{analyze_receiver, AckClass, ReceiverAnalysis};
 use std::io::Write as _;
-use tcpa_trace::{Connection, Trace};
+use tcpa_obs::Span;
+use tcpa_trace::{Connection, Duration, Trace};
 
-/// Everything tcpanaly concludes about one trace. `F` is what each
-/// connection's fingerprint stage yields: every candidate ranked (the
-/// default, [`Calibrated::analyze`]) or the census's [`CensusVerdict`]
-/// ([`Calibrated::census`]).
+/// Everything tcpanaly concludes about one trace
+/// ([`Calibrated::analyze`]).
 #[derive(Debug)]
-pub struct AnalysisReport<F = Vec<FingerprintResult>> {
+pub struct AnalysisReport {
     /// Per-connection results, in first-seen order.
-    pub connections: Vec<ConnectionReport<F>>,
+    pub connections: Vec<ConnectionReport>,
     /// Trace-level calibration findings (§3).
     pub calibration: CalibrationReport,
 }
 
 /// Results for a single connection.
 #[derive(Debug)]
-pub struct ConnectionReport<F = Vec<FingerprintResult>> {
+pub struct ConnectionReport {
     /// The connection's endpoints, rendered.
     pub description: String,
-    /// Candidate implementations ranked by fit (§5, §6.1), or their
-    /// census verdict; empty if the connection carried no analyzable bulk
-    /// data or was seen from the receiver.
-    pub fingerprint: F,
+    /// Candidate implementations ranked by fit (§5, §6.1); empty if the
+    /// connection carried no analyzable bulk data or was seen from the
+    /// receiver.
+    pub fingerprint: Vec<FingerprintResult>,
     /// Receiver-side analysis (§7, §9), when data flowed.
     pub receiver: Option<ReceiverAnalysis>,
     /// Receiver-side implementation candidates, consistent first (only
@@ -103,11 +102,17 @@ impl Analyzer {
     ///
     /// The trace's records move into the calibrated connections.
     pub fn calibrate(&self, trace: Trace) -> Calibrated {
+        self.calibrate_open(trace).0
+    }
+
+    /// [`Analyzer::calibrate`], with its `stage.calibrate` span left open.
+    pub(crate) fn calibrate_open(&self, trace: Trace) -> (Calibrated, Span) {
         let vantage = |connections: &[Connection]| match self.vantage {
             Vantage::Unknown => vote(connections),
             fixed => fixed,
         };
-        calibrate_once(trace, vantage, |_| ()).1
+        let ((), calibrated, span) = calibrate_once(trace, vantage, |_| ());
+        (calibrated, span)
     }
 
     /// Runs the full pipeline on a trace.
@@ -129,38 +134,35 @@ impl Calibrated {
     /// the calibrated vantage.
     pub fn analyze(&self) -> AnalysisReport {
         AnalysisReport {
-            connections: self.analyze_connections(fingerprint),
+            connections: self
+                .connections
+                .iter()
+                .map(|conn| self.analyze_connection(conn))
+                .collect(),
             calibration: self.report.clone(),
         }
     }
 
-    /// [`Calibrated::analyze`] as the census reads it: the same stages,
-    /// but each connection's fingerprint is only its [`census_verdict`],
-    /// which replays each candidate only until its verdict is settled.
-    /// The census keeps nothing else of the calibration, so this consumes
-    /// it and moves its findings into the report.
-    pub fn census(self) -> AnalysisReport<CensusVerdict> {
-        AnalysisReport {
-            connections: self.analyze_connections(census_verdict),
-            calibration: self.report,
+    /// What the census reads of the calibrated connections: each one's
+    /// [`census_verdict`], in connection order, and no other stage. At a
+    /// receiver vantage (§6.1) no connection is read and every verdict is
+    /// the default, no close fit. Each verdict gets one `stage.fingerprint`
+    /// span, chained from `span`, the open span of the stage before; the
+    /// last open span is returned.
+    pub fn census(&self, mut span: Span) -> (Vec<CensusVerdict>, Span) {
+        if self.vantage == Vantage::Receiver {
+            return (vec![CensusVerdict::default(); self.connections.len()], span);
         }
+        let mut verdicts = Vec::with_capacity(self.connections.len());
+        for conn in &self.connections {
+            span = span.then("stage.fingerprint");
+            span.note(format!("{} -> {}", conn.sender, conn.receiver));
+            verdicts.push(census_verdict(conn));
+        }
+        (verdicts, span)
     }
 
-    fn analyze_connections<F: Default>(
-        &self,
-        fingerprint_stage: fn(&Connection) -> F,
-    ) -> Vec<ConnectionReport<F>> {
-        self.connections
-            .iter()
-            .map(|conn| self.analyze_connection(conn, fingerprint_stage))
-            .collect()
-    }
-
-    fn analyze_connection<F: Default>(
-        &self,
-        conn: &Connection,
-        fingerprint_stage: fn(&Connection) -> F,
-    ) -> ConnectionReport<F> {
+    fn analyze_connection(&self, conn: &Connection) -> ConnectionReport {
         // The connection key rides on every per-connection span so the
         // exported trace can answer "which connection was this?". It is
         // the connection's first piece of work, so its first span times it.
@@ -173,8 +175,8 @@ impl Calibrated {
             // Sender behavior can only be judged from a vantage at or
             // near the sender (§6.1); from elsewhere, network delay
             // between filter and sender poisons the response delays.
-            Vantage::Receiver => F::default(),
-            _ => fingerprint_stage(conn),
+            Vantage::Receiver => Vec::new(),
+            _ => fingerprint(conn),
         };
         let span = span.then("stage.receiver");
         let receiver = match self.vantage {
@@ -182,8 +184,8 @@ impl Calibrated {
             _ => analyze_receiver(conn),
         };
         let span = span.then("stage.receiver_fingerprint");
-        let receiver_fingerprint = match self.vantage {
-            Vantage::Receiver => fingerprint_receiver(conn),
+        let receiver_fingerprint = match (self.vantage, &receiver) {
+            (Vantage::Receiver, Some(analysis)) => receiver_fits(analysis),
             _ => Vec::new(),
         };
         let span = span.then("stage.handshake");
@@ -221,6 +223,7 @@ impl AnalysisReport {
     /// Renders a human-readable summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let dash = |d: Option<Duration>| d.map_or_else(|| "-".to_string(), |d| d.to_string());
         let c = &self.calibration;
         out.push_str("== Calibration (§3) ==\n");
         out.push_str(&format!(
@@ -256,14 +259,8 @@ impl AnalysisReport {
                     r.name,
                     r.fit.to_string(),
                     r.analysis.issues.len(),
-                    delays
-                        .median()
-                        .map(|d| d.to_string())
-                        .unwrap_or_else(|| "-".into()),
-                    delays
-                        .percentile(90.0)
-                        .map(|d| d.to_string())
-                        .unwrap_or_else(|| "-".into()),
+                    dash(delays.median()),
+                    dash(delays.percentile(90.0)),
                 ));
             }
             if let Some(rx) = &conn.receiver {
@@ -299,17 +296,13 @@ impl AnalysisReport {
                     }
                 ));
             }
-            if let Some(h) = &conn.handshake {
-                if h.retries() > 0 {
-                    out.push_str(&format!(
-                        "  handshake: {} SYN retries, initial RTO {}, backoff {:?}\n",
-                        h.retries(),
-                        h.initial_rto
-                            .map(|d| d.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                        h.shape
-                    ));
-                }
+            if let Some(h) = conn.handshake.as_ref().filter(|h| h.retries() > 0) {
+                out.push_str(&format!(
+                    "  handshake: {} SYN retries, initial RTO {}, backoff {:?}\n",
+                    h.retries(),
+                    dash(h.initial_rto),
+                    h.shape
+                ));
             }
         }
         out

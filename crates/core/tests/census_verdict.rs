@@ -101,16 +101,16 @@ struct Tally {
 /// connection by connection.
 fn check(label: &str, analyzer: &Analyzer, trace: &Trace, tally: &mut Tally) {
     let full = analyzer.analyze(trace);
-    let census = analyzer.calibrate(trace.clone()).census();
+    let (census, _) = analyzer
+        .calibrate(trace.clone())
+        .census(tcpanaly::obs::span("stage.calibrate"));
     assert_eq!(
-        census.connections.len(),
+        census.len(),
         full.connections.len(),
         "{label}: connection count"
     );
-    for (want, got) in full.connections.iter().zip(&census.connections) {
+    for (want, verdict) in full.connections.iter().zip(&census) {
         let what = format!("{label} {}", want.description);
-        assert_eq!(got.description, want.description, "{what}");
-        let verdict = &got.fingerprint;
         assert_eq!(
             verdict.best.as_ref().map(|b| b.name),
             want.best_fit(),

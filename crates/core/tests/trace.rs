@@ -54,12 +54,37 @@ fn corpus_dir(tag: &str, n: usize, with_mangled: bool) -> std::path::PathBuf {
 /// `--trace-out` over the fixture-style corpus: the document is
 /// schema-valid trace_event JSON, the span tree has no orphans, every
 /// expected stage appears, and salvage instants show up for the damaged
-/// items.
+/// items. A single-file report runs every per-connection stage; the
+/// census runs only the fingerprint stage.
 #[test]
 fn trace_out_is_schema_valid_with_connected_tree() {
     let dir = corpus_dir("schema", 3, true);
-    // Clean run, default policy: the strict reader's ingest.read span
-    // and the full per-connection stage set appear.
+    // Single-file report: the full per-connection stage set and the
+    // render stage appear.
+    let single = dir.join("trace-single.json");
+    let (stdout, stderr, code) = tcpanaly_code(&[
+        "--trace-out",
+        single.to_str().unwrap(),
+        dir.join("t0.pcap").to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stdout}\n{stderr}");
+    let text = std::fs::read_to_string(&single).expect("trace file");
+    trace::validate_trace(&text).expect("schema-valid trace");
+    trace::check_tree_invariants(&text).expect("no orphan or unclosed spans");
+    for name in [
+        "\"stage.fingerprint\"",
+        "\"stage.receiver\"",
+        "\"stage.receiver_fingerprint\"",
+        "\"stage.handshake\"",
+        "\"stage.stats\"",
+        "\"stage.render\"",
+    ] {
+        assert!(text.contains(name), "expected {name} in trace: missing");
+    }
+
+    // Clean census, default policy: the strict reader's ingest.read span
+    // and the census stages appear, and no per-connection stage the
+    // census does not read.
     let clean = dir.join("trace-clean.json");
     let (stdout, stderr, code) = tcpanaly_code(&[
         "--jobs",
@@ -80,13 +105,19 @@ fn trace_out_is_schema_valid_with_connected_tree() {
         "\"stage.calibrate\"",
         "\"stage.split\"",
         "\"stage.fingerprint\"",
-        "\"stage.receiver\"",
-        "\"stage.handshake\"",
-        "\"stage.stats\"",
+        "\"stage.distill\"",
         "\"detail.sender_replay\"",
         "\"analyze.total\"",
     ] {
         assert!(text.contains(name), "expected {name} in trace: missing");
+    }
+    for name in [
+        "\"stage.receiver\"",
+        "\"stage.receiver_fingerprint\"",
+        "\"stage.handshake\"",
+        "\"stage.stats\"",
+    ] {
+        assert!(!text.contains(name), "unexpected {name} in census trace");
     }
     // Worker lanes are named in the metadata.
     assert!(text.contains("worker-0"), "lane metadata expected");
