@@ -893,7 +893,8 @@ pub fn analyze_corpus<S: TraceSource>(source: S, config: &CorpusConfig) -> Corpu
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use tcpa_trace::source::MemorySource;
+    use std::sync::Arc;
+    use tcpa_trace::source::{load_capture, MemorySource};
     use tcpa_trace::Trace;
 
     /// An item whose first `failures` loads fail with a transient I/O
@@ -969,6 +970,87 @@ mod tests {
                 >= 2,
             "both injected failures must be counted as retries"
         );
+    }
+
+    /// A capture reader that fails with `kind` once `fail_at` bytes have
+    /// been read.
+    struct CutOff {
+        bytes: Arc<Vec<u8>>,
+        read: usize,
+        fail_at: usize,
+        kind: std::io::ErrorKind,
+    }
+
+    impl std::io::Read for CutOff {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.read >= self.fail_at {
+                return Err(std::io::Error::new(self.kind, "injected read failure"));
+            }
+            let end = self.fail_at.min(self.bytes.len());
+            let n = (end - self.read).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.read..self.read + n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// An item streamed from a capture whose first read attempt fails
+    /// half-way with `kind`; later attempts read it whole.
+    fn cut_off_once(kind: std::io::ErrorKind) -> CorpusItem {
+        use tcpa_tcpsim::harness::{run_transfer, PathSpec};
+        let trace = run_transfer(
+            tcpa_tcpsim::profiles::reno(),
+            tcpa_tcpsim::profiles::reno(),
+            &PathSpec::default(),
+            16 * 1024,
+            1,
+        )
+        .sender_trace();
+        let bytes =
+            tcpa_trace::pcap_io::write_pcap(&trace, Vec::new(), tcpa_wire::TsResolution::Micro, 0)
+                .expect("vec write");
+        let bytes = Arc::new(bytes);
+        let first = std::sync::atomic::AtomicBool::new(true);
+        CorpusItem::loader("cut-off.pcap", move || {
+            let fail_at = if first.swap(false, Ordering::Relaxed) {
+                bytes.len() / 2
+            } else {
+                usize::MAX
+            };
+            let input = CutOff {
+                bytes: Arc::clone(&bytes),
+                read: 0,
+                fail_at,
+                kind,
+            };
+            let capture = tcpa_wire::pcap::Capture::stream(input, None);
+            load_capture(capture, LoadMode::Strict, &"cut-off.pcap").map(|l| l.trace)
+        })
+    }
+
+    #[test]
+    fn mid_stream_io_errors_keep_their_kind_and_transient_ones_retry() {
+        let config = CorpusConfig {
+            jobs: 1,
+            retry_backoff: std::time::Duration::from_millis(1),
+            ..CorpusConfig::default()
+        };
+        let report = analyze_corpus(
+            MemorySource::new(vec![cut_off_once(std::io::ErrorKind::TimedOut)]),
+            &config,
+        );
+        assert_eq!(report.census.analyzed, 1, "{}", report.render());
+        let report = analyze_corpus(
+            MemorySource::new(vec![cut_off_once(std::io::ErrorKind::ConnectionReset)]),
+            &config,
+        );
+        assert_eq!(report.census.io_errors, 1, "{}", report.render());
+        match &report.items[0].outcome {
+            ItemOutcome::Failed(AnalysisError::Io { detail }) => {
+                assert!(detail.contains("cut-off.pcap"), "{detail}")
+            }
+            other => panic!("expected an i/o failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! are reproducible.
 
 pub use tcpa_wire::pcap::FaultKind;
-use tcpa_wire::pcap::{Layout, PcapRecord, Records, MAX_INCL_LEN};
+use tcpa_wire::pcap::{Layout, Records, MAX_INCL_LEN};
 
 /// One fault the mangler applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +61,27 @@ fn put_u32(buf: &mut [u8], at: usize, layout: Layout, value: u32) {
     buf[at..at + 4].copy_from_slice(&bytes);
 }
 
-/// The layout and records of a *well-formed* capture, read by the strict
-/// walk. Returns `None` for anything else — the mangler only damages
-/// intact files.
-fn clean_records(bytes: &[u8]) -> Option<(Layout, Vec<PcapRecord<'_>>)> {
+/// Where one record of a capture sits: its header's byte offset and its
+/// captured length.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: usize,
+    len: usize,
+}
+
+/// The layout and record slots of a *well-formed* capture, read by the
+/// strict walk. Returns `None` for anything else — the mangler only
+/// damages intact files.
+fn clean_records(bytes: &[u8]) -> Option<(Layout, Vec<Slot>)> {
     let mut walk = Records::strict(bytes).ok()?;
     let layout = walk.layout();
-    let records = walk.by_ref().collect();
+    let mut records = Vec::new();
+    while let Some(rec) = walk.next_record() {
+        records.push(Slot {
+            offset: usize::try_from(rec.offset).ok()?,
+            len: rec.data.len(),
+        });
+    }
     walk.finish().ok()?;
     Some((layout, records))
 }
@@ -90,7 +104,7 @@ fn is_truncating(kind: FaultKind) -> bool {
 fn apply(
     buf: &mut Vec<u8>,
     layout: Layout,
-    rec: PcapRecord<'_>,
+    rec: Slot,
     kind: FaultKind,
     rng: &mut SplitMix64,
 ) -> Option<InjectedFault> {
@@ -110,10 +124,10 @@ fn apply(
             rec.offset as u64
         }
         FaultKind::MidRecordEof => {
-            if rec.data.len() < 2 {
+            if rec.len < 2 {
                 return None;
             }
-            let cut = rec.offset + 16 + 1 + rng.below(rec.data.len() as u64 - 1) as usize;
+            let cut = rec.offset + 16 + 1 + rng.below(rec.len as u64 - 1) as usize;
             buf.truncate(cut);
             rec.offset as u64
         }
@@ -125,7 +139,7 @@ fn apply(
             at as u64
         }
         FaultKind::ZeroLength => {
-            if rec.data.is_empty() {
+            if rec.len == 0 {
                 return None;
             }
             put_u32(buf, rec.offset + 8, layout, 0);
@@ -229,7 +243,7 @@ pub fn mangle(bytes: &[u8], spec: &MangleSpec) -> (Vec<u8>, Vec<InjectedFault>) 
 
     // Plan: truncation targets the last record; in-place faults target
     // shuffled earlier records. Apply in descending offset order.
-    let mut plan: Vec<(PcapRecord<'_>, FaultKind)> = Vec::new();
+    let mut plan: Vec<(Slot, FaultKind)> = Vec::new();
     if let Some(kind) = truncating {
         let rec = if kind == FaultKind::TruncatedGlobalHeader {
             records[0] // ignored by apply; header damage has no record target

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use tcpa_wire::ethernet::{EtherType, EthernetRepr, MacAddr};
 use tcpa_wire::pcap::{
-    DamageRegion, FaultKind, PcapError, PcapRecord, PcapWriter, Records, LINKTYPE_ETHERNET,
+    Capture, DamageRegion, FaultKind, PcapError, PcapRecord, PcapWriter, Records, LINKTYPE_ETHERNET,
 };
 use tcpa_wire::{Ipv4Repr, TcpRepr, TsResolution};
 
@@ -91,32 +91,33 @@ pub fn write_pcap<W: Write>(
     writer.finish()
 }
 
-/// Reads a pcap file into a [`Trace`]. Non-IPv4 and non-TCP frames are
-/// skipped (the paper's filters matched TCP packets only). Frames whose
-/// TCP header itself is truncated by the snap length are skipped too, with
-/// their count returned alongside the trace.
-pub fn read_pcap<R: Read>(mut input: R) -> Result<(Trace, usize), PcapError> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    read_pcap_bytes(bytes)
+/// Reads a pcap capture from `input` into a [`Trace`], streaming it
+/// through one bounded window. Non-IPv4 and non-TCP frames are skipped
+/// (the paper's filters matched TCP packets only). Frames whose TCP header
+/// itself is truncated by the snap length are skipped too, with their
+/// count returned alongside the trace.
+pub fn read_pcap<R: Read>(input: R) -> Result<(Trace, usize), PcapError> {
+    read_capture(Capture::stream(input, None))
 }
 
-/// [`read_pcap`] over capture bytes already in memory: strict ingest, so
-/// the first malformed byte fails the read. An owned buffer is freed
-/// before the `ingest.read` span closes.
-pub fn read_pcap_bytes(bytes: impl AsRef<[u8]>) -> Result<(Trace, usize), PcapError> {
+/// [`read_pcap`] over capture bytes already in memory.
+pub fn read_pcap_bytes(bytes: &[u8]) -> Result<(Trace, usize), PcapError> {
+    read_capture(bytes.into())
+}
+
+/// Strict ingest of any capture: the first malformed byte, or an I/O
+/// failure ([`PcapError::Io`]), fails the read. A streamed capture's
+/// window is freed before the `ingest.read` span closes.
+pub fn read_capture(capture: Capture<'_>) -> Result<(Trace, usize), PcapError> {
     let _span = tcpa_obs::span("ingest.read");
-    let read = Records::strict(bytes.as_ref()).and_then(|mut walk| {
-        if walk.linktype() != LINKTYPE_ETHERNET {
-            return Err(PcapError::UnsupportedLinkType {
-                linktype: walk.linktype(),
-            });
-        }
-        let decoded = decode(&mut walk);
-        walk.finish().map(|()| decoded)
-    });
-    drop(bytes);
-    let (trace, skipped) = read?;
+    let mut walk = Records::strict(capture)?;
+    if walk.linktype() != LINKTYPE_ETHERNET {
+        return Err(PcapError::UnsupportedLinkType {
+            linktype: walk.linktype(),
+        });
+    }
+    let (trace, skipped) = decode(&mut walk);
+    walk.finish()?;
     tcpa_obs::add("ingest.reads", 1);
     tcpa_obs::add("ingest.frames", trace.len() as u64);
     tcpa_obs::add("ingest.frames_skipped", skipped as u64);
@@ -128,7 +129,7 @@ pub fn read_pcap_bytes(bytes: impl AsRef<[u8]>) -> Result<(Trace, usize), PcapEr
 fn decode(walk: &mut Records<'_>) -> (Trace, usize) {
     let mut trace = Trace::new();
     let mut skipped = 0usize;
-    for pkt in walk {
+    while let Some(pkt) = walk.next_record() {
         match decode_frame(&pkt) {
             Some(rec) => trace.push(rec),
             None => skipped += 1,
@@ -252,10 +253,19 @@ impl core::fmt::Display for IngestReport {
 /// for in the returned [`IngestReport`]; whatever TCP frames survive are
 /// decoded exactly as [`read_pcap`] would.
 pub fn read_pcap_salvage_bytes(bytes: &[u8]) -> (Trace, IngestReport) {
+    // Only I/O fails a salvage read, and an in-memory capture does none.
+    salvage_capture(bytes.into()).unwrap_or_default()
+}
+
+/// Salvage-mode ingest of any capture: damage never fails it (see
+/// [`read_pcap_salvage_bytes`]), only an I/O failure ([`PcapError::Io`]).
+/// A streamed capture's window is freed before the `ingest.salvage` span
+/// closes.
+pub fn salvage_capture(capture: Capture<'_>) -> Result<(Trace, IngestReport), PcapError> {
     let _span = tcpa_obs::span("ingest.salvage");
-    let mut walk = Records::salvage(bytes);
+    let mut walk = Records::salvage(capture);
     let (trace, frames_skipped) = decode(&mut walk);
-    let summary = walk.into_summary();
+    let summary = walk.finish()?;
     let report = IngestReport {
         records: trace.len() + frames_skipped,
         frames: trace.len(),
@@ -272,7 +282,7 @@ pub fn read_pcap_salvage_bytes(bytes: &[u8]) -> (Trace, IngestReport) {
     tcpa_obs::add("ingest.bytes_skipped", report.bytes_skipped);
     tcpa_obs::add("ingest.damage_regions", report.damage.len() as u64);
     tcpa_obs::add("ingest.headers_assumed", report.header_assumed as u64);
-    (trace, report)
+    Ok((trace, report))
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 use crate::pcap_io::{self, IngestReport};
 use crate::record::Trace;
 use std::collections::VecDeque;
-use std::io::ErrorKind;
+use std::fs::File;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tcpa_wire::pcap::{Capture, PcapError};
 
 /// One unit of corpus work: a labelled, possibly not-yet-loaded trace.
 #[derive(Debug, Clone)]
@@ -165,18 +167,22 @@ impl TraceInput {
         let trace = match self {
             TraceInput::Memory(trace) => trace.clone(),
             TraceInput::PcapFile(path) => {
-                let bytes = tcpa_obs::time("ingest.file", || std::fs::read(path)).map_err(|e| {
-                    LoadError::Io {
-                        kind: e.kind(),
-                        detail: format!("{}: {e}", path.display()),
-                    }
+                let opened = tcpa_obs::time("ingest.file", || {
+                    let file = File::open(path)?;
+                    let len = file.metadata()?.len();
+                    Ok((file, len))
+                });
+                let (file, len) = opened.map_err(|e: std::io::Error| LoadError::Io {
+                    kind: e.kind(),
+                    detail: format!("{}: {e}", path.display()),
                 })?;
-                // Owned, so a strict read frees the file's bytes inside
-                // its `ingest.read` span.
-                return decode_bytes(bytes, mode, &path.display());
+                // Read as far as the length found at open: the last refill
+                // then learns the end of the file without another read.
+                let capture = Capture::stream(file.take(len), Some(len));
+                return load_capture(capture, mode, &path.display());
             }
             TraceInput::PcapBytes(bytes) => {
-                return decode_bytes(bytes.as_slice(), mode, &"<memory capture>")
+                return load_capture(bytes.as_slice().into(), mode, &"<memory capture>")
             }
             TraceInput::Loader(Loader(load)) => load()?,
         };
@@ -188,31 +194,37 @@ impl TraceInput {
     }
 }
 
-/// Decodes capture bytes under the requested degradation mode.
-fn decode_bytes(
-    bytes: impl AsRef<[u8]>,
+/// Reads and decodes a capture under the requested degradation mode, as
+/// [`TraceInput::load_mode`] does for pcap inputs; `label` names the
+/// capture in errors. An I/O failure part-way through the stream keeps its
+/// error kind, so a transient one is still retried; damage is
+/// [`LoadError::Malformed`].
+pub fn load_capture(
+    capture: Capture<'_>,
     mode: LoadMode,
     label: &dyn core::fmt::Display,
 ) -> Result<Loaded, LoadError> {
-    match mode {
-        LoadMode::Strict => pcap_io::read_pcap_bytes(bytes)
-            .map(|(trace, skipped)| Loaded {
-                trace,
-                skipped,
-                salvage: None,
-            })
-            .map_err(|e| LoadError::Malformed {
-                detail: format!("{label}: {e}"),
-            }),
-        LoadMode::Salvage => {
-            let (trace, report) = pcap_io::read_pcap_salvage_bytes(bytes.as_ref());
-            Ok(Loaded {
-                trace,
-                skipped: report.frames_skipped,
-                salvage: Some(report),
-            })
-        }
-    }
+    let loaded = match mode {
+        LoadMode::Strict => pcap_io::read_capture(capture).map(|(trace, skipped)| Loaded {
+            trace,
+            skipped,
+            salvage: None,
+        }),
+        LoadMode::Salvage => pcap_io::salvage_capture(capture).map(|(trace, report)| Loaded {
+            trace,
+            skipped: report.frames_skipped,
+            salvage: Some(report),
+        }),
+    };
+    loaded.map_err(|e| match e {
+        PcapError::Io(e) => LoadError::Io {
+            kind: e.kind(),
+            detail: format!("{label}: {e}"),
+        },
+        e => LoadError::Malformed {
+            detail: format!("{label}: {e}"),
+        },
+    })
 }
 
 /// A pull-based supply of corpus items.
@@ -351,6 +363,88 @@ mod tests {
         }
         assert!(item.input.load_mode(LoadMode::Strict).is_ok());
         assert!(item.input.load_mode(LoadMode::Salvage).is_ok());
+    }
+
+    /// A reader over `bytes` that answers every other read with
+    /// `Interrupted` and fails for good with `kind` once `fail_at` bytes
+    /// have been read.
+    struct Failing {
+        bytes: Vec<u8>,
+        read: usize,
+        fail_at: usize,
+        kind: ErrorKind,
+        calls: usize,
+    }
+
+    impl Read for Failing {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            if self.read >= self.fail_at {
+                return Err(std::io::Error::new(self.kind, "injected read failure"));
+            }
+            let rest = &self.bytes[self.read..self.fail_at.min(self.bytes.len())];
+            let n = rest.len().min(buf.len()).min(100);
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    fn sample_capture() -> Vec<u8> {
+        use crate::record::test_util::rec;
+        use tcpa_wire::TcpFlags;
+        let trace: Trace = (0..20)
+            .map(|i| rec(i, 1, 2, TcpFlags::ACK, 1 + 512 * i as u32, 512, 1))
+            .collect();
+        pcap_io::write_pcap(&trace, Vec::new(), tcpa_wire::TsResolution::Micro, 0).unwrap()
+    }
+
+    fn stream(bytes: &[u8], fail_at: usize, kind: ErrorKind) -> Capture<'static> {
+        let input = Failing {
+            bytes: bytes.to_vec(),
+            read: 0,
+            fail_at,
+            kind,
+            calls: 0,
+        };
+        Capture::stream(input, None)
+    }
+
+    #[test]
+    fn mid_stream_io_error_keeps_its_kind_in_both_modes() {
+        let bytes = sample_capture();
+        for mode in [LoadMode::Strict, LoadMode::Salvage] {
+            for (kind, transient) in [
+                (ErrorKind::TimedOut, true),
+                (ErrorKind::WouldBlock, true),
+                (ErrorKind::ConnectionReset, false),
+            ] {
+                match load_capture(stream(&bytes, bytes.len() / 2, kind), mode, &"x.pcap") {
+                    Err(e @ LoadError::Io { kind: got, .. }) => {
+                        assert_eq!(got, kind, "{mode:?}");
+                        assert_eq!(e.is_transient(), transient, "{mode:?} {kind:?}");
+                        assert!(e.to_string().starts_with("x.pcap: "), "{e}");
+                    }
+                    other => panic!("{mode:?}: expected an i/o error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_inside_the_read() {
+        let bytes = sample_capture();
+        for mode in [LoadMode::Strict, LoadMode::Salvage] {
+            let streamed = load_capture(stream(&bytes, usize::MAX, ErrorKind::Other), mode, &"x")
+                .expect("interrupts are retried");
+            let whole = load_capture(bytes.as_slice().into(), mode, &"x").expect("clean");
+            assert_eq!(streamed.trace, whole.trace);
+            assert_eq!(streamed.trace.len(), 20);
+            assert_eq!(streamed.salvage, whole.salvage);
+        }
     }
 
     #[test]

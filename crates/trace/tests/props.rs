@@ -2,14 +2,17 @@
 //! arbitrary record sets, statistics invariants, and connection-split
 //! conservation.
 
+#[path = "support/reference_ingest.rs"]
+mod reference_ingest;
+
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{self, Cursor, Read};
 use tcpa_trace::mangle::{self, FaultKind};
 use tcpa_trace::{
     pcap_io, Connection, Duration, Histogram, RunningMedian, Summary, Time, Trace, TraceRecord,
 };
 use tcpa_wire::{
-    IpProtocol, Ipv4Addr, Ipv4Repr, PcapError, SeqNum, TcpFlags, TcpRepr, TsResolution,
+    Capture, IpProtocol, Ipv4Addr, Ipv4Repr, PcapError, SeqNum, TcpFlags, TcpRepr, TsResolution,
 };
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -313,6 +316,111 @@ proptest! {
                 prop_assert_eq!(ia.offset, ib.offset);
             }
             _ => prop_assert!(false, "inject applicability must be deterministic"),
+        }
+    }
+}
+
+/// A reader that hands out capture bytes in reads of the given sizes,
+/// cycling through them, and answers every other read with `Interrupted`
+/// when `interrupt` is set.
+struct Split<'a> {
+    rest: &'a [u8],
+    sizes: &'a [usize],
+    interrupt: bool,
+    calls: usize,
+}
+
+impl Read for Split<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls += 1;
+        if self.interrupt && self.calls % 2 == 1 {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let size = self.sizes[self.calls / 2 % self.sizes.len()];
+        let n = size.min(buf.len()).min(self.rest.len());
+        let (head, tail) = self.rest.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.rest = tail;
+        Ok(n)
+    }
+}
+
+/// Read sizes: single bytes, or a mix of sizes that end reads inside
+/// 16-byte record headers and inside record bodies.
+fn arb_splits() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        Just(vec![1usize]),
+        proptest::collection::vec(prop_oneof![1usize..16, 17usize..200, 200usize..3000], 1..8),
+    ]
+}
+
+/// Streamed ingest of `bytes`, read in `splits` (with interrupts) through
+/// a window sized by `hint`, equals the whole-slice reference: the strict trace and skipped
+/// count or the strict error (variant and offset), and the salvage trace
+/// with its whole report. A hint shorter than the capture makes the
+/// window that short, so refills land inside headers and bodies; the
+/// in-memory wrappers must agree too.
+fn streamed_matches_reference(
+    bytes: &[u8],
+    splits: &[usize],
+    interrupt: bool,
+    hint: Option<u64>,
+) -> Result<(), TestCaseError> {
+    let stream = || {
+        let input = Split {
+            rest: bytes,
+            sizes: splits,
+            interrupt,
+            calls: 0,
+        };
+        Capture::stream(input, hint)
+    };
+    let strict = format!("{:?}", reference_ingest::read_pcap_bytes(bytes));
+    prop_assert_eq!(
+        format!("{:?}", pcap_io::read_capture(stream())),
+        strict.clone()
+    );
+    prop_assert_eq!(format!("{:?}", pcap_io::read_pcap_bytes(bytes)), strict);
+    let salvage = reference_ingest::read_pcap_salvage_bytes(bytes);
+    match pcap_io::salvage_capture(stream()) {
+        Ok(streamed) => prop_assert_eq!(&streamed, &salvage),
+        Err(e) => prop_assert!(false, "salvage of a stream that cannot fail failed: {e}"),
+    }
+    prop_assert_eq!(pcap_io::read_pcap_salvage_bytes(bytes), salvage);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Streamed ingest reproduces the whole-slice walker it replaced on
+    /// clean, injected and multi-fault mangled captures, whatever the
+    /// read sizes and wherever the window's refills fall.
+    #[test]
+    fn streamed_ingest_matches_whole_slice_reference(
+        records in proptest::collection::vec(arb_record(), 2..24),
+        kind_idx in any::<proptest::sample::Index>(),
+        faults in 1usize..5,
+        seed in any::<u64>(),
+        splits in arb_splits(),
+        interrupt in any::<bool>(),
+        hinted in any::<bool>(),
+        hint_permille in 0u64..1200,
+    ) {
+        let kind = FaultKind::ALL[kind_idx.index(FaultKind::ALL.len())];
+        let trace: Trace = records.into_iter().collect();
+        let base = pcap_io::write_pcap(&trace, Vec::new(), TsResolution::Micro, 0).unwrap();
+        let spec = mangle::MangleSpec {
+            seed,
+            faults,
+            kinds: FaultKind::ALL.to_vec(),
+        };
+        let mut captures = vec![mangle::mangle(&base, &spec).0];
+        captures.extend(mangle::inject(&base, kind, seed).map(|(bytes, _)| bytes));
+        captures.push(base);
+        for bytes in &captures {
+            let hint = hinted.then(|| bytes.len() as u64 * hint_permille / 1000);
+            streamed_matches_reference(bytes, &splits, interrupt, hint)?;
         }
     }
 }

@@ -35,8 +35,8 @@ pub use ethernet::{EtherType, EthernetRepr, MacAddr};
 pub use icmp::IcmpRepr;
 pub use ipv4::{IpProtocol, Ipv4Addr, Ipv4Repr};
 pub use pcap::{
-    DamageRegion, FaultKind, Layout, PcapError, PcapRecord, PcapWriter, Records, SalvageSummary,
-    TsResolution,
+    Capture, DamageRegion, FaultKind, Layout, PcapError, PcapRecord, PcapWriter, Records,
+    SalvageSummary, TsResolution,
 };
 pub use seq::SeqNum;
 pub use tcp::{TcpFlags, TcpOption, TcpRepr};

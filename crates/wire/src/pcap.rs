@@ -10,8 +10,9 @@
 //! writes use little-endian with a caller-chosen resolution.
 //!
 //! One parser reads every capture: [`Records`] walks the record stream of
-//! an in-memory capture and hands out [`PcapRecord`]s that borrow their
-//! bytes from it. What happens at damage is the walk's policy.
+//! a [`Capture`] — capture bytes already in memory, or a reader streamed
+//! through one bounded window — and lends out each [`PcapRecord`] until
+//! the walk moves on. What happens at damage is the walk's policy.
 //! [`Records::strict`] stops at the first malformed byte with a
 //! [`PcapError`] naming the damage and its byte offset.
 //! [`Records::salvage`] is the graceful-degradation path (§3 of the paper:
@@ -20,6 +21,9 @@
 //! header, and accounts for every skipped byte in a [`SalvageSummary`].
 
 use std::io::{self, Write};
+
+mod window;
+pub use window::Capture;
 
 /// Timestamp resolution of a capture file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +62,7 @@ pub const MAX_INCL_LEN: u32 = 0x0400_0000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapRecord<'a> {
     /// Byte offset of the record's 16-byte header in the capture.
-    pub offset: usize,
+    pub offset: u64,
     /// Capture timestamp in nanoseconds since the epoch (normalized from
     /// the file's native resolution).
     pub ts_nanos: u64,
@@ -72,8 +76,8 @@ pub struct PcapRecord<'a> {
 impl PcapRecord<'_> {
     /// Byte offset just past the record's data: where the next record
     /// header starts.
-    pub fn end(&self) -> usize {
-        self.offset + 16 + self.data.len()
+    pub fn end(&self) -> u64 {
+        self.offset + 16 + self.data.len() as u64
     }
 }
 
@@ -355,22 +359,52 @@ fn parse_header(bytes: &[u8]) -> Result<(Layout, u32), PcapError> {
     Ok((layout, linktype))
 }
 
-/// Parses the record whose header starts at `pos`. The checks run in a
-/// fixed order, and the first to fail names the damage: a whole header,
-/// the subsecond field (skipped when `check_ts` is off), the captured
-/// length, a whole body.
-fn parse_record(
+/// A record's header fields and where its bytes sit: everything about a
+/// record but the bytes themselves, so the walk can move on before it
+/// lends them out.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    offset: u64,
+    ts_nanos: u64,
+    orig_len: u32,
+    incl_len: u32,
+    /// `incl_len`, checked to fit `usize`.
+    len: usize,
+}
+
+impl Head {
+    /// Byte offset just past the record's data.
+    fn end(&self) -> u64 {
+        self.offset + 16 + u64::from(self.incl_len)
+    }
+
+    /// The record, lending its data from `body`, the bytes after its
+    /// header.
+    fn record(self, body: &[u8]) -> PcapRecord<'_> {
+        PcapRecord {
+            offset: self.offset,
+            ts_nanos: self.ts_nanos,
+            orig_len: self.orig_len,
+            data: body.get(..self.len).unwrap_or_default(),
+        }
+    }
+}
+
+/// Parses the record header at the start of `bytes`, the capture from byte
+/// `offset` on. The checks run in a fixed order, and the first to fail
+/// names the damage: a whole header, the subsecond field (skipped when
+/// `check_ts` is off), the captured length. [`Records::body`] then
+/// checks for a whole body.
+fn parse_head(
     bytes: &[u8],
-    pos: usize,
+    offset: u64,
     layout: Layout,
     check_ts: bool,
-) -> Result<PcapRecord<'_>, PcapError> {
-    let offset = pos as u64;
-    let rest = bytes.get(pos..).unwrap_or_default();
-    let Some((header, body)) = rest.split_first_chunk::<16>() else {
+) -> Result<Head, PcapError> {
+    let Some(header) = bytes.first_chunk::<16>() else {
         return Err(PcapError::TruncatedRecordHeader {
             offset,
-            have: rest.len(),
+            have: bytes.len(),
         });
     };
     let [ts_sec, ts_sub, incl_len, orig_len] = layout.words(header);
@@ -387,24 +421,20 @@ fn parse_record(
         .ok()
         .filter(|_| incl_len <= MAX_INCL_LEN)
         .ok_or(PcapError::BadRecordLength { offset, incl_len })?;
-    let data = body.get(..len).ok_or(PcapError::TruncatedRecordData {
-        offset,
-        incl_len,
-        have: body.len(),
-    })?;
     let per_unit = 1_000_000_000 / layout.resolution.units_per_sec();
-    Ok(PcapRecord {
-        offset: pos,
+    Ok(Head {
+        offset,
         ts_nanos: u64::from(ts_sec) * 1_000_000_000 + u64::from(ts_sub) * per_unit,
         orig_len,
-        data,
+        incl_len,
+        len,
     })
 }
 
 /// Cap on how far past a damaged byte the resynchronization scan looks
 /// for the next plausible record header. Bounds worst-case work on
 /// adversarial input to O(window) per damaged region.
-const RESYNC_WINDOW: usize = 4 << 20;
+const RESYNC_WINDOW: u64 = 4 << 20;
 
 /// Largest plausible timestamp jump (one day, either direction) between
 /// the last good record and a resync candidate. Packet bytes misparsed as
@@ -419,20 +449,22 @@ fn ts_plausible(prev_ts_nanos: Option<u64>, candidate_nanos: u64) -> bool {
     }
 }
 
-/// A walk over the records of an in-memory capture under one damage
-/// policy. It yields each record that parses; under the strict policy
-/// the first damage ends the walk and [`Records::finish`] reports it,
-/// under the salvage policy damage is skipped and accounted for in
-/// [`Records::into_summary`].
+/// A walk over the records of a [`Capture`] under one damage policy.
+/// [`Records::next_record`] yields each record that parses; under the
+/// strict policy the first damage ends the walk, under the salvage policy
+/// damage is skipped and accounted for, and [`Records::finish`] reports
+/// either. Every offset is absolute: a streamed capture yields the same
+/// records, damage and errors as the same bytes in memory.
 #[derive(Debug)]
 pub struct Records<'a> {
-    bytes: &'a [u8],
+    capture: Capture<'a>,
     /// Byte offset of the next record header.
-    pos: usize,
+    pos: u64,
     layout: Layout,
     /// Skip damage (salvage) rather than stop at it (strict).
     salvage: bool,
-    /// The damage that ended a strict walk.
+    /// What ended the walk early: the first damage of a strict walk, or
+    /// an I/O failure under either policy.
     error: Option<PcapError>,
     /// Timestamp of the last good record, which anchors resync.
     prev_ts_nanos: Option<u64>,
@@ -440,16 +472,18 @@ pub struct Records<'a> {
 }
 
 impl<'a> Records<'a> {
-    fn new(bytes: &'a [u8], layout: Layout, linktype: u32, salvage: bool) -> Records<'a> {
+    /// A walk that starts after the global header (or at the end of a
+    /// capture too short to hold one).
+    fn new(capture: Capture<'a>, layout: Layout, linktype: u32, salvage: bool) -> Records<'a> {
+        let pos = capture.end().min(24);
         Records {
-            bytes,
-            pos: bytes.len().min(24),
+            capture,
+            pos,
             layout,
             salvage,
             error: None,
             prev_ts_nanos: None,
             summary: SalvageSummary {
-                bytes_total: bytes.len() as u64,
                 linktype,
                 ..SalvageSummary::default()
             },
@@ -458,32 +492,46 @@ impl<'a> Records<'a> {
 
     /// A strict walk: a malformed global header fails here, and the first
     /// malformed record ends the walk (see [`Records::finish`]).
-    pub fn strict(bytes: &'a [u8]) -> Result<Records<'a>, PcapError> {
-        let (layout, linktype) = parse_header(bytes)?;
-        Ok(Records::new(bytes, layout, linktype, false))
+    pub fn strict(capture: impl Into<Capture<'a>>) -> Result<Records<'a>, PcapError> {
+        let mut capture = capture.into();
+        capture.fill(0, 24)?;
+        let (layout, linktype) = parse_header(capture.from(0))?;
+        Ok(Records::new(capture, layout, linktype, false))
     }
 
-    /// A salvage walk: never fails and never panics. Damaged regions are
-    /// classified with a [`FaultKind`], skipped by scanning for the next
-    /// plausible record header, and accounted for byte by byte in the
-    /// [`SalvageSummary`]. An unrecognized or truncated global header is
-    /// itself damage — little-endian microsecond layout and Ethernet
-    /// framing are then assumed, which recovers the overwhelmingly common
-    /// case (tcpdump default).
-    pub fn salvage(bytes: &'a [u8]) -> Records<'a> {
-        if let Ok((layout, linktype)) = parse_header(bytes) {
-            return Records::new(bytes, layout, linktype, true);
-        }
-        let mut walk = Records::new(bytes, Layout::ASSUMED, LINKTYPE_ETHERNET, true);
-        walk.summary.header_assumed = true;
-        let kind = if magic(bytes).is_some_and(|m| Layout::from_magic(m).is_none()) {
-            FaultKind::BadMagic
-        } else {
-            FaultKind::TruncatedGlobalHeader
+    /// A salvage walk: never fails on damage and never panics. Damaged
+    /// regions are classified with a [`FaultKind`], skipped by scanning for
+    /// the next plausible record header, and accounted for byte by byte
+    /// in the [`SalvageSummary`]. An unrecognized or truncated global
+    /// header is itself damage — little-endian microsecond layout and
+    /// Ethernet framing are then assumed, which recovers the
+    /// overwhelmingly common case (tcpdump default). Only an I/O failure
+    /// ends the walk early.
+    pub fn salvage(capture: impl Into<Capture<'a>>) -> Records<'a> {
+        let mut capture = capture.into();
+        let filled = capture.fill(0, 24);
+        let header = capture.from(0);
+        let (have, parsed) = (header.len(), parse_header(header));
+        let bad_magic = magic(header).is_some_and(|m| Layout::from_magic(m).is_none());
+        let mut walk = match parsed {
+            Ok((layout, linktype)) => Records::new(capture, layout, linktype, true),
+            Err(_) => {
+                let mut walk = Records::new(capture, Layout::ASSUMED, LINKTYPE_ETHERNET, true);
+                walk.summary.header_assumed = true;
+                let kind = if bad_magic {
+                    FaultKind::BadMagic
+                } else {
+                    FaultKind::TruncatedGlobalHeader
+                };
+                // A short file has no record stream to recover, so all of
+                // it is damage; a whole header loses only its magic.
+                walk.skip_damage(0, if have < 24 { have } else { 4 } as u64, kind);
+                walk
+            }
         };
-        // A short file has no record stream to recover, so all of it is
-        // damage; a whole header loses only its magic.
-        walk.skip_damage(0, if bytes.len() < 24 { bytes.len() } else { 4 }, kind);
+        if let Err(e) = filled {
+            walk.error = Some(PcapError::Io(e));
+        }
         walk
     }
 
@@ -498,94 +546,167 @@ impl<'a> Records<'a> {
         self.layout
     }
 
-    /// Ends a walk with the damage that stopped it early, if any. Only a
-    /// strict walk stops early.
-    pub fn finish(self) -> Result<(), PcapError> {
-        self.error.map_or(Ok(()), Err)
+    /// Ends a walk with its damage accounting (empty for a strict walk),
+    /// or with what ended it early: the first damage of a strict walk, or
+    /// an I/O failure under either policy.
+    pub fn finish(mut self) -> Result<SalvageSummary, PcapError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => {
+                self.summary.bytes_total = self.capture.end();
+                Ok(self.summary)
+            }
+        }
     }
 
-    /// Ends a walk with its damage accounting (empty for a strict walk).
-    pub fn into_summary(self) -> SalvageSummary {
-        self.summary
+    /// The next record that parses, its bytes lent until the walk moves
+    /// on; `None` at the end of the capture and once the walk has ended
+    /// early.
+    pub fn next_record(&mut self) -> Option<PcapRecord<'_>> {
+        if self.error.is_some() {
+            return None;
+        }
+        let head = match self.ready() {
+            Some(head) => head,
+            None => match self.step() {
+                Ok(head) => head?,
+                Err(e) => {
+                    self.error = Some(e);
+                    return None;
+                }
+            },
+        };
+        self.pos = head.end();
+        self.prev_ts_nanos = Some(head.ts_nanos);
+        Some(head.record(self.capture.from(head.offset + 16)))
+    }
+
+    /// The record at the current position when the window already holds
+    /// all of it and it parses: the common case, which needs no refill.
+    #[inline]
+    fn ready(&self) -> Option<Head> {
+        let bytes = self.capture.from(self.pos);
+        let head = parse_head(bytes, self.pos, self.layout, true).ok()?;
+        (bytes.len() - 16 >= head.len).then_some(head)
+    }
+
+    /// The next record that parses (`None` at the end of the capture),
+    /// refilling the window and, under the salvage policy, skipping
+    /// damage; or what ends the walk.
+    #[inline(never)]
+    fn step(&mut self) -> Result<Option<Head>, PcapError> {
+        loop {
+            match self.record_at(self.pos, self.pos, true) {
+                Ok(head) => return Ok(Some(head)),
+                Err(PcapError::TruncatedRecordHeader { have: 0, .. }) => return Ok(None),
+                Err(e) => match FaultKind::of(&e) {
+                    Some(kind) if self.salvage => self.resync(kind)?,
+                    _ => return Err(e),
+                },
+            }
+        }
+    }
+
+    /// The record whose header starts at `at`, read into the window
+    /// (bytes before `keep` may be dropped from it).
+    fn record_at(&mut self, keep: u64, at: u64, check_ts: bool) -> Result<Head, PcapError> {
+        let head = self.head_at(keep, at, check_ts)?;
+        self.body(keep, head)
+    }
+
+    /// The header of the record at `at`: every check but a whole body.
+    fn head_at(&mut self, keep: u64, at: u64, check_ts: bool) -> Result<Head, PcapError> {
+        self.capture.fill(keep, at + 16)?;
+        parse_head(self.capture.from(at), at, self.layout, check_ts)
+    }
+
+    /// `head`, once the window holds its whole body.
+    fn body(&mut self, keep: u64, head: Head) -> Result<Head, PcapError> {
+        self.capture.fill(keep, head.end())?;
+        let have = self.capture.from(head.offset + 16).len();
+        if have < head.len {
+            return Err(PcapError::TruncatedRecordData {
+                offset: head.offset,
+                incl_len: head.incl_len,
+                have,
+            });
+        }
+        Ok(head)
     }
 
     /// Accounts `len` damaged bytes at `offset` as one region of `kind`.
-    fn skip_damage(&mut self, offset: usize, len: usize, kind: FaultKind) {
-        self.summary.damage.push(DamageRegion {
-            offset: offset as u64,
-            len: len as u64,
-            kind,
-        });
-        self.summary.bytes_skipped += len as u64;
+    fn skip_damage(&mut self, offset: u64, len: u64, kind: FaultKind) {
+        self.summary.damage.push(DamageRegion { offset, len, kind });
+        self.summary.bytes_skipped += len;
     }
 
     /// `true` when `end` is EOF or the start of another parseable record.
-    fn chains(&self, end: usize) -> bool {
-        end == self.bytes.len() || parse_record(self.bytes, end, self.layout, true).is_ok()
+    fn chains(&mut self, keep: u64, end: u64) -> io::Result<bool> {
+        Ok(matches!(
+            damage(self.record_at(keep, end, true))?,
+            Ok(_) | Err(PcapError::TruncatedRecordHeader { have: 0, .. })
+        ))
     }
 
     /// Skips the damage of `kind` at the current position, up to the next
     /// plausible record or to EOF when none follows.
-    fn resync(&mut self, kind: FaultKind) {
+    fn resync(&mut self, kind: FaultKind) -> io::Result<()> {
         let pos = self.pos;
         // A corrupt-timestamp header still carries trustworthy length
         // fields: jump the whole record when that lands on another record
         // (or EOF), so false sync points inside its payload cannot cascade
         // misalignment.
         let whole = if kind == FaultKind::CorruptTimestamp {
-            parse_record(self.bytes, pos, self.layout, false)
-                .ok()
-                .map(|rec| rec.end())
-                .filter(|&end| self.chains(end))
+            match damage(self.record_at(pos, pos, false))? {
+                Ok(head) if self.chains(pos, head.end())? => Some(head.end()),
+                _ => None,
+            }
         } else {
             None
         };
-        let next = whole
-            .or_else(|| self.find_resync(pos + 1))
-            .unwrap_or(self.bytes.len());
+        let next = match whole {
+            Some(end) => end,
+            None => match self.find_resync(pos + 1)? {
+                Some(next) => next,
+                None => self.capture.skip_to_end()?,
+            },
+        };
         self.skip_damage(pos, next - pos, kind);
         self.pos = next;
+        Ok(())
     }
 
     /// Scans forward for the next byte offset where a plausible record
     /// starts. A candidate must parse, sit within [`MAX_TS_JUMP_SECS`] of
     /// the last good record's timestamp, *and* chain: the record after it
     /// must parse too, or the candidate record must end exactly at EOF.
-    fn find_resync(&self, from: usize) -> Option<usize> {
-        let last = self
-            .bytes
-            .len()
-            .checked_sub(16)?
-            .min(from.saturating_add(RESYNC_WINDOW));
-        (from..=last).find(|&o| {
-            parse_record(self.bytes, o, self.layout, true).is_ok_and(|rec| {
-                ts_plausible(self.prev_ts_nanos, rec.ts_nanos) && self.chains(rec.end())
-            })
-        })
+    /// The timestamp is checked before the body is read, so a stream
+    /// reads no bytes for a candidate it rejects on its header.
+    fn find_resync(&mut self, from: u64) -> io::Result<Option<u64>> {
+        for at in from..=from.saturating_add(RESYNC_WINDOW) {
+            match damage(self.head_at(at, at, true))? {
+                // Fewer than 16 bytes left: no record starts here or later.
+                Err(PcapError::TruncatedRecordHeader { .. }) => break,
+                Ok(head)
+                    if ts_plausible(self.prev_ts_nanos, head.ts_nanos)
+                        && damage(self.body(at, head))?.is_ok()
+                        && self.chains(at, head.end())? =>
+                {
+                    return Ok(Some(at))
+                }
+                _ => {}
+            }
+        }
+        Ok(None)
     }
 }
 
-impl<'a> Iterator for Records<'a> {
-    type Item = PcapRecord<'a>;
-
-    fn next(&mut self) -> Option<PcapRecord<'a>> {
-        while self.pos < self.bytes.len() {
-            match parse_record(self.bytes, self.pos, self.layout, true) {
-                Ok(rec) => {
-                    self.pos = rec.end();
-                    self.prev_ts_nanos = Some(rec.ts_nanos);
-                    return Some(rec);
-                }
-                Err(e) => match FaultKind::of(&e) {
-                    Some(kind) if self.salvage => self.resync(kind),
-                    _ => {
-                        self.error = Some(e);
-                        self.pos = self.bytes.len();
-                    }
-                },
-            }
-        }
-        None
+/// Parts an I/O failure, which ends a walk, from damage, which a resync
+/// steps over.
+fn damage<T>(parsed: Result<T, PcapError>) -> io::Result<Result<T, PcapError>> {
+    match parsed {
+        Err(PcapError::Io(e)) => Err(e),
+        parsed => Ok(parsed),
     }
 }
 
@@ -655,19 +776,51 @@ impl<W: Write> PcapWriter<W> {
 mod tests {
     use super::*;
 
-    /// The strict entry point: the capture's link type and resolution
-    /// with every record, or the first damage.
-    fn read_strict(buf: &[u8]) -> Result<(u32, TsResolution, Vec<PcapRecord<'_>>), PcapError> {
-        let mut walk = Records::strict(buf)?;
-        let records = walk.by_ref().collect();
-        let (linktype, resolution) = (walk.linktype(), walk.layout().resolution);
-        walk.finish().map(|()| (linktype, resolution, records))
+    /// A record copied out of a walk.
+    #[derive(Debug, PartialEq)]
+    struct Rec {
+        offset: u64,
+        ts_nanos: u64,
+        orig_len: u32,
+        data: Vec<u8>,
     }
 
-    /// A salvage walk's records and damage accounting.
-    fn salvage_records(bytes: &[u8]) -> (Vec<PcapRecord<'_>>, SalvageSummary) {
-        let mut walk = Records::salvage(bytes);
-        (walk.by_ref().collect(), walk.into_summary())
+    fn collect(walk: &mut Records<'_>) -> Vec<Rec> {
+        let mut recs = Vec::new();
+        while let Some(r) = walk.next_record() {
+            recs.push(Rec {
+                offset: r.offset,
+                ts_nanos: r.ts_nanos,
+                orig_len: r.orig_len,
+                data: r.data.to_vec(),
+            });
+        }
+        recs
+    }
+
+    /// A strict walk's link type and resolution with every record, or
+    /// the first damage.
+    fn strict_walk(capture: Capture<'_>) -> Result<(u32, TsResolution, Vec<Rec>), PcapError> {
+        let mut walk = Records::strict(capture)?;
+        let records = collect(&mut walk);
+        let (linktype, resolution) = (walk.linktype(), walk.layout().resolution);
+        walk.finish().map(|_| (linktype, resolution, records))
+    }
+
+    /// A salvage walk's records and damage accounting, or the I/O error
+    /// that ended it.
+    fn salvage_walk(capture: Capture<'_>) -> Result<(Vec<Rec>, SalvageSummary), PcapError> {
+        let mut walk = Records::salvage(capture);
+        let records = collect(&mut walk);
+        walk.finish().map(|summary| (records, summary))
+    }
+
+    fn read_strict(buf: &[u8]) -> Result<(u32, TsResolution, Vec<Rec>), PcapError> {
+        strict_walk(buf.into())
+    }
+
+    fn salvage_records(bytes: &[u8]) -> (Vec<Rec>, SalvageSummary) {
+        salvage_walk(bytes.into()).expect("an in-memory capture has no I/O to fail")
     }
 
     fn round_trip(resolution: TsResolution) {
@@ -905,5 +1058,138 @@ mod tests {
         let (recs, summary) = salvage_records(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(recs.is_empty());
         assert_eq!(summary.damage[0].kind, FaultKind::BadMagic);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per read, answers
+    /// every other read with `Interrupted` when `interrupt` is set, and
+    /// fails for good with `fail.1` once `fail.0` bytes have been read.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        read: usize,
+        chunk: usize,
+        interrupt: bool,
+        fail: Option<(usize, io::ErrorKind)>,
+        calls: usize,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(bytes: &'a [u8], chunk: usize) -> Trickle<'a> {
+            Trickle {
+                rest: bytes,
+                read: 0,
+                chunk,
+                interrupt: false,
+                fail: None,
+                calls: 0,
+            }
+        }
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut n = buf.len().min(self.chunk).min(self.rest.len());
+            if let Some((at, kind)) = self.fail {
+                if self.read >= at {
+                    return Err(io::Error::new(kind, "injected read failure"));
+                }
+                n = n.min(at - self.read);
+            }
+            let (head, tail) = self.rest.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.rest = tail;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// Damaged and clean variants of one small capture.
+    fn damaged_captures() -> Vec<Vec<u8>> {
+        let (buf, offsets) = small_capture(6);
+        let mut spliced = buf[..offsets[2]].to_vec();
+        spliced.extend_from_slice(&[0xffu8; 37]);
+        spliced.extend_from_slice(&buf[offsets[2]..]);
+        let mut bad_magic = buf.clone();
+        bad_magic[0..4].copy_from_slice(&0xdead_beefu32.to_le_bytes());
+        let mut bad_ts = buf.clone();
+        bad_ts[offsets[1] + 4..offsets[1] + 8].copy_from_slice(&0xf000_0000u32.to_le_bytes());
+        let mut oversized = buf.clone();
+        oversized[offsets[3] + 8..offsets[3] + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        vec![
+            buf.clone(),
+            spliced,
+            bad_magic,
+            bad_ts,
+            oversized,
+            buf[..offsets[4] + 16 + 5].to_vec(),
+            buf[..offsets[4] + 9].to_vec(),
+            buf[..11].to_vec(),
+            Vec::new(),
+        ]
+    }
+
+    #[test]
+    fn streamed_walks_match_in_memory_walks() {
+        for bytes in damaged_captures() {
+            let strict = format!("{:?}", read_strict(&bytes));
+            let salvage = salvage_records(&bytes);
+            for chunk in [1, 5, 16, 17, 100, 4096] {
+                for interrupt in [false, true] {
+                    let stream = || {
+                        let mut input = Trickle::new(&bytes, chunk);
+                        input.interrupt = interrupt;
+                        Capture::stream(input, None)
+                    };
+                    assert_eq!(format!("{:?}", strict_walk(stream())), strict, "{chunk}");
+                    assert_eq!(salvage_walk(stream()).unwrap(), salvage, "{chunk}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_larger_than_the_window_streams_whole() {
+        let mut buf = Vec::new();
+        let mut w = PcapWriter::new(&mut buf, TsResolution::Micro, LINKTYPE_ETHERNET, u32::MAX)
+            .expect("vec write");
+        let big: Vec<u8> = (0..600_000u32).map(|i| i.to_le_bytes()[0]).collect();
+        w.write_record(0, 600_000, &[1, 2, 3]).expect("vec write");
+        w.write_record(1_000, 600_000, &big).expect("vec write");
+        w.write_record(2_000, 60, &[4; 60]).expect("vec write");
+        w.finish().expect("vec write");
+        let whole = read_strict(&buf).unwrap();
+        assert_eq!(whole.2[1].data, big);
+        for hint in [None, Some(buf.len() as u64)] {
+            let streamed = strict_walk(Capture::stream(Trickle::new(&buf, 4096), hint)).unwrap();
+            assert_eq!(streamed, whole);
+        }
+    }
+
+    #[test]
+    fn io_error_mid_stream_ends_either_walk_with_its_kind() {
+        let (buf, offsets) = small_capture(4);
+        let stream = || {
+            let mut input = Trickle::new(&buf, 8);
+            input.fail = Some((offsets[2] + 3, io::ErrorKind::ConnectionReset));
+            Capture::stream(input, None)
+        };
+        match strict_walk(stream()) {
+            Err(PcapError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        match salvage_walk(stream()) {
+            Err(PcapError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        // A failure inside the global header reaches both walks too.
+        let mut input = Trickle::new(&buf, 8);
+        input.fail = Some((10, io::ErrorKind::TimedOut));
+        match salvage_walk(Capture::stream(input, None)) {
+            Err(PcapError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
     }
 }
