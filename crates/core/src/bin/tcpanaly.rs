@@ -13,9 +13,10 @@
 //!
 //! Every argument is a pcap file or a directory of them. Each trace runs
 //! through the corpus item pipeline (`tcpanaly::corpus::run_corpus`) and
-//! its report is printed as soon as it is done. With `--jobs N`
-//! the corpus is analyzed on `N` worker threads (`0` = one per CPU) and
-//! a single merged census is printed instead, byte-identical for any `N`.
+//! its report is printed as soon as it is done. With `--jobs N` the
+//! corpus is analyzed on `N` worker threads (`0` = one per CPU, at most
+//! one per trace) and a single merged census is printed instead,
+//! byte-identical for any `N`.
 //!
 //! In both modes, `--degrade MODE` decides what a damaged capture does to
 //! the run: `skip` (default) reports it as a failed item, `salvage`
@@ -37,7 +38,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use tcpa_tcpsim::profiles::{all_profiles, profile_by_name};
 use tcpa_tcpsim::TcpConfig;
-use tcpa_trace::source::{CorpusItem, Loaded, TraceSource};
+use tcpa_trace::source::{CorpusItem, Loaded};
 use tcpa_trace::MemorySource;
 use tcpanaly::calibrate::{Calibrated, Vantage};
 use tcpanaly::corpus::{analyze_corpus, run_corpus, AnalysisError, CorpusConfig, DegradePolicy};
@@ -181,11 +182,11 @@ fn corpus_items(args: &[String]) -> Result<Vec<CorpusItem>, String> {
             items.push(CorpusItem::pcap(arg));
             continue;
         }
-        let mut dir = MemorySource::from_pcap_dir(arg).map_err(|e| format!("{arg}: {e}"))?;
-        if dir.len_hint() == Some(0) {
+        let dir = MemorySource::from_pcap_dir(arg).map_err(|e| format!("{arg}: {e}"))?;
+        if dir.is_empty() {
             return Err(format!("{arg}: directory contains no .pcap files"));
         }
-        items.extend(std::iter::from_fn(|| dir.next_item()));
+        items.extend(dir.into_items());
     }
     Ok(items)
 }
@@ -348,7 +349,6 @@ fn run(opts: &Options) -> ExitCode {
         // --quiet wins over --progress: errors only means errors only.
         progress: (opts.progress && opts.level != log::Level::Error)
             .then(|| std::time::Duration::from_millis(500)),
-        ..CorpusConfig::default()
     };
     // A panicking trace is reported as a failed item; keep the default
     // hook from interleaving backtrace noise with the report.

@@ -5,10 +5,13 @@
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::mangle::{inject, FaultKind};
-use tcpa_trace::{pcap_io, CorpusItem, MemorySource, Trace};
+use tcpa_trace::{pcap_io, CorpusItem, Loaded, MemorySource, Trace};
 use tcpa_wire::TsResolution;
 use tcpanaly::calibrate::Vantage;
-use tcpanaly::corpus::{analyze_corpus, AnalysisError, CorpusConfig, DegradePolicy, ItemOutcome};
+use tcpanaly::corpus::{
+    analyze_corpus, run_corpus, AnalysisError, CorpusConfig, DegradePolicy, ItemOutcome,
+};
+use tcpanaly::Analyzer;
 
 /// A 50-trace simulated corpus mixing implementations, sizes and seeds.
 fn build_corpus() -> Vec<CorpusItem> {
@@ -73,27 +76,42 @@ fn one_poisoned_trace_costs_one_item_not_the_pipeline() {
     // its backtrace would only clutter test output.
     let prior = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut items = build_corpus();
-    items[17] = CorpusItem::loader("t17", || panic!("poisoned corpus item loaded"));
-    let report = analyze_corpus(MemorySource::new(items), &config(4));
+    let mut reports = Vec::new();
+    run_corpus(
+        MemorySource::new(build_corpus()),
+        &config(4),
+        |analyzer: &Analyzer, id: &str, loaded: Loaded| {
+            if id == "t17" {
+                panic!("poisoned corpus item analyzed");
+            }
+            analyzer.calibrate(loaded.trace).connections.len()
+        },
+        |report| {
+            reports.push(report);
+            true
+        },
+    );
     std::panic::set_hook(prior);
+    reports.sort_unstable_by_key(|r| r.index);
 
-    assert_eq!(report.census.panics, 1);
-    assert_eq!(report.census.analyzed, 49);
-    assert!(matches!(
-        &report.items[17].outcome,
-        ItemOutcome::Failed(AnalysisError::Panicked { message })
-            if message.contains("poisoned corpus item")
-    ));
-    for (i, item) in report.items.iter().enumerate() {
-        if i != 17 {
-            assert!(
-                matches!(item.outcome, ItemOutcome::Analyzed(_)),
+    assert_eq!(reports.len(), 50);
+    for (i, item) in reports.iter().enumerate() {
+        assert_eq!(item.index, i);
+        if i == 17 {
+            assert!(matches!(
+                &item.outcome,
+                ItemOutcome::Failed(e @ AnalysisError::Panicked { message })
+                    if message.contains("poisoned corpus item")
+                        && e.to_string().starts_with("analyzer panic")
+            ));
+        } else {
+            assert_eq!(
+                item.outcome,
+                ItemOutcome::Analyzed(1),
                 "item {i} should have survived the poison at 17"
             );
         }
     }
-    assert!(report.render().contains("analyzer panic"));
 }
 
 #[test]

@@ -146,14 +146,15 @@ fn trace_out_is_schema_valid_with_connected_tree() {
 }
 
 /// Every worker lane that ran is named in the lane metadata, even one
-/// that recorded no event: two workers over one item name both.
+/// that recorded no event, and no more workers run than there are
+/// items: `--jobs 8` over two items names exactly two worker lanes.
 #[test]
 fn trace_out_names_every_worker_lane() {
-    let dir = corpus_dir("lanes", 1, false);
+    let dir = corpus_dir("lanes", 2, false);
     let out = dir.join("trace.json");
     let (stdout, stderr, code) = tcpanaly_code(&[
         "--jobs",
-        "2",
+        "8",
         "--trace-out",
         out.to_str().unwrap(),
         dir.to_str().unwrap(),
@@ -162,17 +163,17 @@ fn trace_out_names_every_worker_lane() {
     let text = std::fs::read_to_string(&out).expect("trace file");
     trace::validate_trace(&text).expect("schema-valid trace");
     let doc = json::Value::parse(&text).expect("parse");
-    let lanes: Vec<&str> = doc
+    let mut lanes: Vec<&str> = doc
         .get("traceEvents")
         .and_then(json::Value::as_arr)
         .expect("events")
         .iter()
         .filter(|e| e.get("name").and_then(json::Value::as_str) == Some("thread_name"))
         .filter_map(|e| e.get("args")?.get("name")?.as_str())
+        .filter(|lane| lane.starts_with("worker-"))
         .collect();
-    for lane in ["worker-0", "worker-1"] {
-        assert!(lanes.contains(&lane), "{lane} missing from {lanes:?}");
-    }
+    lanes.sort_unstable();
+    assert_eq!(lanes, ["worker-0", "worker-1"]);
     let _ = std::fs::remove_dir_all(dir);
 }
 

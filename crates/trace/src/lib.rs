@@ -21,8 +21,8 @@
 //!   including salvage-mode ingest of damaged captures.
 //! * [`mangle`] — seeded fault injection into capture bytes (the §3 error
 //!   taxonomy at file level), for testing graceful degradation.
-//! * [`source`] — corpus trace sources ([`TraceSource`]) feeding the
-//!   batch-analysis pipeline in `tcpanaly`.
+//! * [`source`] — corpus items ([`CorpusItem`]) and the item list
+//!   ([`MemorySource`]) feeding the batch-analysis pipeline in `tcpanaly`.
 
 pub mod conn;
 pub mod connstats;
@@ -39,6 +39,6 @@ pub use connstats::ConnStats;
 pub use mangle::{FaultKind, InjectedFault, MangleSpec};
 pub use pcap_io::IngestReport;
 pub use record::{Trace, TraceRecord};
-pub use source::{CorpusItem, LoadError, LoadMode, Loaded, MemorySource, TraceInput, TraceSource};
+pub use source::{CorpusItem, LoadError, LoadMode, Loaded, MemorySource, TraceInput};
 pub use stats::{Histogram, RunningMedian, Summary};
 pub use time::{Duration, Time};

@@ -1,15 +1,14 @@
-//! Corpus trace sources — the supply side of batch analysis.
+//! Corpus items — the supply side of batch analysis.
 //!
 //! The paper's catalogues were built from ~40,000 traces; anything at that
 //! scale needs a uniform way to enumerate work without loading every
-//! capture up front. A [`TraceSource`] hands out [`CorpusItem`]s one at a
-//! time; each item carries a stable label and a [`TraceInput`] that is
-//! *loaded by the worker that claims it*, so file I/O and pcap decoding
-//! parallelize along with the analysis itself.
+//! capture up front. A [`MemorySource`] is the corpus's list of
+//! [`CorpusItem`]s; each item carries a stable label and a [`TraceInput`]
+//! that is *loaded by the worker that claims it*, so file I/O and pcap
+//! decoding parallelize along with the analysis itself.
 
 use crate::pcap_io::{self, IngestReport};
 use crate::record::Trace;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
@@ -36,22 +35,6 @@ pub enum TraceInput {
     /// item (mangled-corpus tests, network-received captures). `Arc`'d so
     /// cloning an item does not copy the capture.
     PcapBytes(Arc<Vec<u8>>),
-    /// A trace produced by a caller-supplied loader, run by the worker
-    /// that claims the item on every load attempt. Tests inject faults
-    /// through it: a loader that panics, or one that fails transiently
-    /// before it succeeds.
-    Loader(Loader),
-}
-
-/// The closure behind [`TraceInput::Loader`]. `Arc`'d so clones of an
-/// item share the closure and any state it keeps.
-#[derive(Clone)]
-pub struct Loader(Arc<dyn Fn() -> Result<Trace, LoadError> + Send + Sync>);
-
-impl core::fmt::Debug for Loader {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("Loader(..)")
-    }
 }
 
 impl CorpusItem {
@@ -77,18 +60,6 @@ impl CorpusItem {
         CorpusItem {
             id: id.into(),
             input: TraceInput::PcapBytes(Arc::new(bytes)),
-        }
-    }
-
-    /// An item whose trace comes from `load`, called on every load
-    /// attempt.
-    pub fn loader(
-        id: impl Into<String>,
-        load: impl Fn() -> Result<Trace, LoadError> + Send + Sync + 'static,
-    ) -> CorpusItem {
-        CorpusItem {
-            id: id.into(),
-            input: TraceInput::Loader(Loader(Arc::new(load))),
         }
     }
 }
@@ -164,8 +135,12 @@ impl TraceInput {
     /// calling thread. Takes `&self` so a caller can retry transient I/O
     /// failures without re-claiming the item.
     pub fn load_mode(&self, mode: LoadMode) -> Result<Loaded, LoadError> {
-        let trace = match self {
-            TraceInput::Memory(trace) => trace.clone(),
+        match self {
+            TraceInput::Memory(trace) => Ok(Loaded {
+                trace: trace.clone(),
+                skipped: 0,
+                salvage: None,
+            }),
             TraceInput::PcapFile(path) => {
                 let opened = tcpa_obs::time("ingest.file", || {
                     let file = File::open(path)?;
@@ -179,18 +154,12 @@ impl TraceInput {
                 // Read as far as the length found at open: the last refill
                 // then learns the end of the file without another read.
                 let capture = Capture::stream(file.take(len), Some(len));
-                return load_capture(capture, mode, &path.display());
+                load_capture(capture, mode, &path.display())
             }
             TraceInput::PcapBytes(bytes) => {
-                return load_capture(bytes.as_slice().into(), mode, &"<memory capture>")
+                load_capture(bytes.as_slice().into(), mode, &"<memory capture>")
             }
-            TraceInput::Loader(Loader(load)) => load()?,
-        };
-        Ok(Loaded {
-            trace,
-            skipped: 0,
-            salvage: None,
-        })
+        }
     }
 }
 
@@ -227,42 +196,26 @@ pub fn load_capture(
     })
 }
 
-/// A pull-based supply of corpus items.
-///
-/// Implementations must be `Send`: the batch pipeline moves the source
-/// behind a mutex shared by its workers. `next_item` should be cheap —
-/// return paths or handles and let [`TraceInput::load_mode`] do the heavy
+/// A corpus: its items in input order. The batch pipeline's workers
+/// claim them by index, and [`TraceInput::load_mode`] does the heavy
 /// lifting on the claiming worker.
-pub trait TraceSource: Send {
-    /// Total number of items, when known up front (sizes progress output).
-    fn len_hint(&self) -> Option<usize> {
-        None
-    }
-
-    /// The next item, or `None` when the corpus is exhausted.
-    fn next_item(&mut self) -> Option<CorpusItem>;
-}
-
-/// A source over a pre-built list of items.
 #[derive(Debug, Default)]
 pub struct MemorySource {
-    items: VecDeque<CorpusItem>,
+    items: Vec<CorpusItem>,
 }
 
 impl MemorySource {
-    /// A source yielding `items` in order.
+    /// A corpus of `items`, in order.
     pub fn new(items: Vec<CorpusItem>) -> MemorySource {
-        MemorySource {
-            items: items.into(),
-        }
+        MemorySource { items }
     }
 
-    /// A source over explicit pcap paths, in the order given.
+    /// A corpus of explicit pcap paths, in the order given.
     pub fn from_pcap_files<P: Into<PathBuf>>(paths: Vec<P>) -> MemorySource {
         MemorySource::new(paths.into_iter().map(CorpusItem::pcap).collect())
     }
 
-    /// A source over every `*.pcap` in `dir` (non-recursive), sorted by
+    /// A corpus of every `*.pcap` in `dir` (non-recursive), sorted by
     /// file name so corpus order — and therefore the merged report — is
     /// independent of directory-listing order.
     pub fn from_pcap_dir(dir: impl AsRef<Path>) -> std::io::Result<MemorySource> {
@@ -274,15 +227,20 @@ impl MemorySource {
         paths.sort();
         Ok(MemorySource::from_pcap_files(paths))
     }
-}
 
-impl TraceSource for MemorySource {
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.items.len())
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
     }
 
-    fn next_item(&mut self) -> Option<CorpusItem> {
-        self.items.pop_front()
+    /// `true` when the corpus has no items.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The items, in input order.
+    pub fn into_items(self) -> Vec<CorpusItem> {
+        self.items
     }
 }
 
@@ -292,14 +250,13 @@ mod tests {
 
     #[test]
     fn memory_source_yields_in_order() {
-        let mut src = MemorySource::new(vec![
+        let src = MemorySource::new(vec![
             CorpusItem::memory("a", Trace::new()),
             CorpusItem::memory("b", Trace::new()),
         ]);
-        assert_eq!(src.len_hint(), Some(2));
-        assert_eq!(src.next_item().unwrap().id, "a");
-        assert_eq!(src.next_item().unwrap().id, "b");
-        assert!(src.next_item().is_none());
+        assert_eq!(src.len(), 2);
+        let ids: Vec<String> = src.into_items().into_iter().map(|i| i.id).collect();
+        assert_eq!(ids, ["a", "b"]);
     }
 
     #[test]
@@ -329,40 +286,6 @@ mod tests {
         let report = loaded.salvage.expect("pcap inputs carry a report");
         assert!(!report.is_clean());
         assert!(loaded.trace.is_empty() || loaded.trace.len() < 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "poisoned corpus item")]
-    fn loader_panic_escapes_load() {
-        let item = CorpusItem::loader("bad", || panic!("poisoned corpus item loaded"));
-        let _ = item.input.load_mode(LoadMode::Strict);
-    }
-
-    #[test]
-    fn loader_runs_on_every_load_attempt() {
-        let remaining = std::sync::atomic::AtomicU32::new(2);
-        let item = CorpusItem::loader("flaky", move || {
-            use std::sync::atomic::Ordering;
-            match remaining.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            {
-                Ok(_) => Err(LoadError::Io {
-                    kind: ErrorKind::Interrupted,
-                    detail: "injected transient i/o failure".into(),
-                }),
-                Err(_) => Ok(Trace::new()),
-            }
-        });
-        for _ in 0..2 {
-            match item.input.load_mode(LoadMode::Strict) {
-                Err(e @ LoadError::Io { kind, .. }) => {
-                    assert_eq!(kind, ErrorKind::Interrupted);
-                    assert!(e.is_transient());
-                }
-                other => panic!("expected transient Io error, got {other:?}"),
-            }
-        }
-        assert!(item.input.load_mode(LoadMode::Strict).is_ok());
-        assert!(item.input.load_mode(LoadMode::Salvage).is_ok());
     }
 
     /// A reader over `bytes` that answers every other read with
@@ -454,10 +377,11 @@ mod tests {
         for name in ["b.pcap", "a.pcap", "notes.txt"] {
             std::fs::write(dir.join(name), b"x").unwrap();
         }
-        let mut src = MemorySource::from_pcap_dir(&dir).unwrap();
-        assert_eq!(src.len_hint(), Some(2));
-        assert!(src.next_item().unwrap().id.ends_with("a.pcap"));
-        assert!(src.next_item().unwrap().id.ends_with("b.pcap"));
+        let src = MemorySource::from_pcap_dir(&dir).unwrap();
+        assert_eq!(src.len(), 2);
+        let items = src.into_items();
+        assert!(items[0].id.ends_with("a.pcap"));
+        assert!(items[1].id.ends_with("b.pcap"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

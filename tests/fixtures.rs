@@ -6,7 +6,7 @@
 //! user's tcpdump file gets.
 
 use std::path::PathBuf;
-use tcpa_trace::{pcap_io, MemorySource, TraceSource as _};
+use tcpa_trace::{pcap_io, MemorySource};
 use tcpanaly::calibrate::Vantage;
 use tcpanaly::corpus::{analyze_corpus, CorpusConfig, ItemOutcome};
 use tcpanaly::Analyzer;
@@ -43,11 +43,7 @@ fn fixture_tahoe_loss_sees_retransmissions() {
 #[test]
 fn fixture_dir_drives_the_corpus_pipeline() {
     let source = MemorySource::from_pcap_dir(fixture_dir()).unwrap();
-    assert_eq!(
-        source.len_hint(),
-        Some(3),
-        "expected the 3 checked-in pcaps"
-    );
+    assert_eq!(source.len(), 3, "expected the 3 checked-in pcaps");
     // Vantage differs per fixture (solaris_receiver is a receiver tap),
     // so batch with auto-detection.
     let config = CorpusConfig {
