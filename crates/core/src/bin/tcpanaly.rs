@@ -409,12 +409,14 @@ fn write_metrics(path: &Path, started: Instant) -> Result<(), obs::write::WriteE
     obs::write::write_with_parents(path, &snapshot.to_json(started.elapsed().as_secs_f64()))
 }
 
-/// Drains the span-tree collector and writes the Chrome trace_event
-/// document.
+/// Drains the span-tree collector and streams the Chrome trace_event
+/// document to `path`.
 fn write_trace_out(path: &Path) -> Result<(), obs::write::WriteError> {
-    let events = obs::trace::drain();
-    log::debug(&obs::trace::summary_line(&events));
-    obs::write::write_with_parents(path, &obs::trace::render_chrome(&events))
+    let items = obs::trace::drain();
+    if log::enabled(log::Level::Debug) {
+        log::debug(&obs::trace::summary_line(&items));
+    }
+    obs::write::stream_with_parents(path, |out| obs::trace::write_chrome(&items, out))
 }
 
 fn main() -> ExitCode {

@@ -767,7 +767,7 @@ pub fn run_corpus<T: Send>(
     let jobs = config.effective_jobs().min(items.len()).max(1);
     let progress = config
         .progress
-        .map(|interval| Progress::start(Some(items.len()), interval));
+        .map(|interval| Progress::start(items.len(), interval));
     let next = AtomicUsize::new(0);
     let emit = Mutex::new(emit);
     let stop = AtomicBool::new(false);

@@ -83,16 +83,21 @@ fn zero_budget_times_out_every_item_and_leaves_no_thread_behind() {
 
     // The span tree closes, and each item's timeout instant sits under
     // its corpus.item span.
-    let events = trace::drain();
-    trace::check_tree_invariants(&trace::render_chrome(&events)).expect("tree invariants");
-    for index in 0..ITEMS as u64 {
-        let root = events
+    let items = trace::drain();
+    let mut doc = Vec::new();
+    trace::write_chrome(&items, &mut doc).expect("render to a Vec");
+    trace::check_tree_invariants(&String::from_utf8(doc).expect("UTF-8")).expect("tree invariants");
+    let indices: Vec<u64> = items.iter().map(|item| item.index).collect();
+    assert_eq!(indices, (0..ITEMS as u64).collect::<Vec<_>>());
+    for item in &items {
+        let index = item.index;
+        let root = item
+            .entries
             .iter()
-            .find(|e| e.item_index == index && e.name == "corpus.item")
+            .find(|e| e.name == "corpus.item")
             .unwrap_or_else(|| panic!("item {index}: corpus.item span"));
         assert!(
-            events.iter().any(|e| e.item_index == index
-                && e.phase == Phase::Instant
+            item.entries.iter().any(|e| e.phase == Phase::Instant
                 && e.name == "timeout"
                 && e.parent == Some(root.id)),
             "item {index}: timeout instant under corpus.item"

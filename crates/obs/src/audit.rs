@@ -210,9 +210,12 @@ mod tests {
         let trail = end_item("analyzed").expect("trail");
         assert_eq!(trail.events.len(), MAX_EVENTS);
         assert_eq!(trail.dropped, 10);
-        let events = crate::trace::drain();
-        assert_eq!(events.len(), MAX_EVENTS + 10);
-        assert_eq!(events[MAX_EVENTS + 9].detail, "9");
+        let items = crate::trace::drain();
+        let [item] = &items[..] else {
+            panic!("one item expected");
+        };
+        assert_eq!(item.entries.len(), MAX_EVENTS + 10);
+        assert_eq!(item.entries[MAX_EVENTS + 9].detail, "9");
     }
 
     #[test]

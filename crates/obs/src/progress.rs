@@ -11,9 +11,8 @@
 //! 10 redraws/sec — a meter must never dominate a fast run's I/O), and
 //! the periodic ticker only runs when stderr is a terminal. Piped
 //! stderr (CI logs, `2>file`) still gets the final summary line from
-//! [`Progress::finish`], just not the intermediate repaints. When the
-//! corpus length is known, the line carries an ETA extrapolated from
-//! the running item rate.
+//! [`Progress::finish`], just not the intermediate repaints. The line
+//! carries an ETA extrapolated from the running item rate.
 
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,7 +35,7 @@ pub enum ItemClass {
 
 #[derive(Debug)]
 struct Shared {
-    total: Option<u64>,
+    total: u64,
     done: AtomicU64,
     salvaged: AtomicU64,
     failed: AtomicU64,
@@ -51,21 +50,18 @@ impl Shared {
         let failed = self.failed.load(Ordering::Relaxed);
         let secs = self.start.elapsed().as_secs_f64();
         let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-        let of_total = match self.total {
-            Some(total) => format!("{done}/{total}"),
-            None => format!("{done}"),
-        };
-        let eta = match self.total {
-            // Extrapolate from the running rate once at least one item
-            // finished; "eta -" before that and once the run is done.
-            Some(total) if done > 0 && done < total && rate > 0.0 => {
-                format!(" eta {:.0}s", (total - done) as f64 / rate)
-            }
-            Some(total) if done < total => " eta -".to_string(),
-            _ => String::new(),
+        let total = self.total;
+        // Extrapolate from the running rate once at least one item
+        // finished; "eta -" before that and nothing once the run is done.
+        let eta = if done >= total {
+            String::new()
+        } else if done > 0 && rate > 0.0 {
+            format!(" eta {:.0}s", (total - done) as f64 / rate)
+        } else {
+            " eta -".to_string()
         };
         format!(
-            "progress {of_total} traces ({salvaged} salvaged, {failed} failed) {rate:.1}/s elapsed {secs:.1}s{eta}"
+            "progress {done}/{total} traces ({salvaged} salvaged, {failed} failed) {rate:.1}/s elapsed {secs:.1}s{eta}"
         )
     }
 
@@ -83,13 +79,12 @@ pub struct Progress {
 
 impl Progress {
     /// Starts the meter and — when stderr is a terminal — its ticker
-    /// thread. `total` sizes the "done/total" readout when the corpus
-    /// length is known up front. The interval is clamped to
-    /// [`MIN_INTERVAL`].
-    pub fn start(total: Option<usize>, interval: Duration) -> Progress {
+    /// thread. `total`, the corpus length, sizes the "done/total"
+    /// readout and the ETA. The interval is clamped to [`MIN_INTERVAL`].
+    pub fn start(total: usize, interval: Duration) -> Progress {
         let interval = interval.max(MIN_INTERVAL);
         let shared = Arc::new(Shared {
-            total: total.map(|n| n as u64),
+            total: total as u64,
             done: AtomicU64::new(0),
             salvaged: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn counts_and_line_format() {
-        let p = Progress::start(Some(10), Duration::from_secs(3600));
+        let p = Progress::start(10, Duration::from_secs(3600));
         p.observe(ItemClass::Analyzed);
         p.observe(ItemClass::Salvaged);
         p.observe(ItemClass::Failed);
@@ -177,17 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn unknown_total_omits_denominator_and_eta() {
-        let p = Progress::start(None, Duration::from_secs(3600));
-        p.observe(ItemClass::Analyzed);
-        let line = p.shared.line();
-        assert!(line.contains("progress 1 traces"), "{line}");
-        assert!(!line.contains("eta"), "{line}");
-    }
-
-    #[test]
     fn eta_appears_midway_and_disappears_when_done() {
-        let p = Progress::start(Some(4), Duration::from_secs(3600));
+        let p = Progress::start(4, Duration::from_secs(3600));
         p.observe(ItemClass::Analyzed);
         p.observe(ItemClass::Analyzed);
         std::thread::sleep(Duration::from_millis(5));

@@ -15,7 +15,11 @@
 //!   simply dropped.
 //! * **One lock per item.** Spans and instants are entries of the item's
 //!   log ([`mod@crate::span`]); the global sink mutex is touched only when an
-//!   item ends, to append its events with the lane and item attached.
+//!   item ends, to append one [`ItemTrace`]: the item's label, index and
+//!   lane once, and its entries in id order.
+//! * **Streamed export.** [`write_chrome`] renders the items in index
+//!   order straight into a bounded buffer that it flushes to the output,
+//!   so the document never exists whole in memory.
 //! * **Deterministic modulo timestamps.** Span ids are per-item
 //!   sequence numbers (an item runs start to finish on one worker, so
 //!   its id assignment does not depend on scheduling). [`canonicalize`]
@@ -24,11 +28,11 @@
 //!   `(item, id)`; the result is byte-identical whatever `--jobs` was.
 
 use crate::audit::EventKind;
-use crate::json::{escape, Value};
+use crate::json::{escape_into, Value};
 use crate::registry::lock_recover;
 use crate::span::{nanos, ItemLog};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -42,24 +46,18 @@ pub enum Phase {
     Instant,
 }
 
-/// One recorded event, before export.
+/// One span or instant of an item, before export.
 #[derive(Debug, Clone)]
-pub struct TraceEvent {
+pub struct TraceEntry {
     /// Event phase.
     pub phase: Phase,
     /// Span or event name (`stage.fingerprint`, `retry`, …).
     pub name: &'static str,
-    /// Lane (thread role) the event happened on (`main`, `worker-3`).
-    pub lane: Arc<str>,
-    /// The corpus item's label (file path or synthetic name).
-    pub item_id: Arc<str>,
-    /// The corpus item's 0-based input-order index.
-    pub item_index: u64,
-    /// This event's id: its 1-based sequence number within the item.
+    /// This entry's id: its 1-based sequence number within the item.
     pub id: u64,
     /// The enclosing span's id, if any.
     pub parent: Option<u64>,
-    /// Nanoseconds since [`enable`] at which the event started.
+    /// Nanoseconds since [`enable`] at which the entry started.
     pub ts_ns: u64,
     /// Span duration in nanoseconds (0 for instants).
     pub dur_ns: u64,
@@ -67,10 +65,23 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
+/// One finished corpus item's trace.
+#[derive(Debug, Clone)]
+pub struct ItemTrace {
+    /// The item's label (file path or synthetic name).
+    pub label: Arc<str>,
+    /// The item's 0-based input-order index.
+    pub index: u64,
+    /// Lane (thread role) the item ran on (`main`, `worker-3`).
+    pub lane: Arc<str>,
+    /// The item's spans and instants, sorted by id.
+    pub entries: Vec<TraceEntry>,
+}
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-/// Finished items' events, in completion order.
-static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+/// Finished items, in completion order.
+static SINK: Mutex<Vec<ItemTrace>> = Mutex::new(Vec::new());
 /// Every lane named with [`set_lane`] while recording, so the export
 /// names a worker that ran even if it recorded no event.
 static LANES: Mutex<BTreeSet<Arc<str>>> = Mutex::new(BTreeSet::new());
@@ -99,67 +110,144 @@ pub fn set_lane(name: &str) {
     crate::span::set_lane(lane);
 }
 
-/// Hands a finished item's log to the sink, attaching its lane and
-/// item; dropped when tracing is off.
+/// Hands a finished item's log to the sink as one [`ItemTrace`];
+/// dropped when tracing is off.
 pub(crate) fn ship(item: ItemLog) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let ItemLog {
-        id: item_id,
+        id: label,
         index,
         lane,
         entries,
         ..
     } = item;
-    let events = entries.into_iter().map(|e| TraceEvent {
-        phase: match e.kind {
-            EventKind::Stage => Phase::Complete,
-            _ => Phase::Instant,
-        },
-        name: e.name,
-        lane: Arc::clone(&lane),
-        item_id: Arc::clone(&item_id),
-        item_index: index,
-        id: e.id,
-        parent: e.parent,
-        ts_ns: ns_at(e.start),
-        dur_ns: e.dur_ns,
-        detail: e.detail,
+    let mut entries: Vec<TraceEntry> = entries
+        .into_iter()
+        .map(|e| TraceEntry {
+            phase: match e.kind {
+                EventKind::Stage => Phase::Complete,
+                _ => Phase::Instant,
+            },
+            name: e.name,
+            id: e.id,
+            parent: e.parent,
+            ts_ns: ns_at(e.start),
+            dur_ns: e.dur_ns,
+            detail: e.detail,
+        })
+        .collect();
+    // A span is logged when it closes, after the spans nested in it;
+    // ids are unique within an item.
+    entries.sort_unstable_by_key(|e| e.id);
+    lock_recover(&SINK).push(ItemTrace {
+        label,
+        index,
+        lane,
+        entries,
     });
-    lock_recover(&SINK).extend(events);
 }
 
-/// Takes every collected event, sorted deterministically by
-/// `(item_index, id, ts)`. The collector keeps running; a subsequent
-/// drain returns only newer events.
-pub fn drain() -> Vec<TraceEvent> {
-    let mut events = std::mem::take(&mut *lock_recover(&SINK));
-    events.sort_by(|a, b| {
-        (a.item_index, a.id, a.ts_ns)
-            .cmp(&(b.item_index, b.id, b.ts_ns))
-            .then_with(|| a.item_id.cmp(&b.item_id))
-    });
-    events
+/// Takes every collected item, sorted by index (items that share an
+/// index stay in completion order). The collector keeps running; a
+/// subsequent drain returns only newer items.
+pub fn drain() -> Vec<ItemTrace> {
+    let mut items = std::mem::take(&mut *lock_recover(&SINK));
+    items.sort_by_key(|item| item.index);
+    items
 }
 
-/// Microseconds with 3 decimals (Chrome `ts`/`dur` are µs floats).
-struct Micros(u64);
+/// How much rendered text [`write_chrome`] holds before it writes it out.
+const CHUNK: usize = 64 * 1024;
 
-impl std::fmt::Display for Micros {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(text);
     }
 }
 
-/// Renders events as a Chrome `trace_event` JSON document: one process,
-/// one lane (tid) per thread role — every lane an event ran on or
-/// [`set_lane`] named — with `thread_name` metadata first, then complete
-/// and instant events with `args` carrying the item key and the
-/// span-tree links. Each event is written straight into the text.
-pub fn render_chrome(events: &[TraceEvent]) -> String {
+/// Appends nanoseconds as microseconds with 3 decimals (Chrome
+/// `ts`/`dur` are µs floats).
+fn push_micros(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1000);
+    let frac = ns % 1000;
+    out.push('.');
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + digit as u8));
+    }
+}
+
+/// Appends one metadata record naming the process or a lane.
+fn push_metadata(out: &mut String, name: &str, tid: u64, value: &str) {
+    out.push_str("\n    {\n      \"name\": \"");
+    out.push_str(name);
+    out.push_str("\",\n      \"ph\": \"M\",\n      \"pid\": 1,\n      \"tid\": ");
+    push_u64(out, tid);
+    out.push_str(",\n      \"args\": {\n        \"name\": ");
+    escape_into(out, value);
+    out.push_str("\n      }\n    }");
+}
+
+/// Appends one span or instant of the item whose escaped label is
+/// `label` and whose lane is `tid`.
+fn push_entry(out: &mut String, e: &TraceEntry, label: &str, index: u64, tid: u64) {
+    out.push_str(",\n    {\n      \"name\": ");
+    escape_into(out, e.name);
+    out.push_str(",\n      \"cat\": ");
+    escape_into(out, e.name.split('.').next().unwrap_or("event"));
+    out.push_str(match e.phase {
+        Phase::Complete => ",\n      \"ph\": \"X\"",
+        Phase::Instant => ",\n      \"ph\": \"i\"",
+    });
+    out.push_str(",\n      \"pid\": 1,\n      \"tid\": ");
+    push_u64(out, tid);
+    out.push_str(",\n      \"ts\": ");
+    push_micros(out, e.ts_ns);
+    match e.phase {
+        Phase::Complete => {
+            out.push_str(",\n      \"dur\": ");
+            push_micros(out, e.dur_ns);
+        }
+        Phase::Instant => out.push_str(",\n      \"s\": \"t\""),
+    }
+    out.push_str(",\n      \"args\": {\n        \"trace\": ");
+    out.push_str(label);
+    out.push_str(",\n        \"item\": ");
+    push_u64(out, index);
+    out.push_str(",\n        \"id\": ");
+    push_u64(out, e.id);
+    if let Some(parent) = e.parent {
+        out.push_str(",\n        \"parent\": ");
+        push_u64(out, parent);
+    }
+    if !e.detail.is_empty() {
+        out.push_str(",\n        \"detail\": ");
+        escape_into(out, &e.detail);
+    }
+    out.push_str("\n      }\n    }");
+}
+
+/// Writes items as a Chrome `trace_event` JSON document to `out`: one
+/// process, one lane (tid) per thread role — every lane an item ran on
+/// or [`set_lane`] named — with `thread_name` metadata first, then each
+/// item's complete and instant events in item order, with `args`
+/// carrying the item key and the span-tree links. The text is rendered
+/// into a bounded buffer and written out a chunk at a time.
+pub fn write_chrome(items: &[ItemTrace], out: &mut dyn io::Write) -> io::Result<()> {
     let mut lanes = lock_recover(&LANES).clone();
-    lanes.extend(events.iter().map(|e| Arc::clone(&e.lane)));
+    lanes.extend(items.iter().map(|item| Arc::clone(&item.lane)));
     let lanes: Vec<Arc<str>> = lanes.into_iter().collect();
     let tid_of = |lane: &str| -> u64 {
         lanes
@@ -169,57 +257,28 @@ pub fn render_chrome(events: &[TraceEvent]) -> String {
             .unwrap_or(0)
             + 1
     };
-    let mut doc = String::from("{\n  \"traceEvents\": [");
-    let metadata = |doc: &mut String, name: &str, tid: u64, value: &str| {
-        let _ = write!(
-            doc,
-            "\n    {{\n      \"name\": \"{name}\",\n      \"ph\": \"M\",\n      \"pid\": 1,\
-             \n      \"tid\": {tid},\n      \"args\": {{\n        \"name\": {}\n      }}\n    }}",
-            escape(value)
-        );
-    };
-    metadata(&mut doc, "process_name", 0, "tcpanaly");
+    let mut buf = String::with_capacity(2 * CHUNK);
+    buf.push_str("{\n  \"traceEvents\": [");
+    push_metadata(&mut buf, "process_name", 0, "tcpanaly");
     for lane in &lanes {
-        doc.push(',');
-        metadata(&mut doc, "thread_name", tid_of(lane), lane);
+        buf.push(',');
+        push_metadata(&mut buf, "thread_name", tid_of(lane), lane);
     }
-    for e in events {
-        let cat = e.name.split('.').next().unwrap_or("event");
-        let ph = match e.phase {
-            Phase::Complete => "X",
-            Phase::Instant => "i",
-        };
-        let _ = write!(
-            doc,
-            ",\n    {{\n      \"name\": {},\n      \"cat\": {},\n      \"ph\": \"{ph}\",\
-             \n      \"pid\": 1,\n      \"tid\": {},\n      \"ts\": {},\n      ",
-            escape(e.name),
-            escape(cat),
-            tid_of(&e.lane),
-            Micros(e.ts_ns)
-        );
-        let _ = match e.phase {
-            Phase::Complete => write!(doc, "\"dur\": {}", Micros(e.dur_ns)),
-            Phase::Instant => write!(doc, "\"s\": \"t\""),
-        };
-        let _ = write!(
-            doc,
-            ",\n      \"args\": {{\n        \"trace\": {},\n        \"item\": {},\
-             \n        \"id\": {}",
-            escape(&e.item_id),
-            e.item_index,
-            e.id
-        );
-        if let Some(parent) = e.parent {
-            let _ = write!(doc, ",\n        \"parent\": {parent}");
+    let mut label = String::new();
+    for item in items {
+        let tid = tid_of(&item.lane);
+        label.clear();
+        escape_into(&mut label, &item.label);
+        for e in &item.entries {
+            push_entry(&mut buf, e, &label, item.index, tid);
+            if buf.len() >= CHUNK {
+                out.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
         }
-        if !e.detail.is_empty() {
-            let _ = write!(doc, ",\n        \"detail\": {}", escape(&e.detail));
-        }
-        doc.push_str("\n      }\n    }");
     }
-    doc.push_str("\n  ]\n}\n");
-    doc
+    buf.push_str("\n  ]\n}\n");
+    out.write_all(buf.as_bytes())
 }
 
 fn events_of(doc: &Value) -> Result<&[Value], String> {
@@ -377,23 +436,29 @@ pub fn canonicalize(text: &str) -> Result<String, String> {
     Ok(canon.to_json())
 }
 
-/// One human-readable line summarizing a drained event set (for `-v`).
-pub fn summary_line(events: &[TraceEvent]) -> String {
-    let spans = events.iter().filter(|e| e.phase == Phase::Complete).count();
-    let instants = events.len() - spans;
-    let items: std::collections::BTreeSet<&str> = events.iter().map(|e| &*e.item_id).collect();
-    let mut line = String::new();
-    let _ = write!(
-        line,
+/// One human-readable line summarizing drained items (for `-v`).
+pub fn summary_line(items: &[ItemTrace]) -> String {
+    let entries = items.iter().flat_map(|item| &item.entries);
+    let spans = entries
+        .clone()
+        .filter(|e| e.phase == Phase::Complete)
+        .count();
+    let instants = entries.count() - spans;
+    format!(
         "trace: {spans} spans + {instants} instants across {} items",
         items.len()
-    );
-    line
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn render(items: &[ItemTrace]) -> String {
+        let mut doc = Vec::new();
+        write_chrome(items, &mut doc).expect("write to a Vec");
+        String::from_utf8(doc).expect("UTF-8 document")
+    }
 
     #[test]
     fn disabled_records_nothing() {
@@ -420,21 +485,30 @@ mod tests {
             crate::time("stage.inner_test", || ());
         }
         crate::end_item("analyzed");
-        let events = drain();
-        assert_eq!(events.len(), 3, "{events:?}");
+        let items = drain();
+        let [item] = &items[..] else {
+            panic!("one item expected: {items:?}");
+        };
+        assert_eq!(item.index, 3);
+        assert_eq!(&*item.label, "tests/a.pcap");
+        let entries = &item.entries;
+        assert_eq!(entries.len(), 3, "{entries:?}");
         // Sorted by id: outer span has id 1 but closes last; ordering is
         // by id, not completion.
-        assert_eq!(events[0].id, 1);
-        assert_eq!(events[0].name, "corpus.item_test");
-        assert_eq!(events[0].parent, None);
-        assert_eq!(events[1].name, "retry");
-        assert_eq!(events[1].phase, Phase::Instant);
-        assert_eq!(events[1].parent, Some(1));
-        assert_eq!(events[2].name, "stage.inner_test");
-        assert_eq!(events[2].parent, Some(1));
-        assert!(events.iter().all(|e| e.item_index == 3));
+        assert_eq!(entries[0].id, 1);
+        assert_eq!(entries[0].name, "corpus.item_test");
+        assert_eq!(entries[0].parent, None);
+        assert_eq!(entries[1].name, "retry");
+        assert_eq!(entries[1].phase, Phase::Instant);
+        assert_eq!(entries[1].parent, Some(1));
+        assert_eq!(entries[2].name, "stage.inner_test");
+        assert_eq!(entries[2].parent, Some(1));
+        assert_eq!(
+            summary_line(&items),
+            "trace: 2 spans + 1 instants across 1 items"
+        );
 
-        let json = render_chrome(&events);
+        let json = render(&items);
         validate_trace(&json).expect("valid chrome trace");
         check_tree_invariants(&json).expect("tree invariants hold");
         assert!(json.contains("\"thread_name\""), "{json}");
@@ -448,6 +522,75 @@ mod tests {
     }
 
     #[test]
+    fn export_streams_items_in_index_order_across_chunks() {
+        let entry = |id: u64, detail: &str| TraceEntry {
+            phase: if id == 1 {
+                Phase::Complete
+            } else {
+                Phase::Instant
+            },
+            name: "stage.chunk_test",
+            id,
+            parent: (id > 1).then_some(1),
+            ts_ns: 1_234_567 * id,
+            dur_ns: 1_000_005,
+            detail: detail.to_string(),
+        };
+        // Enough entries that the document spans several chunks, and
+        // labels and details that need escaping.
+        let items: Vec<ItemTrace> = (0..40u64)
+            .map(|index| ItemTrace {
+                label: Arc::from(format!("dir/\"quoted\"\t{index}.pcap").as_str()),
+                index,
+                lane: Arc::from(format!("worker-{}", index % 3).as_str()),
+                entries: (1..=100)
+                    .map(|id| entry(id, if id % 2 == 0 { "a\\b\nc" } else { "" }))
+                    .collect(),
+            })
+            .collect();
+        let json = render(&items);
+        assert!(json.len() > 3 * CHUNK, "{} bytes", json.len());
+        validate_trace(&json).expect("valid chrome trace");
+        check_tree_invariants(&json).expect("tree invariants hold");
+        let doc = Value::parse(&json).expect("parse");
+        assert_eq!(doc.to_json(), json, "layout");
+        let events = events_of(&doc).expect("events");
+        let keys: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| !is_metadata(e))
+            .filter_map(|e| {
+                let args = e.get("args")?;
+                Some((args.get("item")?.as_u64()?, args.get("id")?.as_u64()?))
+            })
+            .collect();
+        let expected: Vec<(u64, u64)> = (0..40)
+            .flat_map(|i| (1..=100).map(move |id| (i, id)))
+            .collect();
+        assert_eq!(keys, expected);
+        let last = events.last().expect("an event");
+        assert_eq!(last.get("ts").and_then(Value::as_f64), Some(123_456.7));
+        assert_eq!(
+            last.get("args")
+                .and_then(|a| a.get("trace"))
+                .and_then(Value::as_str),
+            Some("dir/\"quoted\"\t39.pcap")
+        );
+        assert!(json.contains("\"dur\": 1000.005"), "{json}");
+    }
+
+    #[test]
+    fn digit_writers_match_formatting() {
+        for n in [0, 7, 10, 999, 1000, 1001, 123_456_789, u64::MAX] {
+            let mut out = String::new();
+            push_u64(&mut out, n);
+            assert_eq!(out, n.to_string());
+            out.clear();
+            push_micros(&mut out, n);
+            assert_eq!(out, format!("{}.{:03}", n / 1000, n % 1000));
+        }
+    }
+
+    #[test]
     fn canonicalize_strips_timing_and_lanes() {
         let _guard = crate::test_lock();
         enable();
@@ -456,13 +599,13 @@ mod tests {
         crate::begin_item("c.pcap", 1, false);
         crate::time("stage.canon_test", || ());
         crate::end_item("analyzed");
-        let first = render_chrome(&drain());
+        let first = render(&drain());
 
         set_lane("worker-5");
         crate::begin_item("c.pcap", 1, false);
         crate::time("stage.canon_test", || ());
         crate::end_item("analyzed");
-        let second = render_chrome(&drain());
+        let second = render(&drain());
 
         assert_ne!(first, second, "raw exports differ in lane and ts");
         let canon_a = canonicalize(&first).expect("canonicalize");

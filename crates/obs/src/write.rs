@@ -5,11 +5,11 @@
 //! `io::Error` bubble loses the one thing the operator needs: *which*
 //! path failed and at *which* step (creating the parent directory vs.
 //! writing the file). [`WriteError`] keeps both, and
-//! [`write_with_parents`] creates missing parent directories instead of
-//! failing on them.
+//! [`write_with_parents`] and [`stream_with_parents`] create missing
+//! parent directories instead of failing on them.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// A failed observability-output write, with the path and step attached.
@@ -65,15 +65,27 @@ pub fn ensure_dir(dir: &Path) -> Result<(), WriteError> {
 /// first. `--metrics-out out/run7/metrics.json` should create
 /// `out/run7/`, not fail with `No such file or directory`.
 pub fn write_with_parents(path: &Path, contents: &str) -> Result<(), WriteError> {
+    stream_with_parents(path, |file| file.write_all(contents.as_bytes()))
+}
+
+/// Creates `path`, and its missing parent directories first, and hands
+/// the file to `write`, which streams the contents into it. A failure to
+/// create or write the file, part-way included, names `path`.
+pub fn stream_with_parents(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), WriteError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             ensure_dir(parent)?;
         }
     }
-    std::fs::write(path, contents).map_err(|source| WriteError::Write {
-        path: path.to_path_buf(),
-        source,
-    })
+    std::fs::File::create(path)
+        .and_then(|mut file| write(&mut file))
+        .map_err(|source| WriteError::Write {
+            path: path.to_path_buf(),
+            source,
+        })
 }
 
 #[cfg(test)]
@@ -108,6 +120,25 @@ mod tests {
         assert!(msg.contains("cannot create directory"), "{msg}");
         assert!(msg.contains("blocker"), "{msg}");
         assert!(std::error::Error::source(&err).is_some());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_write_failing_part_way_names_the_path() {
+        let root = temp_dir("partway");
+        let path = root.join("trace.json");
+        let err = stream_with_parents(&path, |file| {
+            file.write_all(b"{\n")?;
+            Err(io::Error::other("disk full"))
+        })
+        .expect_err("the writer failed");
+        assert!(matches!(err, WriteError::Write { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("cannot write") && msg.contains("trace.json"),
+            "{msg}"
+        );
+        assert!(msg.contains("disk full"), "{msg}");
         let _ = std::fs::remove_dir_all(&root);
     }
 }
