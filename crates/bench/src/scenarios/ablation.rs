@@ -11,14 +11,10 @@ use crate::{Section, TextTable};
 use tcpa_filter::{apply, FilterConfig};
 use tcpa_tcpsim::harness::{run_transfer, run_transfer_with, Extras, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration, Time, Trace};
-use tcpanaly::calibrate::Calibrator;
+use tcpa_trace::{Connection, Duration, Time};
 use tcpanaly::fingerprint::{classify, FitClass};
 use tcpanaly::sender::{analyze_sender_with, ReplayOptions};
-
-fn conn_of(trace: &Trace) -> Connection {
-    Connection::split(trace).remove(0)
-}
+use tcpanaly::Analyzer;
 
 struct Ablation {
     name: &'static str,
@@ -54,14 +50,14 @@ fn run_ablations() -> Vec<Ablation> {
             100 * 1024,
             201,
         );
-        let conn = conn_of(&out.sender_trace());
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
         let cfg = profiles::solaris_2_4();
         let off = ReplayOptions {
             lookbehind: Duration::ZERO,
             ..ReplayOptions::default()
         };
-        let (wc, wi) = class_of(&conn, &cfg, &on);
-        let (oc, oi) = class_of(&conn, &cfg, &off);
+        let (wc, wi) = class_of(&calibrated.connections[0], &cfg, &on);
+        let (oc, oi) = class_of(&calibrated.connections[0], &cfg, &off);
         rows.push(Ablation {
             name: "look-behind (§3.2 vantage ambiguity)",
             with_class: wc,
@@ -78,15 +74,14 @@ fn run_ablations() -> Vec<Ablation> {
         path.proc_delay = Duration::from_micros(50);
         let out = run_transfer(profiles::reno(), profiles::reno(), &path, 100 * 1024, 202);
         let (measured, _) = apply(&out.sender_tap, &FilterConfig::solaris_resequencing(), 202);
-        let (clean, _) = Calibrator::at_sender().calibrate(&measured);
-        let conn = conn_of(&clean);
+        let calibrated = Analyzer::at_sender().calibrate(measured);
         let cfg = profiles::reno();
         let off = ReplayOptions {
             epsilon: Duration::ZERO,
             ..ReplayOptions::default()
         };
-        let (wc, wi) = class_of(&conn, &cfg, &on);
-        let (oc, oi) = class_of(&conn, &cfg, &off);
+        let (wc, wi) = class_of(&calibrated.connections[0], &cfg, &on);
+        let (oc, oi) = class_of(&calibrated.connections[0], &cfg, &off);
         rows.push(Ablation {
             name: "ε look-ahead cure (§3.1.3 resequencing)",
             with_class: wc,
@@ -106,11 +101,11 @@ fn run_ablations() -> Vec<Ablation> {
             203,
         );
         let (measured, _) = apply(&out.sender_tap, &FilterConfig::irix_duplicating(), 203);
-        let (clean, _) = Calibrator::at_sender().calibrate(&measured);
         let cfg = profiles::irix();
-        // "Without": analyze the duplicated trace directly.
-        let (wc, wi) = class_of(&conn_of(&clean), &cfg, &on);
-        let (oc, oi) = class_of(&conn_of(&measured), &cfg, &on);
+        // "Without": analyze the duplicated trace directly, uncalibrated.
+        let (oc, oi) = class_of(&Connection::split(&measured).remove(0), &cfg, &on);
+        let calibrated = Analyzer::at_sender().calibrate(measured);
+        let (wc, wi) = class_of(&calibrated.connections[0], &cfg, &on);
         rows.push(Ablation {
             name: "measurement-duplicate removal (§3.1.2)",
             with_class: wc,
@@ -137,14 +132,14 @@ fn run_ablations() -> Vec<Ablation> {
             204,
             &extras,
         );
-        let conn = conn_of(&out.sender_trace());
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
         let cfg = profiles::reno();
         let off = ReplayOptions {
             infer_quench: false,
             ..ReplayOptions::default()
         };
-        let (wc, wi) = class_of(&conn, &cfg, &on);
-        let (oc, oi) = class_of(&conn, &cfg, &off);
+        let (wc, wi) = class_of(&calibrated.connections[0], &cfg, &on);
+        let (oc, oi) = class_of(&calibrated.connections[0], &cfg, &off);
         rows.push(Ablation {
             name: "source-quench inference (§6.2)",
             with_class: wc,
@@ -161,7 +156,7 @@ fn run_ablations() -> Vec<Ablation> {
         let mut path = PathSpec::default();
         path.one_way_delay = Duration::from_millis(100);
         let out = run_transfer(cfg.clone(), profiles::reno(), &path, 100 * 1024, 205);
-        let conn = conn_of(&out.sender_trace());
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
         let off = ReplayOptions {
             infer_sender_window: false,
             infer_quench: false, // so the quench heuristic can't mask it
@@ -171,8 +166,8 @@ fn run_ablations() -> Vec<Ablation> {
             infer_quench: false,
             ..ReplayOptions::default()
         };
-        let (wc, wi) = class_of(&conn, &cfg, &on_no_quench);
-        let (oc, oi) = class_of(&conn, &cfg, &off);
+        let (wc, wi) = class_of(&calibrated.connections[0], &cfg, &on_no_quench);
+        let (oc, oi) = class_of(&calibrated.connections[0], &cfg, &off);
         rows.push(Ablation {
             name: "sender-window inference (§6.2)",
             with_class: wc,

@@ -6,9 +6,9 @@ use tcpa_filter::{apply, ClockModel, FilterConfig};
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, run_transfer_with, Extras, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration, Time};
-use tcpanaly::calibrate::Calibrator;
-use tcpanaly::sender::analyze_sender;
+use tcpa_trace::{Duration, Time};
+use tcpanaly::fingerprint::fingerprint_one;
+use tcpanaly::Analyzer;
 
 /// §3.1.1 — filter-drop detection versus genuine network drops.
 pub fn drops() -> Section {
@@ -36,7 +36,7 @@ pub fn drops() -> Section {
                 detected += 1; // vacuous: nothing to detect
                 continue;
             }
-            let (_, cal) = Calibrator::at_sender().calibrate(&measured);
+            let cal = Analyzer::at_sender().calibrate(measured).report;
             if !cal.drop_evidence.is_empty() {
                 detected += 1;
             }
@@ -53,7 +53,7 @@ pub fn drops() -> Section {
                 100 * 1024,
                 350 + k,
             );
-            let (_, cal) = Calibrator::at_sender().calibrate(&out.sender_trace());
+            let cal = Analyzer::at_sender().calibrate(out.sender_trace()).report;
             if !cal.drop_evidence.is_empty() {
                 false_alarms += 1;
             }
@@ -109,12 +109,10 @@ pub fn resequencing() -> Section {
             &FilterConfig::solaris_resequencing(),
             400 + k,
         );
-        let (clean, cal) = Calibrator::at_sender().calibrate(&measured);
-        let conn = Connection::split(&clean).remove(0);
-        let reseq_model = analyze_sender(&conn, &profiles::reno())
-            .map(|a| a.reseq_cured_violations)
-            .unwrap_or(0);
-        if !cal.resequencing.is_empty() || reseq_model > 0 {
+        let calibrated = Analyzer::at_sender().calibrate(measured);
+        let reseq_model = fingerprint_one(&calibrated.connections[0], &profiles::reno())
+            .map_or(0, |r| r.analysis.reseq_cured_violations);
+        if !calibrated.report.resequencing.is_empty() || reseq_model > 0 {
             flagged += 1;
         }
     }
@@ -171,7 +169,7 @@ pub fn time_travel() -> Section {
             ..FilterConfig::default()
         };
         let (measured, _) = apply(&out.sender_tap, &cfg, 500 + k);
-        let (_, cal) = Calibrator::at_sender().calibrate(&measured);
+        let cal = Analyzer::at_sender().calibrate(measured).report;
         instances += cal.time_travel.len();
         if !cal.time_travel.is_empty() {
             flagged += 1;
@@ -231,8 +229,10 @@ pub fn quench() -> Section {
             600 + k as u64,
             &extras,
         );
-        let conn = Connection::split(&out.sender_trace()).remove(0);
-        let a = analyze_sender(&conn, &profiles::reno()).expect("analyzable");
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+        let a = fingerprint_one(&calibrated.connections[0], &profiles::reno())
+            .expect("analyzable")
+            .analysis;
         if quenched && !a.inferred_quenches.is_empty() {
             true_pos += 1;
         }

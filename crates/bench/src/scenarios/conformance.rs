@@ -10,8 +10,9 @@ use crate::{Section, TextTable};
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, run_transfer_with, Extras, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration, Time};
+use tcpa_trace::{Duration, Time};
 use tcpanaly::handshake::analyze_handshake;
+use tcpanaly::Analyzer;
 
 /// Measures one implementation's connection-management behaviors from
 /// three targeted traces.
@@ -30,8 +31,8 @@ fn probe(cfg: tcpa_tcpsim::TcpConfig) -> Row {
     let mut path = PathSpec::default();
     path.loss_data = LossModel::DropList(vec![0, 1]);
     let out = run_transfer(cfg.clone(), profiles::reno(), &path, 8 * 1024, 900);
-    let conn = Connection::split(&out.sender_trace()).remove(0);
-    let (initial_syn_rto, syn_backoff) = match analyze_handshake(&conn) {
+    let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+    let (initial_syn_rto, syn_backoff) = match analyze_handshake(&calibrated.connections[0]) {
         Some(h) if h.retries() > 0 => (
             h.initial_rto
                 .map(|d| d.to_string())

@@ -6,13 +6,9 @@ use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::plot::{PointKind, SeqPlot};
-use tcpa_trace::{Connection, Dir, Duration, Time, Trace};
-use tcpanaly::calibrate::Calibrator;
+use tcpa_trace::{Dir, Duration, Time};
 use tcpanaly::fingerprint::fingerprint_one;
-
-fn conn_of(trace: &Trace) -> Connection {
-    Connection::split(trace).remove(0)
-}
+use tcpanaly::Analyzer;
 
 /// Figure 1 — packet-filter duplication (IRIX 5.2/5.3, §3.1.2).
 ///
@@ -74,8 +70,7 @@ pub fn fig1() -> Section {
     let first_rate = slope(&firsts);
     let second_rate = slope(&seconds);
 
-    let calibrator = Calibrator::at_sender();
-    let (_, cal) = calibrator.calibrate(&measured);
+    let cal = Analyzer::at_sender().calibrate(measured).report;
 
     Section {
         id: "Figure 1".into(),
@@ -142,8 +137,8 @@ pub fn fig2() -> Section {
         100 * 1024,
         102,
     );
-    let trace = out.sender_trace();
-    let conn = conn_of(&trace);
+    let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+    let conn = &calibrated.connections[0];
 
     // Search for the signature: a retransmission recorded after an ack
     // that already covers it.
@@ -187,7 +182,7 @@ pub fn fig2() -> Section {
 
     // The analyzer must absorb the ambiguity: the correct profile still
     // fits with zero hard issues.
-    let fit = fingerprint_one(&conn, &profiles::solaris_2_4()).expect("analyzable");
+    let fit = fingerprint_one(conn, &profiles::solaris_2_4()).expect("analyzable");
 
     Section {
         id: "Figure 2".into(),
@@ -233,9 +228,9 @@ pub fn fig3() -> Section {
     path.one_way_delay = Duration::from_millis(100);
     path.queue_cap = 16;
     let out = run_transfer(profiles::net3(), receiver.clone(), &path, 100 * 1024, 103);
-    let trace = out.sender_trace();
-    let conn = conn_of(&trace);
-    let plot = SeqPlot::extract(&conn);
+    let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+    let conn = &calibrated.connections[0];
+    let plot = SeqPlot::extract(conn);
 
     // Packets in the first 150 ms after the first data send.
     let data_times: Vec<Time> = conn
@@ -303,9 +298,9 @@ pub fn fig4() -> Section {
         100 * 1024,
         104,
     );
-    let trace = out.sender_trace();
-    let conn = conn_of(&trace);
-    let plot = SeqPlot::extract(&conn);
+    let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+    let conn = &calibrated.connections[0];
+    let plot = SeqPlot::extract(conn);
 
     let pkts = out.sender_stats.data_packets_sent;
     let retx = out.sender_stats.retransmissions;
@@ -378,9 +373,9 @@ pub fn fig5() -> Section {
         100 * 1024,
         105,
     );
-    let trace = out.sender_trace();
-    let conn = conn_of(&trace);
-    let plot = SeqPlot::extract(&conn);
+    let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+    let conn = &calibrated.connections[0];
+    let plot = SeqPlot::extract(conn);
 
     let retx = out.sender_stats.retransmissions;
     let fresh = out.sender_stats.data_packets_sent - retx;

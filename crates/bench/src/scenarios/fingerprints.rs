@@ -5,8 +5,9 @@ use crate::{Section, TextTable};
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration};
-use tcpanaly::fingerprint::{fingerprint_one, FitClass};
+use tcpa_trace::Duration;
+use tcpanaly::fingerprint::{fingerprint, FitClass};
+use tcpanaly::Analyzer;
 
 /// The behaviorally-distant subset used for the matrix: each pair differs
 /// in a major mechanism, so a trace from one should reject the others.
@@ -53,10 +54,11 @@ pub fn confusion_matrix() -> Section {
             100 * 1024,
             700,
         );
-        let conn = Connection::split(&out.sender_trace()).remove(0);
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+        let results = fingerprint(&calibrated.connections[0]);
         let mut row = vec![gen.name.to_string()];
-        for (j, cand) in candidates.iter().enumerate() {
-            let fit = fingerprint_one(&conn, cand).map(|r| r.fit);
+        for cand in &candidates {
+            let fit = results.iter().find(|r| r.name == cand.name).map(|r| r.fit);
             let mark = match fit {
                 Some(FitClass::Close) => "close",
                 Some(FitClass::Imperfect) => "imperf",
@@ -73,7 +75,6 @@ pub fn confusion_matrix() -> Section {
                     off_diag_incorrect += 1;
                 }
             }
-            let _ = j;
             row.push(mark.to_string());
         }
         table.row(row);

@@ -3,8 +3,9 @@
 use crate::{Section, TextTable};
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration, Histogram};
+use tcpa_trace::{Duration, Histogram};
 use tcpanaly::receiver::{analyze_receiver, AckClass, PolicyGuess};
+use tcpanaly::Analyzer;
 
 /// §9.1 — delayed-ack latency distributions and the T·ρ ≤ 2b band.
 ///
@@ -46,8 +47,8 @@ pub fn ack_policy() -> Section {
                 100 * 1024
             };
             let out = run_transfer(profiles::reno(), cfg.clone(), &path, bytes, 900);
-            let conn = Connection::split(&out.receiver_trace()).remove(0);
-            let a = analyze_receiver(&conn).expect("analyzable");
+            let calibrated = Analyzer::at_receiver().calibrate(out.receiver_trace());
+            let a = analyze_receiver(&calibrated.connections[0]).expect("analyzable");
             let delayed = a.count(AckClass::Delayed);
             let normal = a.count(AckClass::Normal);
             let stretch = a.count(AckClass::Stretch);
@@ -153,8 +154,8 @@ pub fn response_delay() -> Section {
         let mut path = PathSpec::default();
         path.rate_bps = 128_000;
         let out = run_transfer(profiles::reno(), cfg, &path, 64 * 1024, 901);
-        let conn = Connection::split(&out.receiver_trace()).remove(0);
-        let a = analyze_receiver(&conn).expect("analyzable");
+        let calibrated = Analyzer::at_receiver().calibrate(out.receiver_trace());
+        let a = analyze_receiver(&calibrated.connections[0]).expect("analyzable");
         let mut d = a.ack_delays.clone();
         let min = d.min().map(|x| x.to_string()).unwrap_or_default();
         let median = d.median().map(|x| x.to_string()).unwrap_or_default();

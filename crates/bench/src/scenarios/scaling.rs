@@ -1,32 +1,32 @@
-//! Companion scenario: how sender-replay cost grows with trace length.
+//! Companion scenario: how the census's fingerprint cost grows with trace length.
 //!
 //! Not a paper artifact. The paper's fingerprinting (§5, §6.1) replays
-//! every trace against every implementation model, so the replay's
+//! every trace against every implementation model, so that stage's
 //! per-packet cost decides how far the analyzer scales beyond 100 KB
-//! transfers. One Reno replay per transfer size, from 100 KB to 6.4 MB:
-//! per-packet cost should stay flat, and the scenario fails when it
-//! doubles.
+//! transfers. The census's `census_verdict` per calibrated transfer, from
+//! 100 KB to 6.4 MB: per-packet cost should stay flat, and the scenario
+//! fails when it doubles.
 
 use crate::{Section, TextTable};
 use std::time::Instant;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::reno;
 use tcpa_trace::Connection;
-use tcpanaly::fingerprint::fingerprint;
-use tcpanaly::sender::analyze_sender;
+use tcpanaly::fingerprint::{census_verdict, fingerprint};
+use tcpanaly::Analyzer;
 
 /// Transfer sizes, 100 KB doubling twice per step to 6.4 MB.
 const SIZES: [u64; 4] = [102_400, 409_600, 1_638_400, 6_553_600];
-/// Timed replays per size; the minimum is reported.
-const REPLAY_REPS: usize = 15;
+/// Timed census verdicts per size; the minimum is reported.
+const CENSUS_REPS: usize = 15;
 /// Timed all-profile fingerprints per size; the minimum is reported.
 const FINGERPRINT_REPS: usize = 3;
-/// Largest allowed ns/packet ratio between the 6.4 MB and 100 KB replays.
+/// Largest allowed census ns/packet ratio, 6.4 MB over 100 KB.
 const MAX_GROWTH: f64 = 2.0;
 
 /// Wall-clock seconds of one call of `f`.
 fn secs(f: impl FnOnce()) -> f64 {
-    // tcpa-lint: allow(determinism-hazards) -- the scenario reports replay wall-clock itself; a span would add registry work to the loop it measures
+    // tcpa-lint: allow(determinism-hazards) -- the scenario reports fingerprint wall-clock itself; a span would add registry work to the loop it measures
     let start = Instant::now();
     f();
     start.elapsed().as_secs_f64()
@@ -59,12 +59,12 @@ pub fn run() -> Section {
                 bytes,
                 0x5ca1e + i as u64,
             );
-            Connection::split(&out.sender_trace()).remove(0)
+            let mut calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+            calibrated.connections.remove(0)
         })
         .collect();
-    let cfg = reno();
-    let replay = min_secs_interleaved(&conns, REPLAY_REPS, |conn| {
-        std::hint::black_box(analyze_sender(conn, &cfg));
+    let census = min_secs_interleaved(&conns, CENSUS_REPS, |conn| {
+        std::hint::black_box(census_verdict(conn));
     });
     let all = min_secs_interleaved(&conns, FINGERPRINT_REPS, |conn| {
         std::hint::black_box(fingerprint(conn));
@@ -73,13 +73,13 @@ pub fn run() -> Section {
     let mut table = TextTable::new(&[
         "transfer",
         "packets",
-        "replay ns/packet",
+        "census ns/packet",
         "all-profile fingerprint",
     ]);
     let mut ns_per_packet = Vec::new();
     for (i, conn) in conns.iter().enumerate() {
         let packets = conn.records.len();
-        let ns = replay[i] * 1e9 / packets.max(1) as f64;
+        let ns = census[i] * 1e9 / packets.max(1) as f64;
         ns_per_packet.push(ns);
         table.row(vec![
             format!("{} KB", SIZES[i] / 1024),
@@ -91,15 +91,15 @@ pub fn run() -> Section {
     let growth = ns_per_packet[ns_per_packet.len() - 1] / ns_per_packet[0].max(1e-9);
     Section {
         id: "Scaling".into(),
-        title: "sender-replay cost versus trace length".into(),
+        title: "fingerprint cost versus trace length".into(),
         paper_claim: "tcpanaly replays every trace against every implementation \
                       model (§5, §6.1); one pass with bounded per-packet work keeps \
                       that affordable for long transfers."
             .into(),
         params: format!(
-            "Reno -> Reno over the default path, {} to {} KB; one Reno replay \
-             (minimum of {REPLAY_REPS} runs) and one all-profile fingerprint \
-             (minimum of {FINGERPRINT_REPS}) per size",
+            "Reno -> Reno over the default path, {} to {} KB, calibrated at the \
+             sender; one census verdict (minimum of {CENSUS_REPS} runs) and one \
+             all-profile fingerprint (minimum of {FINGERPRINT_REPS}) per size",
             SIZES[0] / 1024,
             SIZES[SIZES.len() - 1] / 1024
         ),
@@ -109,7 +109,7 @@ pub fn run() -> Section {
             format!("{growth:.2}x"),
         )],
         verdict: format!(
-            "{}: per-packet replay cost grows {growth:.2}x over a 64x longer trace (limit {MAX_GROWTH}x).",
+            "{}: per-packet census fingerprint cost grows {growth:.2}x over a 64x longer trace (limit {MAX_GROWTH}x).",
             if growth <= MAX_GROWTH { "REPRODUCED" } else { "FAILED" }
         ),
     }

@@ -12,8 +12,9 @@ use tcpa_netsim::rng::SplitMix64;
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::all_profiles;
-use tcpa_trace::{Connection, Duration};
-use tcpanaly::fingerprint::{fingerprint_one, FitClass};
+use tcpa_trace::Duration;
+use tcpanaly::fingerprint::census_verdict;
+use tcpanaly::Analyzer;
 
 /// Traces generated per implementation per direction. The paper's corpus
 /// is ~40,000 traces; the default here keeps `repro_all` quick while
@@ -67,12 +68,11 @@ pub fn run() -> Section {
             );
             if out.completed {
                 sender_ok += 1;
-                let conn = Connection::split(&out.sender_trace()).remove(0);
+                let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
                 total_analyzed += 1;
-                if let Some(fit) = fingerprint_one(&conn, &cfg) {
-                    if fit.fit == FitClass::Close {
-                        selffit += 1;
-                    }
+                let close = census_verdict(&calibrated.connections[0]).close;
+                if close.contains(&cfg.name) {
+                    selffit += 1;
                 }
             }
             // Receiver-side trace: this implementation consumes the data.

@@ -14,9 +14,9 @@ use tcpa_netsim::LossModel;
 use tcpa_tcpsim::config::{CwndIncrease, TcpConfig};
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
-use tcpa_trace::{Connection, Duration};
-use tcpanaly::fingerprint::{classify, FitClass};
-use tcpanaly::sender::analyze_sender;
+use tcpa_trace::Duration;
+use tcpanaly::fingerprint::{fingerprint_one, FitClass};
+use tcpanaly::Analyzer;
 
 struct Variant {
     name: &'static str,
@@ -164,16 +164,15 @@ pub fn run() -> Section {
     let mut ok = true;
     for v in variants() {
         let out = run_transfer(v.on.clone(), v.receiver.clone(), &v.path, 100 * 1024, 800);
-        let conn = Connection::split(&out.sender_trace()).remove(0);
-        let self_fit = analyze_sender(&conn, &v.on).expect("analyzable");
-        let cross_fit = analyze_sender(&conn, &v.off).expect("analyzable");
+        let calibrated = Analyzer::at_sender().calibrate(out.sender_trace());
+        let conn = &calibrated.connections[0];
+        let on = fingerprint_one(conn, &v.on).expect("analyzable");
+        let off = fingerprint_one(conn, &v.off).expect("analyzable");
         // Distinguished when the true config fits closely and the negated
         // one does not (hard issues OR degraded response delays — the
         // paper's imperfect-fit criterion, §6.1).
-        let self_class = classify(&self_fit);
-        let cross_class = classify(&cross_fit);
-        let distinguished = self_class == FitClass::Close && cross_class != FitClass::Close;
-        if self_class != FitClass::Close {
+        let distinguished = on.fit == FitClass::Close && off.fit != FitClass::Close;
+        if on.fit != FitClass::Close {
             ok = false;
         }
         if v.expect_distinguish && !distinguished {
@@ -181,8 +180,8 @@ pub fn run() -> Section {
         }
         table.row(vec![
             v.name.into(),
-            format!("{} ({} issues)", self_class, self_fit.issues.len()),
-            format!("{} ({} issues)", cross_class, cross_fit.issues.len()),
+            format!("{} ({} issues)", on.fit, on.analysis.issues.len()),
+            format!("{} ({} issues)", off.fit, off.analysis.issues.len()),
             if distinguished {
                 "yes".into()
             } else {

@@ -145,18 +145,14 @@ fn check_data_hole_skipped(conn: &Connection, out: &mut Vec<DropEvidence>) {
         .filter(|r| r.seq_len() > 0)
         .map(|r| (r.seq_lo(), r.seq_hi()))
         .collect();
-    if intervals.is_empty() {
+    let Some(&(base, _)) = intervals.first() else {
         return;
-    }
-    intervals.sort_by(|a, b| {
-        if a.0.before(b.0) {
-            core::cmp::Ordering::Less
-        } else if a.0 == b.0 {
-            core::cmp::Ordering::Equal
-        } else {
-            core::cmp::Ordering::Greater
-        }
-    });
+    };
+    // Modular `before` is no total order once starts spread over more
+    // than half the circle, and the sort may panic on it. The signed
+    // distance from one start is a total order, and the same order
+    // whenever the data spans less than 2³¹ bytes.
+    intervals.sort_by_key(|&(lo, _)| lo.dist(base));
     let max_ack = conn
         .in_dir(Dir::ReceiverToSender)
         .filter(|r| r.tcp.flags.ack())
@@ -399,6 +395,24 @@ mod tests {
             rec(10, 1, 2, 3, 1025, 512, 1),
             rec(80, 2, 1, 1, 1, 0, 1537),
         ]);
+        let ev = detect_drops(&c, Vantage::Sender);
+        assert!(kinds(&ev).contains(&DropCheck::DataHoleSkipped), "{ev:?}");
+    }
+
+    #[test]
+    fn scattered_sequence_numbers_do_not_break_the_hole_check() {
+        // Sequence numbers spread over the whole 32-bit circle: modular
+        // `before` is no total order on them, so sorting by it can panic.
+        let mut seq = 0x2545_f491u32;
+        let mut records = vec![];
+        for i in 0..45u16 {
+            seq ^= seq << 13;
+            seq ^= seq >> 17;
+            seq ^= seq << 5;
+            records.push(rec(i64::from(i), 1, 2, i + 1, seq, 512, 1));
+        }
+        records.push(rec(100, 2, 1, 1, 1, 0, seq));
+        let c = conn(records);
         let ev = detect_drops(&c, Vantage::Sender);
         assert!(kinds(&ev).contains(&DropCheck::DataHoleSkipped), "{ev:?}");
     }

@@ -139,6 +139,57 @@ fn cli_rejects_garbage_capture() {
     let _ = std::fs::remove_file(path);
 }
 
+#[test]
+fn cli_census_survives_scattered_sequence_numbers() {
+    // One connection of 45 data segments at pseudo-random 32-bit
+    // sequence numbers, each followed by an ack every third segment.
+    use tcpa_trace::{Time, Trace, TraceRecord};
+    use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr};
+    let record = |i: usize, src: u8, seq: u32, ack: u32, len: u32| TraceRecord {
+        ts: Time::from_millis(i as i64),
+        ip: Ipv4Repr {
+            src: Ipv4Addr::from_host_id(src),
+            dst: Ipv4Addr::from_host_id(3 - src),
+            protocol: IpProtocol::Tcp,
+            ttl: 64,
+            ident: i as u16,
+            payload_len: 20 + len as usize,
+        },
+        tcp: TcpRepr {
+            seq: SeqNum(seq),
+            ack: SeqNum(ack),
+            flags: TcpFlags::ACK,
+            window: 8192,
+            ..TcpRepr::new(5000 + u16::from(src), 5003 - u16::from(src))
+        },
+        payload_len: len,
+        checksum_ok: Some(true),
+    };
+    let mut x = 0x9e37_79b9u32;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        x
+    };
+    let mut records = Vec::new();
+    for k in 0..45 {
+        let seq = next();
+        records.push(record(records.len(), 1, seq, 1, 512));
+        if k % 3 == 2 {
+            let ack = next();
+            records.push(record(records.len(), 2, 1, ack, 0));
+        }
+    }
+    assert_eq!(records.len(), 60);
+    let trace: Trace = records.into_iter().collect();
+    let path = write_trace("scattered", &trace);
+    let (stdout, stderr, code) = tcpanaly_code(&["--jobs", "1", path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("1 analyzed"), "{stdout}");
+    let _ = std::fs::remove_file(path);
+}
+
 /// Like [`tcpanaly`], but also returns the raw exit code (batch mode has
 /// a three-way convention: 0 ok, 1 failed items, 2 usage).
 fn tcpanaly_code(args: &[&str]) -> (String, String, i32) {

@@ -15,12 +15,40 @@ use tcpa_filter::{apply, ClockModel, DropModel, DupModel, FilterConfig, ReseqMod
 use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::all_profiles;
-use tcpa_trace::{Connection, Duration, Time};
+use tcpa_trace::{Connection, Duration, Time, Trace, TraceRecord};
+use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr};
 use tcpanaly::calibrate::Calibrator;
 use tcpanaly::fingerprint::{fingerprint, fingerprint_one};
 use tcpanaly::receiver::analyze_receiver;
 use tcpanaly::sender::analyze_sender;
 use tcpanaly::Analyzer;
+
+/// One record of a connection between hosts 1 and 2, 1 ms after the
+/// one before it: data from host 1 when `len > 0`, a pure ack from host 2
+/// otherwise.
+fn record(i: usize, seq: u32, ack: u32, len: u32) -> TraceRecord {
+    let (src, dst) = if len > 0 { (1, 2) } else { (2, 1) };
+    TraceRecord {
+        ts: Time::from_millis(i as i64),
+        ip: Ipv4Repr {
+            src: Ipv4Addr::from_host_id(src),
+            dst: Ipv4Addr::from_host_id(dst),
+            protocol: IpProtocol::Tcp,
+            ttl: 64,
+            ident: i as u16,
+            payload_len: 20 + len as usize,
+        },
+        tcp: TcpRepr {
+            seq: SeqNum(seq),
+            ack: SeqNum(ack),
+            flags: TcpFlags::ACK,
+            window: 8192,
+            ..TcpRepr::new(5000 + u16::from(src), 5000 + u16::from(dst))
+        },
+        payload_len: len,
+        checksum_ok: Some(true),
+    }
+}
 
 fn arb_filter() -> impl Strategy<Value = FilterConfig> {
     (
@@ -151,6 +179,26 @@ proptest! {
                 // Debug renders every field of the result and its analysis.
                 prop_assert_eq!(format!("{r:?}"), format!("{:?}", Some(one)));
             }
+        }
+    }
+
+    /// The full pipeline digests one connection whose sequence and ack
+    /// numbers are scattered over the whole 32-bit space, at every
+    /// vantage, and the report renders.
+    #[test]
+    fn analyzer_never_panics_on_scattered_sequence_numbers(
+        segments in proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), prop_oneof![1 => Just(0u32), 3 => 1u32..1461]),
+            40..64,
+        ),
+    ) {
+        let trace: Trace = segments
+            .iter()
+            .enumerate()
+            .map(|(i, &(seq, ack, len))| record(i, seq, ack, len))
+            .collect();
+        for analyzer in [Analyzer::new(), Analyzer::at_sender(), Analyzer::at_receiver()] {
+            let _ = analyzer.calibrate(trace.clone()).analyze().render();
         }
     }
 

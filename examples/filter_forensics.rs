@@ -13,7 +13,7 @@ use tcpa_filter::{apply, ClockModel, DropModel, FilterConfig};
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::{Duration, Time};
-use tcpanaly::calibrate::Calibrator;
+use tcpanaly::Analyzer;
 
 fn main() {
     // One ground-truth connection, tapped at the sender.
@@ -69,7 +69,6 @@ fn main() {
 
     for (name, cfg) in filters {
         let (measured, report) = apply(&out.sender_tap, &cfg, 99);
-        let (_, cal) = Calibrator::at_sender().calibrate(&measured);
         println!("== {name}");
         println!(
             "   filter wrote {} records (shed {}, duplicated {}, inverted {})",
@@ -78,6 +77,7 @@ fn main() {
             report.duplicates_added,
             report.inversions
         );
+        let cal = Analyzer::at_sender().calibrate(measured).report;
         println!(
             "   calibration: {} duplicates removed, {} time-travel, {} resequencing, {} drop-evidence{}",
             cal.duplicates.len(),
