@@ -13,7 +13,7 @@
 //! filter, which cannot see what the receiver received), so detection is
 //! parameterized by [`Vantage`].
 
-use tcpa_trace::{Connection, Dir, Duration};
+use tcpa_trace::{Connection, Dir, Duration, Time, TraceRecord};
 use tcpa_wire::SeqNum;
 
 /// Where the packet filter sat relative to the connection.
@@ -94,6 +94,9 @@ pub fn detect_drops(conn: &Connection, vantage: Vantage) -> Vec<DropEvidence> {
 fn check_ack_of_unseen_data(conn: &Connection, out: &mut Vec<DropEvidence>) {
     let recs = &conn.records;
     let mut highest_data_hi: Option<SeqNum> = None;
+    // Built at the first ack above the highest data, so that a clean
+    // connection never pays for it.
+    let mut suffix_min_ts: Vec<Time> = Vec::new();
     for (i, (dir, rec)) in recs.iter().enumerate() {
         match dir {
             // SYN and FIN occupy sequence space too: the ack of a FIN is
@@ -109,15 +112,13 @@ fn check_ack_of_unseen_data(conn: &Connection, out: &mut Vec<DropEvidence>) {
             Dir::ReceiverToSender if rec.is_pure_ack() => {
                 if let Some(h) = highest_data_hi {
                     if rec.tcp.ack.after(h) {
+                        if suffix_min_ts.is_empty() {
+                            suffix_min_ts = suffix_minima(recs);
+                        }
                         // Resequencing produces the same signature with the
                         // data following within ε (§3.1.3); only flag a
                         // drop when it never follows.
-                        let appears_soon = recs.iter().skip(i + 1).any(|(d, r)| {
-                            r.ts - rec.ts <= RESEQ_EPSILON
-                                && *d == Dir::SenderToReceiver
-                                && r.is_data()
-                                && r.seq_hi().at_or_after(rec.tcp.ack)
-                        });
+                        let (appears_soon, _) = data_within_epsilon(recs, &suffix_min_ts, i);
                         if !appears_soon {
                             out.push(DropEvidence {
                                 check: DropCheck::AckOfUnseenData,
@@ -136,6 +137,50 @@ fn check_ack_of_unseen_data(conn: &Connection, out: &mut Vec<DropEvidence>) {
             _ => {}
         }
     }
+}
+
+/// The earliest timestamp at or after each record.
+fn suffix_minima(recs: &[(Dir, TraceRecord)]) -> Vec<Time> {
+    let mut minima: Vec<Time> = recs
+        .iter()
+        .rev()
+        .scan(Time(i64::MAX), |min, (_, r)| {
+            *min = (*min).min(r.ts);
+            Some(*min)
+        })
+        .collect();
+    minima.reverse();
+    minima
+}
+
+/// Whether data covering the ack at `i` is recorded within ε after it,
+/// and how many records the look-ahead scanned to tell. The scan stops
+/// at the first record from which on none lies within ε of the ack
+/// (`suffix_min_ts`, from [`suffix_minima`]), so it finds whatever a
+/// scan to the last record would, even where timestamps step back.
+fn data_within_epsilon(
+    recs: &[(Dir, TraceRecord)],
+    suffix_min_ts: &[Time],
+    i: usize,
+) -> (bool, usize) {
+    let Some((_, ack)) = recs.get(i) else {
+        return (false, 0);
+    };
+    let mut scanned = 0;
+    for ((dir, r), &min_ts) in recs.iter().zip(suffix_min_ts).skip(i + 1) {
+        scanned += 1;
+        if min_ts - ack.ts > RESEQ_EPSILON {
+            break;
+        }
+        if r.ts - ack.ts <= RESEQ_EPSILON
+            && *dir == Dir::SenderToReceiver
+            && r.is_data()
+            && r.seq_hi().at_or_after(ack.tcp.ack)
+        {
+            return (true, scanned);
+        }
+    }
+    (false, scanned)
 }
 
 fn check_data_hole_skipped(conn: &Connection, out: &mut Vec<DropEvidence>) {
@@ -231,7 +276,7 @@ fn check_dup_ack_without_stimulus(conn: &Connection, out: &mut Vec<DropEvidence>
 
 fn check_silent_receiver(conn: &Connection, out: &mut Vec<DropEvidence>) {
     let recs = &conn.records;
-    let mut run_start: Option<(usize, tcpa_trace::Time)> = None;
+    let mut run_start: Option<(usize, Time)> = None;
     let mut run_len = 0usize;
     for (i, (dir, rec)) in recs.iter().enumerate() {
         match dir {
@@ -326,7 +371,7 @@ fn check_ident_gap(conn: &Connection, dir: Dir, out: &mut Vec<DropEvidence>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcpa_trace::{Time, Trace, TraceRecord};
+    use tcpa_trace::Trace;
     use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpRepr};
 
     fn rec(ts_ms: i64, src: u8, dst: u8, ident: u16, seq: u32, len: u32, ack: u32) -> TraceRecord {
@@ -489,6 +534,144 @@ mod tests {
         ]);
         assert!(kinds(&detect_drops(&c, Vantage::Receiver)).contains(&DropCheck::AckRegression));
         assert!(!kinds(&detect_drops(&c, Vantage::Sender)).contains(&DropCheck::AckRegression));
+    }
+
+    /// The ack-of-unseen-data check as it was before its look-ahead was
+    /// bounded: for each ack above the highest data, a walk over every
+    /// later record.
+    fn check_ack_of_unseen_data_unbounded(conn: &Connection, out: &mut Vec<DropEvidence>) {
+        let recs = &conn.records;
+        let mut highest_data_hi: Option<SeqNum> = None;
+        for (i, (dir, rec)) in recs.iter().enumerate() {
+            match dir {
+                Dir::SenderToReceiver if rec.seq_len() > 0 => {
+                    let hi = rec.seq_hi();
+                    highest_data_hi = Some(match highest_data_hi {
+                        Some(h) => h.max(hi),
+                        None => hi,
+                    });
+                }
+                Dir::ReceiverToSender if rec.is_pure_ack() => {
+                    if let Some(h) = highest_data_hi {
+                        if rec.tcp.ack.after(h) {
+                            let appears_soon = recs.iter().skip(i + 1).any(|(d, r)| {
+                                r.ts - rec.ts <= RESEQ_EPSILON
+                                    && *d == Dir::SenderToReceiver
+                                    && r.is_data()
+                                    && r.seq_hi().at_or_after(rec.tcp.ack)
+                            });
+                            if !appears_soon {
+                                out.push(DropEvidence {
+                                    check: DropCheck::AckOfUnseenData,
+                                    index: i,
+                                    detail: format!(
+                                        "ack {} exceeds highest recorded data {}",
+                                        rec.tcp.ack, h
+                                    ),
+                                });
+                                highest_data_hi = Some(rec.tcp.ack);
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// One data segment, then `acks` pure acks each above everything
+    /// sent, 1 ms apart, with the data they ack recorded `lag_us` after
+    /// every `every`-th of them.
+    fn ack_ladder(acks: u32, every: u32, lag_us: i64) -> Connection {
+        let mut records = vec![rec(0, 1, 2, 1, 1, 512, 1)];
+        for k in 1..=acks {
+            let mut ack = rec(i64::from(k), 2, 1, k as u16, 1, 0, 1 + 512 * (k + 1));
+            ack.ts = Time::from_millis(i64::from(k));
+            records.push(ack);
+            if k % every == 0 {
+                let mut data = rec(0, 1, 2, k as u16 + 1, 1 + 512 * k, 512, 1);
+                data.ts = Time::from_micros(i64::from(k) * 1000 + lag_us);
+                records.push(data);
+            }
+        }
+        conn(records)
+    }
+
+    /// A connection of pseudo-random data and acks whose timestamps
+    /// mostly advance by up to 3 ms but now and then step back by up to
+    /// 40 ms (a filter's time travel).
+    fn time_travel_connection(seed: u64, len: usize) -> Connection {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut t_us = 100_000i64;
+        let mut data_hi = 1u32;
+        let mut records = vec![];
+        for k in 0..len {
+            t_us += if next(8) == 0 {
+                -(next(40_000) as i64)
+            } else {
+                next(3_000) as i64
+            };
+            let mut r = if next(2) == 0 {
+                let seq = data_hi.saturating_sub(512 * next(3) as u32);
+                data_hi = data_hi.max(seq + 512);
+                rec(0, 1, 2, k as u16, seq, 512, 1)
+            } else {
+                rec(0, 2, 1, k as u16, 1, 0, data_hi + 512 * next(3) as u32)
+            };
+            r.ts = Time::from_micros(t_us);
+            records.push(r);
+        }
+        conn(records)
+    }
+
+    fn findings(conn: &Connection, check: fn(&Connection, &mut Vec<DropEvidence>)) -> String {
+        let mut out = vec![];
+        check(conn, &mut out);
+        format!("{out:?}")
+    }
+
+    #[test]
+    fn bounded_look_ahead_finds_what_the_unbounded_walk_found() {
+        let mut conns = vec![
+            ack_ladder(300, 1, 1_500),
+            ack_ladder(300, 3, 2_500),
+            ack_ladder(300, 1_000, 0),
+        ];
+        conns.extend((0..60).map(|seed| time_travel_connection(seed, 200)));
+        let mut flagged = 0;
+        for c in &conns {
+            let want = findings(c, check_ack_of_unseen_data_unbounded);
+            assert_eq!(findings(c, check_ack_of_unseen_data), want);
+            flagged += want.matches("AckOfUnseenData").count();
+        }
+        assert!(flagged > 300, "the cases exercise the check: {flagged}");
+    }
+
+    #[test]
+    fn look_ahead_scans_only_the_records_within_epsilon() {
+        for c in [ack_ladder(2_000, 1, 500), ack_ladder(2_000, 1_000, 0)] {
+            let recs = &c.records;
+            assert!(recs.windows(2).all(|w| w[0].1.ts <= w[1].1.ts));
+            let suffix_min_ts = suffix_minima(recs);
+            for (i, (dir, ack)) in recs.iter().enumerate() {
+                if *dir != Dir::ReceiverToSender {
+                    continue;
+                }
+                let within = recs
+                    .iter()
+                    .skip(i + 1)
+                    .filter(|(_, r)| r.ts - ack.ts <= RESEQ_EPSILON)
+                    .count();
+                let (_, scanned) = data_within_epsilon(recs, &suffix_min_ts, i);
+                assert!(scanned <= within + 1, "ack {i}: {scanned} > {within} + 1");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration, Time, Trace, TraceRecord};
 use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr};
 use tcpanaly::calibrate::Calibrator;
-use tcpanaly::fingerprint::{fingerprint, fingerprint_one};
+use tcpanaly::fingerprint::{census_verdict, close_fits, fingerprint, fingerprint_one, FitClass};
 use tcpanaly::receiver::analyze_receiver;
 use tcpanaly::sender::analyze_sender;
 use tcpanaly::Analyzer;
@@ -149,10 +149,12 @@ proptest! {
             );
         }
     }
-    /// Replay classes are sound: on every connection of a filtered
-    /// transfer between random profiles, with or without loss, each
-    /// `fingerprint()` entry equals what `fingerprint_one` gives that
-    /// candidate alone, for all 22 candidates.
+    /// Replay classes and lockstep replays are sound: on every
+    /// connection of a filtered transfer between random profiles, with or
+    /// without loss, each `fingerprint()` entry equals what
+    /// `fingerprint_one` gives that candidate alone, for all 22
+    /// candidates, and `census_verdict` reads the same close set, best
+    /// fit and best-fit delays off it as `fingerprint()`.
     #[test]
     fn shared_class_replays_match_single_candidate_replays(
         profile_idx in 0usize..32,
@@ -179,6 +181,18 @@ proptest! {
                 // Debug renders every field of the result and its analysis.
                 prop_assert_eq!(format!("{r:?}"), format!("{:?}", Some(one)));
             }
+            let census = census_verdict(conn);
+            let mut want_close = close_fits(&shared);
+            let mut got_close = census.close.clone();
+            want_close.sort_unstable();
+            got_close.sort_unstable();
+            prop_assert_eq!(got_close, want_close);
+            let best = shared.first().filter(|r| r.fit == FitClass::Close);
+            prop_assert_eq!(census.best.as_ref().map(|b| b.name), best.map(|b| b.name));
+            prop_assert_eq!(
+                census.best.as_ref().map(|b| b.analysis.response_delays.samples().to_vec()),
+                best.map(|b| b.analysis.response_delays.samples().to_vec())
+            );
         }
     }
 
