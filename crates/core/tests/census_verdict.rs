@@ -265,8 +265,9 @@ fn shared_preparation_matches_per_candidate_fingerprint_on_simulated_corpus() {
 /// `--metrics-out` of a `tcpanaly --sender` census over it as pcaps: the
 /// replay passes, the records they visit, the candidates settled before
 /// the last record, and the candidates that took a class-mate's verdict
-/// without a replay. A change that should not move the replay work must
-/// leave these counts exactly as they are.
+/// without a replay; then the records the lockstep groups stepped and
+/// the groups forked off. A change that should not move the replay work
+/// must leave these counts exactly as they are.
 #[test]
 fn census_replay_work_is_pinned_on_simulated_corpus() {
     let dir = std::env::temp_dir().join(format!("tcpanaly_replay_work_{}", std::process::id()));
@@ -297,10 +298,15 @@ fn census_replay_work_is_pinned_on_simulated_corpus() {
         counter("fingerprint.replays_settled_early"),
         counter("fingerprint.replays_shared"),
     ];
+    let lockstep = [
+        counter("fingerprint.lockstep_records"),
+        counter("fingerprint.forks"),
+    ];
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         work,
         [1319, 77_375, 677, 984],
         "replays, replay records, settled early, shared"
     );
+    assert_eq!(lockstep, [37_817, 663], "lockstep records, forks");
 }
