@@ -25,7 +25,7 @@
 //!   at every span start on the item's own worker, so an overrunning
 //!   analysis unwinds into an [`AnalysisError::Timeout`] failure instead
 //!   of running on. An item overruns its budget by at most the span in
-//!   progress: one stage, or one candidate's `detail.sender_replay`.
+//!   progress: one stage, or one connection's lockstep `detail.sender_replay`.
 //! * **One lifecycle** — the census and the CLI's per-trace reports run
 //!   the same item pipeline ([`run_corpus`]); only the per-item step
 //!   differs, and it calibrates each trace once ([`Analyzer::calibrate`]).
@@ -120,7 +120,7 @@ pub struct CorpusConfig {
     /// each analysis, and the first span started after it has passed
     /// unwinds the analysis into [`AnalysisError::Timeout`]. The budget
     /// is overrun by at most the span in progress when it expires: one
-    /// stage, or one candidate's `detail.sender_replay`.
+    /// stage, or one connection's lockstep `detail.sender_replay`.
     pub timeout: Option<std::time::Duration>,
     /// When set, one `tcpa-audit/v1` JSON event log is written here per
     /// processed trace (the directory is created if absent). Write
