@@ -2,8 +2,9 @@
 //! committed fixtures, the damaged fixtures under salvage, one filtered
 //! receiver-side trace written by the test, three `--jobs 1` censuses
 //! (the damaged one both salvaged and skipped), one strict-mode abort,
-//! one `--impl` check whose issue lines include an unexplained
-//! retransmission and two `--receiver` censuses. Any change to what the
+//! two `--impl` checks whose issue lines include an unexplained
+//! retransmission and a window violation, and two `--receiver`
+//! censuses. Any change to what the
 //! command prints — a header, the auto-vantage line, a report figure,
 //! the `--impl` detail, the handshake and receiver-fingerprint
 //! sections, a census row — shows up as a diff.
@@ -171,6 +172,13 @@ fn cli_output_matches_golden() {
             "Trumpet/Winsock 2.0b",
             "tests/fixtures/tahoe_loss.pcap",
         ],
+    );
+    // A candidate whose window model the clean Reno trace violates: its
+    // issue lines name the permit, cwnd, offered window and snd_una.
+    run(
+        &mut doc,
+        &root,
+        &["--impl", "Linux 1.0", "tests/fixtures/reno_clean.pcap"],
     );
     // Censuses at a declared receiver vantage, where no connection is
     // fingerprinted.
