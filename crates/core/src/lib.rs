@@ -59,4 +59,4 @@ pub use fingerprint::{FingerprintResult, FitClass};
 pub use handshake::{analyze_handshake, BackoffShape, HandshakeAnalysis};
 pub use receiver::{AckClass, ReceiverAnalysis};
 pub use report::{AnalysisReport, Analyzer};
-pub use sender::{SenderAnalysis, SenderIssue};
+pub use sender::{IssueDetail, SenderAnalysis, SenderIssue};

@@ -68,7 +68,7 @@ pub enum RetxCause {
 }
 
 /// A problem the replay could not reconcile with the candidate config.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderIssue {
     /// What kind of problem.
     pub kind: SenderIssueKind,
@@ -76,12 +76,73 @@ pub struct SenderIssue {
     pub index: usize,
     /// When it happened.
     pub time: Time,
-    /// Explanation.
-    pub detail: String,
+    /// Explanation: the values it names, rendered by its `Display`.
+    pub detail: IssueDetail,
+}
+
+/// The values that explain a [`SenderIssue`], one variant per
+/// [`SenderIssueKind`]. A replay records them as they are; only a reader
+/// that prints the issue renders the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueDetail {
+    /// New data sent beyond the candidate's permitted ceiling.
+    WindowViolation {
+        /// End of the data sent.
+        sent: SeqNum,
+        /// The candidate's permitted ceiling.
+        permit: SeqNum,
+        /// The candidate's congestion window, in bytes.
+        cwnd: u64,
+        /// The receiver's offered window.
+        offered: u32,
+        /// Highest sequence acked.
+        una: SeqNum,
+    },
+    /// A retransmission that no rule of the candidate explains. It names
+    /// no candidate, so that a class-mate's analysis can be this one's.
+    UnexplainedRetransmission {
+        /// Start of the retransmitted data.
+        seq: SeqNum,
+        /// Duplicate acks counted when it was sent.
+        dup_acks: u32,
+    },
+    /// New data sent long after its liberation.
+    Lull {
+        /// End of the data sent.
+        sent: SeqNum,
+        /// Time from the liberation to the send.
+        delay: Duration,
+    },
+}
+
+impl core::fmt::Display for IssueDetail {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            IssueDetail::WindowViolation {
+                sent,
+                permit,
+                cwnd,
+                offered,
+                una,
+            } => write!(
+                f,
+                "sent {sent} beyond permit {permit} (cwnd {cwnd}, offered {offered}, una {una})"
+            ),
+            IssueDetail::UnexplainedRetransmission { seq, dup_acks } => {
+                write!(
+                    f,
+                    "retransmission of {seq} (dup_acks {dup_acks}) fits no rule"
+                )
+            }
+            IssueDetail::Lull { sent, delay } => {
+                write!(f, "new data {sent} sent {delay} after liberation")
+            }
+        }
+    }
 }
 
 /// The kinds of replay disagreement (§6.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SenderIssueKind {
     /// Data sent beyond the candidate's permitted ceiling.
     WindowViolation,
@@ -305,6 +366,25 @@ impl Facts {
     }
 }
 
+/// How many of `times` fall strictly between `after` and `before`. The
+/// first `sorted_len` of them are in non-decreasing order and are counted
+/// by binary search; any after those, out of order only where the
+/// capture's clock stepped back, are counted one by one.
+fn acks_between(times: &[Time], sorted_len: usize, after: Time, before: Time) -> usize {
+    let (sorted, rest) = times.split_at(sorted_len.min(times.len()));
+    let from = sorted.partition_point(|&t| t <= after);
+    let to = sorted.partition_point(|&t| t < before);
+    to.saturating_sub(from) + rest.iter().filter(|&&t| t > after && t < before).count()
+}
+
+/// Length of the longest non-decreasing prefix of `times`.
+fn non_decreasing_len(times: &[Time]) -> usize {
+    times
+        .windows(2)
+        .position(|w| w[1] < w[0])
+        .map_or(times.len(), |i| i + 1)
+}
+
 /// Whether `rec`, an ack from the receiver, is a duplicate ack as the
 /// replay counts one: a pure ack at `snd_una` that leaves the offered
 /// window unchanged while data is outstanding. `at` is the trace state
@@ -421,6 +501,9 @@ pub(crate) struct Prepared<'c> {
     /// Times of the liberating acks, for the §8.6 odd retransmission and
     /// for reconstructing slow-start growth after an inferred quench.
     liberating_ack_times: Vec<Time>,
+    /// Length of the longest non-decreasing prefix of
+    /// `liberating_ack_times`: all of it unless the clock stepped back.
+    sorted_acks: usize,
     /// Some ack is a duplicate ack ([`is_dup_ack`]).
     dup_ack: bool,
 }
@@ -430,11 +513,13 @@ impl<'c> Prepared<'c> {
     pub(crate) fn new(conn: &'c Connection) -> Option<Prepared<'c>> {
         let pre = prescan(conn)?;
         let (facts, liberating_ack_times, dup_ack) = facts(conn, &pre);
+        let sorted_acks = non_decreasing_len(&liberating_ack_times);
         Some(Prepared {
             conn,
             pre,
             facts,
             liberating_ack_times,
+            sorted_acks,
             dup_ack,
         })
     }
@@ -1067,16 +1152,6 @@ impl Pass<'_, '_> {
             && self.prepared.pre.max_in_flight > 0
     }
 
-    /// An issue's detail, written out only when the whole analysis is
-    /// read: a verdict reads none, for a close group has no issues and
-    /// any other group's analysis is discarded.
-    fn detail(&self, write: impl FnOnce() -> String) -> String {
-        match self.until {
-            Until::End => write(),
-            Until::Verdict => String::new(),
-        }
-    }
-
     /// The group has the evidence for a limiting sender window (§6.2).
     fn second_pass_due(&self, shared: &Shared) -> bool {
         shared.sender_window_evidence >= 2 && self.may_infer_window()
@@ -1246,7 +1321,7 @@ impl<'a> Group<'a> {
             })
         };
         let apply = |shared: &mut Shared, effect: &Effect| {
-            shared.apply_send(step, effect, matched, pass);
+            shared.apply_send(step, effect, matched);
         };
         match agreed {
             Some(effect) => apply(&mut self.shared, &effect),
@@ -1512,7 +1587,7 @@ impl Shared {
     /// The shared side of replaying a data or FIN segment: everything the
     /// trace does to the shared state, and what `effect` adds. `matched`
     /// is the group's [`Match`] for a new-data send.
-    fn apply_send(&mut self, step: &Step, effect: &Effect, matched: Option<Match>, pass: &Pass) {
+    fn apply_send(&mut self, step: &Step, effect: &Effect, matched: Option<Match>) {
         let Step {
             index, rec, now, ..
         } = *step;
@@ -1533,7 +1608,7 @@ impl Shared {
             if karn {
                 self.rto_timing = None; // Karn: the timed segment was re-sent
             }
-            self.apply_retransmission(step, cause, dup_acks, burst, libs, pass);
+            self.apply_retransmission(step, cause, dup_acks, burst, libs);
             return;
         }
         if self.rto_timing.is_none() && rec.is_data() {
@@ -1563,12 +1638,13 @@ impl Shared {
                     kind: SenderIssueKind::WindowViolation,
                     index,
                     time: t,
-                    detail: pass.detail(|| {
-                        format!(
-                            "sent {} beyond permit {} (cwnd {}, offered {}, una {})",
-                            hi, permit, cwnd, now.peer_window, now.snd_una
-                        )
-                    }),
+                    detail: IssueDetail::WindowViolation {
+                        sent: hi,
+                        permit,
+                        cwnd,
+                        offered: now.peer_window,
+                        una: now.snd_una,
+                    },
                 });
                 return;
             }
@@ -1588,9 +1664,7 @@ impl Shared {
                             kind: SenderIssueKind::Lull,
                             index,
                             time: t,
-                            detail: pass.detail(|| {
-                                format!("new data {} sent {} after liberation", hi, delay)
-                            }),
+                            detail: IssueDetail::Lull { sent: hi, delay },
                         });
                     } else {
                         self.add_delay(delay);
@@ -1617,7 +1691,6 @@ impl Shared {
         dup_acks: u32,
         burst: bool,
         libs: Libs,
-        pass: &Pass,
     ) {
         let Step {
             index, rec, now, ..
@@ -1629,11 +1702,7 @@ impl Shared {
                 kind: SenderIssueKind::UnexplainedRetransmission,
                 index,
                 time: t,
-                // Names no candidate, so that a class-mate's analysis can
-                // be this one's.
-                detail: pass.detail(|| {
-                    format!("retransmission of {seq} (dup_acks {dup_acks}) fits no rule")
-                }),
+                detail: IssueDetail::UnexplainedRetransmission { seq, dup_acks },
             });
             return;
         };
@@ -1839,11 +1908,13 @@ impl<'a> Member<'a> {
             // packet").
             self.pre_quench_cwnd = self.cc.cwnd;
             self.cc.on_quench(self.cfg, self.cwnd_mss);
-            let acks_since = now
-                .liberating_acks_seen(&pass.prepared.liberating_ack_times)
-                .iter()
-                .filter(|&&t| t > lib.at && t < rec.ts)
-                .count() as u64;
+            let prepared = pass.prepared;
+            let acks_since = acks_between(
+                now.liberating_acks_seen(&prepared.liberating_ack_times),
+                prepared.sorted_acks,
+                lib.at,
+                rec.ts,
+            ) as u64;
             self.cc.cwnd += acks_since * u64::from(self.cwnd_mss);
             let mut libs = Libs::default();
             libs.collapse(self.permit(now, sw));
@@ -2860,5 +2931,113 @@ mod tests {
         let trace: Trace = v.drain(..).collect();
         let conn = Connection::split(&trace).remove(0);
         assert!(analyze_sender(&conn, &profiles::reno()).is_none());
+    }
+
+    #[test]
+    fn issue_details_render_the_old_text() {
+        let (sent, permit, una) = (SeqNum(2_162_700_857), SeqNum(2_162_700_309), SeqNum(7));
+        let (cwnd, offered) = (3832u64, 16_384u32);
+        let violation = IssueDetail::WindowViolation {
+            sent,
+            permit,
+            cwnd,
+            offered,
+            una,
+        };
+        assert_eq!(
+            violation.to_string(),
+            format!(
+                "sent {} beyond permit {} (cwnd {}, offered {}, una {})",
+                sent, permit, cwnd, offered, una
+            )
+        );
+        for delay in [
+            Duration::from_millis(1500),
+            Duration::from_micros(250_300),
+            Duration(-1_234_567),
+            Duration(999),
+            Duration(-7),
+        ] {
+            assert_eq!(
+                IssueDetail::Lull { sent, delay }.to_string(),
+                format!("new data {} sent {} after liberation", sent, delay)
+            );
+        }
+        for (seq, dup_acks) in [(SeqNum(0), 0u32), (SeqNum(u32::MAX), 3)] {
+            assert_eq!(
+                IssueDetail::UnexplainedRetransmission { seq, dup_acks }.to_string(),
+                format!("retransmission of {seq} (dup_acks {dup_acks}) fits no rule")
+            );
+        }
+    }
+
+    /// The count quench inference made before [`acks_between`], verbatim.
+    fn acks_between_by_scan(seen: &[Time], after: Time, before: Time) -> usize {
+        seen.iter().filter(|&&t| t > after && t < before).count()
+    }
+
+    /// Checks [`acks_between`] against the scan on every prefix of
+    /// `times` (as a replay sees them, record by record), for every pair
+    /// of bounds drawn from one below the smallest to one above the
+    /// largest value: ties at either bound and `after >= before` included.
+    fn check_acks_between(times: &[Time]) {
+        let sorted_len = non_decreasing_len(times);
+        let lo = times.iter().min().map_or(0, |t| t.0) - 1;
+        let hi = times.iter().max().map_or(0, |t| t.0) + 1;
+        for k in 0..=times.len() {
+            let seen = &times[..k];
+            for after in lo..=hi {
+                for before in lo..=hi {
+                    let (after, before) = (Time(after), Time(before));
+                    assert_eq!(
+                        acks_between(seen, sorted_len, after, before),
+                        acks_between_by_scan(seen, after, before),
+                        "{times:?}, prefix {k}, after {after:?}, before {before:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn acks_between_counts_sorted_prefixes_exactly() {
+        let mut rng = tcpa_netsim::rng::SplitMix64::new(23);
+        check_acks_between(&[]);
+        for _ in 0..200 {
+            let len = rng.next_below(12) as usize;
+            // Small steps, many of them zero: ties are common.
+            let mut t = rng.next_below(4) as i64;
+            let times: Vec<Time> = (0..len)
+                .map(|_| {
+                    t += rng.next_below(3) as i64;
+                    Time(t)
+                })
+                .collect();
+            assert_eq!(non_decreasing_len(&times), times.len());
+            check_acks_between(&times);
+        }
+    }
+
+    #[test]
+    fn acks_between_counts_past_a_backward_step() {
+        let mut rng = tcpa_netsim::rng::SplitMix64::new(7);
+        for _ in 0..200 {
+            let len = 2 + rng.next_below(11) as usize;
+            let mut t = 0;
+            let mut times: Vec<Time> = (0..len)
+                .map(|_| {
+                    t += rng.next_below(3) as i64;
+                    Time(t)
+                })
+                .collect();
+            // The clock steps back before a random entry after the first.
+            let at = 1 + rng.next_below(len as u64 - 1) as usize;
+            let back = 1 + times[at].0 - times[at - 1].0 + rng.next_below(4) as i64;
+            for time in &mut times[at..] {
+                time.0 -= back;
+            }
+            assert_eq!(non_decreasing_len(&times), at);
+            check_acks_between(&times);
+        }
     }
 }
