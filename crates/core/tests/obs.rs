@@ -181,7 +181,10 @@ fn fixture_run_produces_schema_valid_documents() {
 }
 
 /// The per-stage histograms must account for ≥95% of the total analysis
-/// wall clock — i.e. the instrumentation has no large blind spots.
+/// wall clock — i.e. the instrumentation has no large blind spots. A
+/// thread preempted between two stages leaves a gap in that one analysis
+/// only, while a real blind spot shows in every one, so the bound holds
+/// for the best of five analyses of the same trace.
 #[test]
 fn stage_histograms_cover_analysis_time() {
     let out = run_transfer(
@@ -192,25 +195,29 @@ fn stage_histograms_cover_analysis_time() {
         710,
     );
     let trace = out.sender_trace();
-    let before = obs::registry::global().snapshot();
-    let _report = tcpanaly::Analyzer::at_sender().analyze(&trace);
-    let delta = obs::registry::global().snapshot().since(&before);
+    let mut best = 0.0f64;
+    for _ in 0..5 {
+        let before = obs::registry::global().snapshot();
+        let _report = tcpanaly::Analyzer::at_sender().analyze(&trace);
+        let delta = obs::registry::global().snapshot().since(&before);
 
-    let total = delta.stage_total_ns(&["analyze.total"]);
-    assert!(total > 0, "analyze.total must be recorded");
-    let staged: u64 = delta
-        .stages
-        .iter()
-        .filter(|(name, _)| name.starts_with("stage."))
-        .map(|(_, h)| h.sum())
-        .sum();
+        let total = delta.stage_total_ns(&["analyze.total"]);
+        assert!(total > 0, "analyze.total must be recorded");
+        let staged: u64 = delta
+            .stages
+            .iter()
+            .filter(|(name, _)| name.starts_with("stage."))
+            .map(|(_, h)| h.sum())
+            .sum();
+        // Nested detail must not be double-counted into coverage.
+        assert!(delta.stages.contains_key("detail.sender_replay"));
+        best = best.max(staged as f64 / total as f64);
+    }
     assert!(
-        staged as f64 >= 0.95 * total as f64,
-        "stage.* histograms cover {staged} of {total} ns ({:.1}%)",
-        100.0 * staged as f64 / total as f64
+        best >= 0.95,
+        "stage.* histograms cover at best {:.1}% of analyze.total",
+        100.0 * best
     );
-    // Nested detail must not be double-counted into coverage.
-    assert!(delta.stages.contains_key("detail.sender_replay"));
 }
 
 /// Verbosity flags gate the stderr diagnostics; errors always print.
