@@ -156,7 +156,7 @@ pub fn response_delay() -> Section {
         let out = run_transfer(profiles::reno(), cfg, &path, 64 * 1024, 901);
         let calibrated = Analyzer::at_receiver().calibrate(out.receiver_trace());
         let a = analyze_receiver(&calibrated.connections[0]).expect("analyzable");
-        let mut d = a.ack_delays.clone();
+        let d = &a.ack_delays;
         let min = d.min().map(|x| x.to_string()).unwrap_or_default();
         let median = d.median().map(|x| x.to_string()).unwrap_or_default();
         let p90 = d

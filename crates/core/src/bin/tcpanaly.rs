@@ -298,7 +298,7 @@ fn check_one(out: &mut String, cfg: &TcpConfig, calibrated: &Calibrated) {
         match fingerprint_one(conn, cfg) {
             None => out.push_str("   no analyzable bulk data\n"),
             Some(fit) => {
-                let mut delays = fit.analysis.response_delays.clone();
+                let delays = &fit.analysis.response_delays;
                 let _ = writeln!(
                     out,
                     "   {}: {} — {} issues, delays p50 {} p90 {}",
@@ -312,9 +312,15 @@ fn check_one(out: &mut String, cfg: &TcpConfig, calibrated: &Calibrated) {
                         .unwrap_or_default()
                 );
                 for issue in fit.analysis.issues.iter().take(10) {
-                    let _ = write!(out, "   {:?} @{}: {}", issue.kind, issue.time, issue.detail);
+                    let _ = write!(
+                        out,
+                        "   {:?} @{}: {}",
+                        issue.kind(),
+                        issue.time,
+                        issue.detail
+                    );
                     // The replay's detail names no candidate.
-                    if issue.kind == SenderIssueKind::UnexplainedRetransmission {
+                    if issue.kind() == SenderIssueKind::UnexplainedRetransmission {
                         let _ = write!(out, " of {}", cfg.name);
                     }
                     out.push('\n');
@@ -347,8 +353,7 @@ fn run(opts: &Options) -> ExitCode {
         timeout: opts.timeout_secs.map(std::time::Duration::from_secs),
         audit_dir: opts.audit_dir.clone(),
         // --quiet wins over --progress: errors only means errors only.
-        progress: (opts.progress && opts.level != log::Level::Error)
-            .then(|| std::time::Duration::from_millis(500)),
+        progress: opts.progress && opts.level != log::Level::Error,
     };
     // A panicking trace is reported as a failed item; keep the default
     // hook from interleaving backtrace noise with the report.

@@ -14,7 +14,7 @@
 //! 3. an ack for data that has not yet arrived in the trace, with the
 //!    data following very shortly after.
 
-use tcpa_trace::{Connection, Dir, Duration, Time};
+use tcpa_trace::{Connection, Dir, Duration, Time, TraceRecord};
 use tcpa_wire::SeqNum;
 
 /// Which of the three situations was observed.
@@ -64,7 +64,13 @@ pub fn detect_resequencing(conn: &Connection) -> Vec<ReseqEvidence> {
                 // (i) lull, data, then a liberating ack within ε.
                 if let Some(prev) = last_send {
                     if rec.ts - prev > LULL {
-                        if let Some(margin) = liberating_ack_within(recs, i, rec.ts, max_ack) {
+                        // A *new* receiver ack.
+                        let liberates = |dir, ack: &TraceRecord| {
+                            dir == Dir::ReceiverToSender
+                                && ack.tcp.flags.ack()
+                                && max_ack.is_none_or(|a| ack.tcp.ack.after(a))
+                        };
+                        if let Some(margin) = first_within(recs, i, EPSILON, liberates) {
                             evidence.push(ReseqEvidence {
                                 kind: ReseqKind::LullThenAck,
                                 index: i,
@@ -78,7 +84,14 @@ pub fn detect_resequencing(conn: &Connection) -> Vec<ReseqEvidence> {
                 if let (Some(ack), Some(win)) = (max_ack, offered) {
                     let usage = hi - ack;
                     if usage > i64::from(win) {
-                        if let Some(margin) = curing_ack_within(recs, i, rec.ts, hi) {
+                        // A receiver ack that makes `hi` fit within the
+                        // window it carries.
+                        let cures = |dir, ack: &TraceRecord| {
+                            dir == Dir::ReceiverToSender
+                                && ack.tcp.flags.ack()
+                                && hi - ack.tcp.ack <= i64::from(ack.tcp.window)
+                        };
+                        if let Some(margin) = first_within(recs, i, EPSILON, cures) {
                             evidence.push(ReseqEvidence {
                                 kind: ReseqKind::WindowViolationCured,
                                 index: i,
@@ -101,7 +114,14 @@ pub fn detect_resequencing(conn: &Connection) -> Vec<ReseqEvidence> {
                     None => rec.tcp.ack.after(SeqNum::ZERO) && rec.is_pure_ack(),
                 };
                 if unseen && highest_data_hi.is_some() {
-                    if let Some(margin) = data_within(recs, i, rec.ts, rec.tcp.ack) {
+                    // A data record reaching the ack.
+                    let ack = rec.tcp.ack;
+                    let reaches = |dir, data: &TraceRecord| {
+                        dir == Dir::SenderToReceiver
+                            && data.is_data()
+                            && data.seq_hi().at_or_after(ack)
+                    };
+                    if let Some(margin) = first_within(recs, i, EPSILON, reaches) {
                         evidence.push(ReseqEvidence {
                             kind: ReseqKind::AckBeforeData,
                             index: i,
@@ -121,68 +141,25 @@ pub fn detect_resequencing(conn: &Connection) -> Vec<ReseqEvidence> {
     evidence
 }
 
-/// Looks ahead from `i` for a *new* receiver ack within ε of `t`.
-fn liberating_ack_within(
-    recs: &[(Dir, tcpa_trace::TraceRecord)],
+/// How long after record `i` the first later record that `is_match`
+/// accepts was recorded, looking only at the records within `epsilon` of
+/// record `i`: the walk ends at the first record more than `epsilon`
+/// later. Past a backward clock step a later record may lie within
+/// `epsilon` again, and this walk does not see it; a look-ahead that must
+/// see it (the drop checks' `data_within_epsilon`) bounds its walk by the
+/// suffix minimum of the timestamps instead.
+pub(crate) fn first_within(
+    recs: &[(Dir, TraceRecord)],
     i: usize,
-    t: Time,
-    max_ack: Option<SeqNum>,
+    epsilon: Duration,
+    mut is_match: impl FnMut(Dir, &TraceRecord) -> bool,
 ) -> Option<Duration> {
-    for (dir, rec) in recs.iter().skip(i + 1) {
-        if rec.ts - t > EPSILON {
-            break;
-        }
-        if *dir == Dir::ReceiverToSender && rec.tcp.flags.ack() {
-            let advances = match max_ack {
-                Some(a) => rec.tcp.ack.after(a),
-                None => true,
-            };
-            if advances {
-                return Some(rec.ts - t);
-            }
-        }
-    }
-    None
-}
-
-/// Looks ahead from `i` for a receiver ack that makes `hi` fit within the
-/// window it carries.
-fn curing_ack_within(
-    recs: &[(Dir, tcpa_trace::TraceRecord)],
-    i: usize,
-    t: Time,
-    hi: SeqNum,
-) -> Option<Duration> {
-    for (dir, rec) in recs.iter().skip(i + 1) {
-        if rec.ts - t > EPSILON {
-            break;
-        }
-        if *dir == Dir::ReceiverToSender && rec.tcp.flags.ack() {
-            let usage = hi - rec.tcp.ack;
-            if usage <= i64::from(rec.tcp.window) {
-                return Some(rec.ts - t);
-            }
-        }
-    }
-    None
-}
-
-/// Looks ahead from `i` for a data record reaching `ack` within ε of `t`.
-fn data_within(
-    recs: &[(Dir, tcpa_trace::TraceRecord)],
-    i: usize,
-    t: Time,
-    ack: SeqNum,
-) -> Option<Duration> {
-    for (dir, rec) in recs.iter().skip(i + 1) {
-        if rec.ts - t > EPSILON {
-            break;
-        }
-        if *dir == Dir::SenderToReceiver && rec.is_data() && rec.seq_hi().at_or_after(ack) {
-            return Some(rec.ts - t);
-        }
-    }
-    None
+    let t = recs.get(i)?.1.ts;
+    recs.iter()
+        .skip(i + 1)
+        .take_while(|(_, rec)| rec.ts - t <= epsilon)
+        .find(|(dir, rec)| is_match(*dir, rec))
+        .map(|(_, rec)| rec.ts - t)
 }
 
 #[cfg(test)]

@@ -51,11 +51,9 @@ pub fn infer_vantage(conn: &Connection) -> VantageInference {
             _ => {}
         }
     }
-    let mut a2d = ack_to_data;
-    let mut d2a = data_to_ack;
-    let (ma, md) = (a2d.median(), d2a.median());
+    let (ma, md) = (ack_to_data.median(), data_to_ack.median());
     let vantage = match (ma, md) {
-        (Some(a), Some(d)) if a2d.count() >= 4 && d2a.count() >= 4 => {
+        (Some(a), Some(d)) if ack_to_data.count() >= 4 && data_to_ack.count() >= 4 => {
             // Require a clear factor between the two directions.
             if a.as_nanos() * 4 < d.as_nanos() {
                 Vantage::Sender

@@ -126,10 +126,9 @@ pub struct CorpusConfig {
     /// processed trace (the directory is created if absent). Write
     /// failures are logged and counted, never fatal.
     pub audit_dir: Option<std::path::PathBuf>,
-    /// When set, a status line is printed to stderr at this interval
-    /// (and once at the end) while the corpus drains. Stdout is never
-    /// touched.
-    pub progress: Option<std::time::Duration>,
+    /// When set, a status line is printed to stderr periodically (and
+    /// once at the end) while the corpus drains. Stdout is never touched.
+    pub progress: bool,
 }
 
 impl Default for CorpusConfig {
@@ -140,7 +139,7 @@ impl Default for CorpusConfig {
             degrade: DegradePolicy::default(),
             timeout: None,
             audit_dir: None,
-            progress: None,
+            progress: false,
         }
     }
 }
@@ -540,7 +539,7 @@ impl CorpusReport {
                 c.io_errors, c.malformed, c.timeouts, c.panics
             );
         }
-        let mut delays = c.response_delays.clone();
+        let delays = &c.response_delays;
         if let (Some(p50), Some(p90), Some(max)) =
             (delays.median(), delays.percentile(90.0), delays.max())
         {
@@ -765,9 +764,7 @@ pub fn run_corpus<T: Send>(
     }
     let items = source.into_items();
     let jobs = config.effective_jobs().min(items.len()).max(1);
-    let progress = config
-        .progress
-        .map(|interval| Progress::start(items.len(), interval));
+    let progress = config.progress.then(|| Progress::start(items.len()));
     let next = AtomicUsize::new(0);
     let emit = Mutex::new(emit);
     let stop = AtomicBool::new(false);

@@ -12,13 +12,14 @@
 //! On one connection most candidates cannot be told apart: a loss-free
 //! trace never reaches the fast-retransmit or RTO code. [`fingerprint`]
 //! and [`census_verdict`] therefore replay one candidate per replay class
-//! of the connection (the knob values its replay can read) and give the
-//! others its result. They replay those candidates in lockstep, as
-//! groups that fork only where their replays diverge;
-//! [`fingerprint_one`] replays its candidate alone.
+//! of the connection (the knob values its replay can read), and replay
+//! those candidates in lockstep, as groups that fork only where their
+//! replays diverge. One function maps each profile to the group that
+//! replayed its class; that group's analysis, classified once, is the
+//! profile's. [`fingerprint_one`] replays its candidate alone.
 
 use crate::receiver::{analyze_receiver, AckClass, PolicyGuess, ReceiverAnalysis};
-use crate::sender::{Prepared, ReplayClass, ReplayOptions, Replayed, SenderAnalysis};
+use crate::sender::{Lockstep, Prepared, ReplayClass, ReplayOptions, SenderAnalysis, Until};
 use std::sync::OnceLock;
 use tcpa_tcpsim::config::{AckPolicy, TcpConfig};
 use tcpa_tcpsim::profiles::all_profiles;
@@ -62,22 +63,12 @@ pub struct FingerprintResult {
     pub analysis: SenderAnalysis,
 }
 
-impl FingerprintResult {
-    /// This result as a class-mate's: the same replay under `name`.
-    fn shared_with(&self, name: &'static str) -> FingerprintResult {
-        let mut shared = self.clone();
-        shared.name = name;
-        shared.analysis.config_name = name;
-        shared
-    }
-}
-
 /// Classifies one analysis into a fit class.
 pub fn classify(analysis: &SenderAnalysis) -> FitClass {
     if analysis.hard_issues() > 0 {
         return FitClass::ClearlyIncorrect;
     }
-    let prompt = match analysis.response_delays.select_percentile(90.0) {
+    let prompt = match analysis.response_delays.percentile(90.0) {
         Some(p90) => p90 <= CLOSE_P90,
         None => true, // nothing to measure: vacuously prompt
     };
@@ -100,19 +91,12 @@ pub fn fingerprint_one(conn: &Connection, cfg: &TcpConfig) -> Option<Fingerprint
     // the replay time is not double-counted.
     tcpa_obs::time("detail.sender_replay", || {
         let analysis = Prepared::new(conn)?.analyze(cfg, &ReplayOptions::default())?;
-        Some(FingerprintResult::of(analysis))
-    })
-}
-
-impl FingerprintResult {
-    /// Classifies one candidate's analysis.
-    fn of(analysis: SenderAnalysis) -> FingerprintResult {
-        FingerprintResult {
-            name: analysis.config_name,
+        Some(FingerprintResult {
+            name: cfg.name,
             fit: classify(&analysis),
             analysis,
-        }
-    }
+        })
+    })
 }
 
 /// Every profile, in `all_profiles()` order (built once per process).
@@ -121,64 +105,65 @@ fn profiles() -> &'static [TcpConfig] {
     PROFILES.get_or_init(all_profiles)
 }
 
-/// For each profile, the first profile of its replay class on the
-/// prepared connection ([`Prepared::replay_class`]): itself, or an
-/// earlier profile whose replay of the connection it shares.
-fn representatives(prepared: &Prepared, profiles: &[TcpConfig]) -> Vec<usize> {
+/// Replays every profile on a prepared connection, as far as `until`
+/// says, in one lockstep replay in one `detail.sender_replay` span. Only
+/// the first profile of each replay class ([`Prepared::replay_class`]) is
+/// replayed; the others share its replay. Returns the replay, whose input
+/// is those first profiles, and for each profile the index in its
+/// `groups` of the group that replayed the profile's class: that group's
+/// analysis is the profile's.
+fn replay_profiles(prepared: &Prepared, until: Until) -> (Lockstep, Vec<usize>) {
+    let profiles = profiles();
     let classes: Vec<ReplayClass> = profiles.iter().map(|c| prepared.replay_class(c)).collect();
-    classes
-        .iter()
-        .enumerate()
-        .map(|(j, class)| classes.iter().position(|c| c == class).unwrap_or(j))
-        .collect()
-}
-
-/// The profiles that represent their replay class ([`representatives`]),
-/// as positions into `profiles` and as configs.
-fn replayed<'p>(reps: &[usize], profiles: &'p [TcpConfig]) -> (Vec<usize>, Vec<&'p TcpConfig>) {
-    let mut positions = Vec::with_capacity(reps.len());
-    let mut cfgs = Vec::with_capacity(reps.len());
-    for (j, cfg) in profiles.iter().enumerate() {
-        if reps.get(j) == Some(&j) {
-            positions.push(j);
-            cfgs.push(cfg);
+    let mut replayed: Vec<&TcpConfig> = Vec::with_capacity(profiles.len());
+    // For each profile, the position of its class's first profile in
+    // `replayed`.
+    let mut input_of: Vec<usize> = Vec::with_capacity(profiles.len());
+    for (j, class) in classes.iter().enumerate() {
+        match classes.iter().position(|c| c == class) {
+            Some(first) if first < j => input_of.push(input_of[first]),
+            _ => {
+                input_of.push(replayed.len());
+                replayed.push(&profiles[j]);
+            }
         }
     }
-    (positions, cfgs)
+    let replay = tcpa_obs::time("detail.sender_replay", || prepared.replay(&replayed, until));
+    let mut group_of_input = vec![0; replayed.len()];
+    for (g, group) in replay.groups.iter().enumerate() {
+        for &id in &group.members {
+            group_of_input[id] = g;
+        }
+    }
+    let group_of = input_of.iter().map(|&id| group_of_input[id]).collect();
+    (replay, group_of)
 }
 
 /// Runs every known profile against a connection and sorts the results:
 /// close fits first (by mean response delay), then imperfect, then
 /// clearly incorrect (by number of hard issues). The connection is
-/// prepared once for all of them, and the first profile of each replay
-/// class is replayed, all of them in one lockstep replay in one
-/// `detail.sender_replay` span: every other member of the class gets a
-/// copy of its first member's result under its own name.
+/// prepared once for all of them and replayed as [`replay_profiles`]
+/// says; each group's analysis is classified once, and every profile
+/// gets a copy of its group's analysis and fit under its own name.
 pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
     let Some(prepared) = Prepared::new(conn) else {
         return Vec::new();
     };
-    let profiles = profiles();
-    let reps = representatives(&prepared, profiles);
-    let (_, cfgs) = replayed(&reps, profiles);
-    let analyses = tcpa_obs::time("detail.sender_replay", || {
-        prepared.analyze_all(&cfgs, &ReplayOptions::default())
-    });
-    let mut analyses = analyses.into_iter();
-    let mut results: Vec<FingerprintResult> = Vec::with_capacity(profiles.len());
-    for (cfg, rep) in profiles.iter().zip(reps) {
-        // A representative is this profile or an earlier one, whose
-        // result is already in place; the analyses come in the order of
-        // the representatives.
-        let result = match results.get(rep) {
-            Some(first) => first.shared_with(cfg.name),
-            None => match analyses.next() {
-                Some(analysis) => FingerprintResult::of(analysis),
-                None => break,
-            },
-        };
-        results.push(result);
-    }
+    let (replay, group_of) = replay_profiles(&prepared, Until::End);
+    let fits: Vec<FitClass> = replay
+        .groups
+        .iter()
+        .map(|g| classify(&g.analysis))
+        .collect();
+    let mut results: Vec<FingerprintResult> = profiles()
+        .iter()
+        .zip(group_of)
+        .map(|(cfg, g)| FingerprintResult {
+            name: cfg.name,
+            fit: fits[g],
+            analysis: replay.groups[g].analysis.clone(),
+        })
+        .collect();
     // Stable: equal keys keep `all_profiles()` order, so a class-mate
     // ranks after its class's first member.
     results.sort_by_cached_key(rank_key);
@@ -221,62 +206,45 @@ pub struct CensusVerdict {
 }
 
 /// [`fingerprint`] reduced to the [`CensusVerdict`], for a fraction of the
-/// replay work. The first profile of each replay class is replayed, all
-/// of them in one lockstep replay over trace facts shared by all
-/// candidates, each group of them only until it is settled whether it
-/// fits closely. A profile that shares the class of an earlier one on
-/// this connection is not replayed: it takes that profile's verdict and,
-/// tying with it, can never be the best fit. The replay work is added to
-/// the `fingerprint.replays`, `fingerprint.replay_records`,
-/// `fingerprint.replays_settled_early` and `fingerprint.replays_shared`
-/// counters, each as if every replayed profile had been replayed alone,
-/// and the lockstep's own work to `fingerprint.lockstep_records` and
-/// `fingerprint.forks`, once per connection.
+/// replay work. The profiles are replayed as [`replay_profiles`] says,
+/// each group only until it is settled whether it fits closely, and each
+/// group's analysis is classified once. A profile that shares the class
+/// of an earlier one on this connection is not replayed: it takes that
+/// profile's verdict and, tying with it, can never be the best fit. The
+/// replay work is added to the `fingerprint.replays`,
+/// `fingerprint.replay_records`, `fingerprint.replays_settled_early` and
+/// `fingerprint.replays_shared` counters, each as if every replayed
+/// profile had been replayed alone, and the lockstep's own work to
+/// `fingerprint.lockstep_records` and `fingerprint.forks`, once per
+/// connection.
 pub fn census_verdict(conn: &Connection) -> CensusVerdict {
     let mut verdict = CensusVerdict::default();
     let Some(prepared) = Prepared::new(conn) else {
         return verdict;
     };
-    let profiles = profiles();
-    let reps = representatives(&prepared, profiles);
-    let (positions, cfgs) = replayed(&reps, profiles);
-    let replay = tcpa_obs::time("detail.sender_replay", || prepared.verdicts(&cfgs));
-    let mut close = vec![false; profiles.len()];
-    // The best close fit: its group, its place in the group, its profile
-    // and its mean delay.
-    let mut best: Option<(&Replayed, usize, usize, Duration)> = None;
-    for group in &replay.groups {
-        if classify(&group.analysis) != FitClass::Close {
-            continue;
-        }
-        let mean = group
-            .analysis
-            .response_delays
-            .mean()
-            .unwrap_or(Duration::ZERO);
-        for (k, id) in group.members().enumerate() {
-            let j = positions[id];
-            close[j] = true;
-            // Close fits rank by mean delay; a tie keeps the earlier profile.
-            if best.is_none_or(|(_, _, bj, bmean)| (mean, j) < (bmean, bj)) {
-                best = Some((group, k, j, mean));
-            }
-        }
-    }
-    verdict.best = best.map(|(group, k, _, _)| FingerprintResult::of(group.analysis_of(k)));
-    let mut shared = 0;
-    for (j, &rep) in reps.iter().enumerate() {
-        if rep < j {
-            close[j] = close[rep];
-            shared += 1;
-        }
-    }
-    verdict.close = profiles
+    let (mut replay, group_of) = replay_profiles(&prepared, Until::Verdict);
+    // Each close group's mean delay.
+    let close_means: Vec<Option<Duration>> = replay
+        .groups
         .iter()
-        .zip(&close)
-        .filter(|(_, &c)| c)
-        .map(|(cfg, _)| cfg.name)
+        .map(|g| {
+            let delays = &g.analysis.response_delays;
+            (classify(&g.analysis) == FitClass::Close)
+                .then(|| delays.mean().unwrap_or(Duration::ZERO))
+        })
         .collect();
+    // The best close fit: its profile, its group and its mean delay.
+    let mut best: Option<(&TcpConfig, usize, Duration)> = None;
+    for (cfg, &g) in profiles().iter().zip(&group_of) {
+        let Some(mean) = close_means[g] else {
+            continue;
+        };
+        verdict.close.push(cfg.name);
+        // Close fits rank by mean delay; a tie keeps the earlier profile.
+        if best.is_none_or(|(_, _, best_mean)| mean < best_mean) {
+            best = Some((cfg, g, mean));
+        }
+    }
     let work = &replay.work;
     tcpa_obs::add("fingerprint.replays", work.iter().map(|w| w.passes).sum());
     tcpa_obs::add(
@@ -287,16 +255,24 @@ pub fn census_verdict(conn: &Connection) -> CensusVerdict {
         "fingerprint.replays_settled_early",
         work.iter().filter(|w| w.settled_early).count() as u64,
     );
-    tcpa_obs::add("fingerprint.replays_shared", shared);
+    tcpa_obs::add(
+        "fingerprint.replays_shared",
+        (group_of.len() - work.len()) as u64,
+    );
     tcpa_obs::add("fingerprint.lockstep_records", replay.records);
     tcpa_obs::add("fingerprint.forks", replay.forks);
+    verdict.best = best.map(|(cfg, g, _)| FingerprintResult {
+        name: cfg.name,
+        fit: FitClass::Close,
+        analysis: replay.groups.swap_remove(g).analysis,
+    });
     verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sender::{IssueDetail, SenderIssueKind};
+    use crate::sender::IssueDetail;
     use tcpa_wire::SeqNum;
 
     fn dummy_analysis(hard: usize, lulls: usize, p90_ms: i64) -> SenderAnalysis {
@@ -307,7 +283,6 @@ mod tests {
         let mut issues = Vec::new();
         for _ in 0..hard {
             issues.push(crate::sender::SenderIssue {
-                kind: SenderIssueKind::WindowViolation,
                 index: 0,
                 time: tcpa_trace::Time::ZERO,
                 detail: IssueDetail::WindowViolation {
@@ -321,7 +296,6 @@ mod tests {
         }
         for _ in 0..lulls {
             issues.push(crate::sender::SenderIssue {
-                kind: SenderIssueKind::Lull,
                 index: 0,
                 time: tcpa_trace::Time::ZERO,
                 detail: IssueDetail::Lull {
@@ -331,7 +305,6 @@ mod tests {
             });
         }
         SenderAnalysis {
-            config_name: "test",
             response_delays,
             issues,
             reseq_cured_violations: 0,
@@ -341,7 +314,6 @@ mod tests {
             data_packets: 10,
             retransmissions: 0,
             retx_causes: vec![],
-            cwnd_mss: 512,
         }
     }
 

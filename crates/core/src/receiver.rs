@@ -312,7 +312,7 @@ pub fn analyze_receiver(conn: &Connection) -> Option<ReceiverAnalysis> {
         }
     }
 
-    let policy = guess_policy(&mut delayed_delays, &acks);
+    let policy = guess_policy(&delayed_delays, &acks);
     Some(ReceiverAnalysis {
         acks,
         ack_delays,
@@ -411,7 +411,7 @@ fn find_corrupt_arrivals(conn: &Connection) -> Vec<usize> {
 }
 
 /// Identifies the §9.1 acking policy from the delayed-ack distribution.
-fn guess_policy(delayed: &mut Summary, acks: &[ClassifiedAck]) -> PolicyGuess {
+fn guess_policy(delayed: &Summary, acks: &[ClassifiedAck]) -> PolicyGuess {
     if delayed.count() < 8 {
         return PolicyGuess::Unknown;
     }

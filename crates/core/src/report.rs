@@ -253,7 +253,7 @@ impl AnalysisReport {
                 out.push_str("  (no sender-side fingerprint from this vantage)\n");
             }
             for r in conn.fingerprint.iter().take(6) {
-                let mut delays = r.analysis.response_delays.clone();
+                let delays = &r.analysis.response_delays;
                 out.push_str(&format!(
                     "  {:<22} {:<18} issues {:>2}  delays p50 {} p90 {}\n",
                     r.name,

@@ -31,7 +31,10 @@
 //! of them keeps one copy of the state their configs do not decide, and
 //! a member whose effect on that state differs at a record forks off
 //! there into a group of its own. One candidate alone is a group of one.
+//! A [`SenderAnalysis`] names no candidate, so a group's one analysis is
+//! the analysis of each of its members, as it stands.
 
+use crate::calibrate::reseq::first_within;
 use tcpa_tcpsim::config::{CwndIncrease, FastRecovery, QuenchResponse, RtoScheme, TcpConfig};
 use tcpa_tcpsim::congestion::CcState;
 use tcpa_tcpsim::rtt::RttEstimator;
@@ -70,14 +73,20 @@ pub enum RetxCause {
 /// A problem the replay could not reconcile with the candidate config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SenderIssue {
-    /// What kind of problem.
-    pub kind: SenderIssueKind,
     /// Index of the offending record within the connection.
     pub index: usize,
     /// When it happened.
     pub time: Time,
-    /// Explanation: the values it names, rendered by its `Display`.
+    /// What kind of problem, and the values that explain it, rendered by
+    /// its `Display`.
     pub detail: IssueDetail,
+}
+
+impl SenderIssue {
+    /// What kind of problem: the kind of its [`IssueDetail`].
+    pub fn kind(&self) -> SenderIssueKind {
+        self.detail.kind()
+    }
 }
 
 /// The values that explain a [`SenderIssue`], one variant per
@@ -113,6 +122,19 @@ pub enum IssueDetail {
         /// Time from the liberation to the send.
         delay: Duration,
     },
+}
+
+impl IssueDetail {
+    /// The kind of issue these values explain.
+    pub fn kind(&self) -> SenderIssueKind {
+        match self {
+            IssueDetail::WindowViolation { .. } => SenderIssueKind::WindowViolation,
+            IssueDetail::UnexplainedRetransmission { .. } => {
+                SenderIssueKind::UnexplainedRetransmission
+            }
+            IssueDetail::Lull { .. } => SenderIssueKind::Lull,
+        }
+    }
 }
 
 impl core::fmt::Display for IssueDetail {
@@ -152,11 +174,10 @@ pub enum SenderIssueKind {
     Lull,
 }
 
-/// Result of replaying one connection against one candidate.
+/// Result of replaying one connection against one candidate. It names no
+/// candidate: every candidate whose replay agreed has this analysis.
 #[derive(Debug, Clone)]
 pub struct SenderAnalysis {
-    /// The candidate's name.
-    pub config_name: &'static str,
     /// Response delays of new-data sends matched to liberations.
     pub response_delays: Summary,
     /// Violations, unexplained retransmissions and lulls.
@@ -178,8 +199,6 @@ pub struct SenderAnalysis {
     pub retransmissions: usize,
     /// Cause tally for retransmissions.
     pub retx_causes: Vec<(RetxCause, usize)>,
-    /// MSS used for the candidate's window arithmetic.
-    pub cwnd_mss: u32,
 }
 
 impl SenderAnalysis {
@@ -187,7 +206,7 @@ impl SenderAnalysis {
     pub fn hard_issues(&self) -> usize {
         self.issues
             .iter()
-            .filter(|i| i.kind != SenderIssueKind::Lull)
+            .filter(|i| i.kind() != SenderIssueKind::Lull)
             .count()
     }
 
@@ -195,7 +214,7 @@ impl SenderAnalysis {
     pub fn lulls(&self) -> usize {
         self.issues
             .iter()
-            .filter(|i| i.kind == SenderIssueKind::Lull)
+            .filter(|i| i.kind() == SenderIssueKind::Lull)
             .count()
     }
 }
@@ -535,8 +554,7 @@ impl<'c> Prepared<'c> {
     }
 
     /// The values of `cfg` that a replay of this connection can read.
-    /// Candidates of one class replay it alike: the same analysis, apart
-    /// from the candidate's name.
+    /// Candidates of one class replay it alike: the same analysis.
     pub(crate) fn replay_class(&self, cfg: &TcpConfig) -> ReplayClass {
         // Exhaustive, so that a new knob does not compile until it is
         // placed in a tier or shown never to be read by the replay.
@@ -640,36 +658,21 @@ impl<'c> Prepared<'c> {
     }
 
     /// Replays `cfg` over the whole connection: [`analyze_sender_with`].
-    /// Always `Some`: a replay yields one analysis per candidate.
+    /// Always `Some`: a lone candidate's replay ends as one group.
     pub(crate) fn analyze(&self, cfg: &TcpConfig, opts: &ReplayOptions) -> Option<SenderAnalysis> {
-        self.analyze_all(&[cfg], opts).pop()
+        let mut replay = lockstep(self, &[cfg], opts, Until::End);
+        replay.groups.pop().map(|group| group.analysis)
     }
 
-    /// Replays every candidate of `cfgs` over the whole connection, in one
-    /// [`lockstep`] replay; the analyses come in `cfgs` order, each equal
-    /// to the candidate's [`analyze`](Prepared::analyze).
-    pub(crate) fn analyze_all(
-        &self,
-        cfgs: &[&TcpConfig],
-        opts: &ReplayOptions,
-    ) -> Vec<SenderAnalysis> {
-        let mut analyses: Vec<Option<SenderAnalysis>> = vec![None; cfgs.len()];
-        for group in lockstep(self, cfgs, opts, Until::End).groups {
-            for (id, analysis) in group.into_analyses() {
-                analyses[id] = Some(analysis);
-            }
-        }
-        analyses.into_iter().flatten().collect()
-    }
-
-    /// Replays every candidate of `cfgs` in one [`lockstep`] replay, each
-    /// only until it is settled whether it fits closely (§6.1). A group
-    /// that does is replayed in full, so its analysis equals
-    /// [`analyze_sender`]'s for each of its members; any other group's
-    /// analysis stops at the record that settled it, and only its not
-    /// being close may be read from it.
-    pub(crate) fn verdicts(&self, cfgs: &[&TcpConfig]) -> Lockstep {
-        lockstep(self, cfgs, &ReplayOptions::default(), Until::Verdict)
+    /// Replays every candidate of `cfgs` in one [`lockstep`] replay, with
+    /// the default options, as far as `until` says. Under [`Until::End`]
+    /// each group's analysis equals [`analyze_sender`]'s for each of its
+    /// members. Under [`Until::Verdict`] only a group that fits closely
+    /// (§6.1) is replayed in full; any other group's analysis stops at the
+    /// record that settled it, and only its not being close may be read
+    /// from it.
+    pub(crate) fn replay(&self, cfgs: &[&TcpConfig], until: Until) -> Lockstep {
+        lockstep(self, cfgs, &ReplayOptions::default(), until)
     }
 }
 
@@ -752,57 +755,18 @@ pub(crate) struct Lockstep {
 }
 
 /// One group at the end of a [`lockstep`] replay: candidates whose
-/// replays of the connection agreed in everything but their names and
-/// the MSS of their window arithmetic.
+/// replays of the connection agreed, so that its analysis is the analysis
+/// of each of them.
 pub(crate) struct Replayed {
-    /// The analysis, under the first member's name and MSS.
+    /// The analysis of every member.
     pub(crate) analysis: SenderAnalysis,
-    /// Each member's position in the replay's input, name and
-    /// `cwnd_mss`, in input order.
-    members: Vec<(usize, &'static str, u32)>,
-}
-
-impl Replayed {
-    /// The positions of the members in the replay's input.
-    pub(crate) fn members(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().map(|&(id, _, _)| id)
-    }
-
-    /// The analysis of the `k`-th member.
-    pub(crate) fn analysis_of(&self, k: usize) -> SenderAnalysis {
-        let mut analysis = self.analysis.clone();
-        if let Some(&(_, name, cwnd_mss)) = self.members.get(k) {
-            analysis.config_name = name;
-            analysis.cwnd_mss = cwnd_mss;
-        }
-        analysis
-    }
-
-    /// Every member's analysis, with its position in the input.
-    fn into_analyses(self) -> impl Iterator<Item = (usize, SenderAnalysis)> {
-        let Replayed { analysis, members } = self;
-        let last = members.len().saturating_sub(1);
-        let mut analysis = Some(analysis);
-        members
-            .into_iter()
-            .enumerate()
-            .filter_map(move |(k, (id, name, cwnd_mss))| {
-                // The last member takes the analysis; the others a copy.
-                let mut own = if k == last {
-                    analysis.take()?
-                } else {
-                    analysis.clone()?
-                };
-                own.config_name = name;
-                own.cwnd_mss = cwnd_mss;
-                Some((id, own))
-            })
-    }
+    /// The members' positions in the replay's input, in input order.
+    pub(crate) members: Vec<usize>,
 }
 
 /// When a replay pass may end before the connection's last record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Until {
+pub(crate) enum Until {
     /// The whole analysis is read: only a first pass that has settled on
     /// a second one ends early, since its analysis is discarded.
     End,
@@ -1015,8 +979,7 @@ struct Shared {
     /// later ones only when a delay long enough to be suspect reads it.
     delay_median: RunningMedian,
     median_fed: usize,
-    /// The analysis so far; its name and `cwnd_mss` are set per member
-    /// when the group ends.
+    /// The analysis so far, every member's alike.
     analysis: SenderAnalysis,
     sender_window_evidence: usize,
 }
@@ -1403,17 +1366,10 @@ impl<'a> Group<'a> {
 
     /// The group's replay as a [`Replayed`].
     fn finish(self) -> Replayed {
-        let mut analysis = self.shared.analysis;
-        if let Some(first) = self.members.first() {
-            analysis.config_name = first.cfg.name;
-            analysis.cwnd_mss = first.cwnd_mss;
+        Replayed {
+            analysis: self.shared.analysis,
+            members: self.members.iter().map(|m| m.id).collect(),
         }
-        let members = self
-            .members
-            .iter()
-            .map(|m| (m.id, m.cfg.name, m.cwnd_mss))
-            .collect();
-        Replayed { analysis, members }
     }
 }
 
@@ -1435,7 +1391,6 @@ impl Shared {
             delay_median: RunningMedian::new(),
             median_fed: 0,
             analysis: SenderAnalysis {
-                config_name: "",
                 response_delays: Summary::with_capacity(segments),
                 issues: Vec::new(),
                 reseq_cured_violations: 0,
@@ -1445,7 +1400,6 @@ impl Shared {
                 data_packets: 0,
                 retransmissions: 0,
                 retx_causes: Vec::new(),
-                cwnd_mss: 0,
             },
             sender_window_evidence: 0,
         }
@@ -1635,7 +1589,6 @@ impl Shared {
             Effect::Violation { permit, cwnd } => {
                 self.end_resync_by(t);
                 self.analysis.issues.push(SenderIssue {
-                    kind: SenderIssueKind::WindowViolation,
                     index,
                     time: t,
                     detail: IssueDetail::WindowViolation {
@@ -1661,7 +1614,6 @@ impl Shared {
                         self.add_delay(Duration::ZERO);
                     } else if delay > LULL_THRESHOLD {
                         self.analysis.issues.push(SenderIssue {
-                            kind: SenderIssueKind::Lull,
                             index,
                             time: t,
                             detail: IssueDetail::Lull { sent: hi, delay },
@@ -1699,7 +1651,6 @@ impl Shared {
         let (t, seq, hi) = (rec.ts, rec.tcp.seq, rec.seq_hi());
         let Some((cause, stale)) = cause else {
             self.analysis.issues.push(SenderIssue {
-                kind: SenderIssueKind::UnexplainedRetransmission,
                 index,
                 time: t,
                 detail: IssueDetail::UnexplainedRetransmission { seq, dup_acks },
@@ -1884,7 +1835,19 @@ impl<'a> Member<'a> {
                     return Effect::Resync(libs);
                 }
             }
-            if let Some(margin) = self.curing_ack_ahead(step, hi, pass) {
+            // An ack recorded ≤ ε later that, once processed, would
+            // permit `hi` (§3.1.3 situation ii / §3.2 vantage ambiguity).
+            // Approximate: its snd_una plus at least the current usable
+            // window (the window only grows on a liberating ack).
+            let window = self.usable_window(now, sw).min(u64::from(u32::MAX)) as u32;
+            let cures = |dir, ack: &TraceRecord| {
+                dir == Dir::ReceiverToSender
+                    && ack.tcp.flags.ack()
+                    && ack.tcp.ack.after(now.snd_una)
+                    && (ack.tcp.ack + window).at_or_after(hi)
+            };
+            let records = &pass.prepared.conn.records;
+            if let Some(margin) = first_within(records, step.index, pass.opts.epsilon, cures) {
                 return Effect::Cured(margin);
             }
             return Effect::Violation {
@@ -2071,32 +2034,6 @@ impl<'a> Member<'a> {
         None
     }
 
-    /// Looks ahead ≤ ε for an ack that, once processed, would permit `hi`
-    /// (§3.1.3 situation ii / §3.2 vantage ambiguity).
-    fn curing_ack_ahead(&self, step: &Step, hi: SeqNum, pass: &Pass) -> Option<Duration> {
-        let Step {
-            index, rec, now, ..
-        } = *step;
-        let window = self
-            .usable_window(now, pass.sender_window)
-            .min(u64::from(u32::MAX)) as u32;
-        for (dir, next) in pass.prepared.conn.records.iter().skip(index + 1) {
-            if next.ts - rec.ts > pass.opts.epsilon {
-                break;
-            }
-            if *dir == Dir::ReceiverToSender && next.tcp.flags.ack() {
-                // Would this ack make hi legal? Approximate: new snd_una +
-                // at-least-current usable window (window only grows on a
-                // liberating ack).
-                let would_permit = next.tcp.ack + window;
-                if next.tcp.ack.after(now.snd_una) && would_permit.at_or_after(hi) {
-                    return Some(next.ts - rec.ts);
-                }
-            }
-        }
-        None
-    }
-
     /// Does this delayed send look like a slow-start restart — the §6.2
     /// signature of an unseen source quench? The tell is a *collapsed
     /// flight*: the TCP stalled with the window wide open and resumed
@@ -2220,7 +2157,10 @@ mod tests {
         let conn = overshoot_trace();
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.hard_issues(), 1, "{:?}", a.issues);
-        assert!(matches!(a.issues[0].kind, SenderIssueKind::WindowViolation));
+        assert!(matches!(
+            a.issues[0].kind(),
+            SenderIssueKind::WindowViolation
+        ));
     }
 
     #[test]
@@ -2275,7 +2215,7 @@ mod tests {
         let reno = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(reno.hard_issues(), 1, "{:?}", reno.issues);
         assert!(matches!(
-            reno.issues[0].kind,
+            reno.issues[0].kind(),
             SenderIssueKind::UnexplainedRetransmission
         ));
 
@@ -2417,10 +2357,10 @@ mod tests {
 
     /// `cfg`'s replay for a verdict alone: its analysis and its work.
     fn verdict(prepared: &Prepared, cfg: &TcpConfig) -> (SenderAnalysis, ReplayWork) {
-        let replay = prepared.verdicts(&[cfg]);
-        let mut analyses = replay.groups.into_iter().flat_map(Replayed::into_analyses);
-        let (_, analysis) = analyses.next().expect("one analysis");
-        (analysis, replay.work[0])
+        let mut replay = prepared.replay(&[cfg], Until::Verdict);
+        let group = replay.groups.pop().expect("one group");
+        assert!(replay.groups.is_empty());
+        (group.analysis, replay.work[0])
     }
 
     #[test]
@@ -2813,18 +2753,27 @@ mod tests {
         assert_ne!(reno, prepared.replay_class(&profiles::bsdi_1_1()));
     }
 
-    /// Replays `cfgs` in lockstep over `conn` in full, and checks each
-    /// candidate's analysis against its own replay alone.
+    /// Replays `cfgs` in lockstep over `conn` in full, and checks that
+    /// each candidate is a member of one group, whose analysis is the
+    /// candidate's own replay alone.
     fn lockstep_matching_single_replays(conn: &Connection, cfgs: &[&TcpConfig]) -> Lockstep {
         let prepared = Prepared::new(conn).unwrap();
-        let opts = ReplayOptions::default();
-        let analyses = prepared.analyze_all(cfgs, &opts);
-        assert_eq!(analyses.len(), cfgs.len());
-        for (cfg, analysis) in cfgs.iter().zip(&analyses) {
-            let alone = crate::fingerprint::fingerprint_one(conn, cfg).unwrap();
-            assert_eq!(format!("{analysis:?}"), format!("{:?}", alone.analysis));
+        let replay = prepared.replay(cfgs, Until::End);
+        let mut members: Vec<usize> = replay
+            .groups
+            .iter()
+            .flat_map(|g| g.members.iter().copied())
+            .collect();
+        members.sort_unstable();
+        assert_eq!(members, (0..cfgs.len()).collect::<Vec<_>>());
+        for group in &replay.groups {
+            for &id in &group.members {
+                let alone = crate::fingerprint::fingerprint_one(conn, cfgs[id]).unwrap();
+                let analysis = &group.analysis;
+                assert_eq!(format!("{analysis:?}"), format!("{:?}", alone.analysis));
+            }
         }
-        lockstep(&prepared, cfgs, &opts, Until::End)
+        replay
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn ns(d: Option<Duration>) -> String {
 fn render_case(out: &mut String, name: &str, conn: &Connection) {
     writeln!(out, "# {name} ({} records)", conn.records.len()).unwrap();
     for r in fingerprint(conn) {
-        let mut delays = r.analysis.response_delays.clone();
+        let delays = &r.analysis.response_delays;
         let median = delays.median();
         let p90 = delays.percentile(90.0);
         writeln!(

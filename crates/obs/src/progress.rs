@@ -7,9 +7,9 @@
 //! increments; [`Progress::finish`] stops the ticker and always prints a
 //! final summary line. Strictly stderr: stdout belongs to the census.
 //!
-//! Redraw policy: the interval is clamped to [`MIN_INTERVAL`] (at most
-//! 10 redraws/sec — a meter must never dominate a fast run's I/O), and
-//! the periodic ticker only runs when stderr is a terminal. Piped
+//! Redraw policy: the line is redrawn every 500 ms (a meter must never
+//! dominate a fast run's I/O), and the periodic ticker only runs when
+//! stderr is a terminal. Piped
 //! stderr (CI logs, `2>file`) still gets the final summary line from
 //! [`Progress::finish`], just not the intermediate repaints. The line
 //! carries an ETA extrapolated from the running item rate.
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Floor on the redraw interval: at most 10 redraws per second.
-pub const MIN_INTERVAL: Duration = Duration::from_millis(100);
+/// Time between two redraws of the status line.
+const INTERVAL: Duration = Duration::from_millis(500);
 
 /// How a completed corpus item classifies for the status line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +80,8 @@ pub struct Progress {
 impl Progress {
     /// Starts the meter and — when stderr is a terminal — its ticker
     /// thread. `total`, the corpus length, sizes the "done/total"
-    /// readout and the ETA. The interval is clamped to [`MIN_INTERVAL`].
-    pub fn start(total: usize, interval: Duration) -> Progress {
-        let interval = interval.max(MIN_INTERVAL);
+    /// readout and the ETA.
+    pub fn start(total: usize) -> Progress {
         let shared = Arc::new(Shared {
             total: total as u64,
             done: AtomicU64::new(0),
@@ -109,7 +108,7 @@ impl Progress {
                 // interval waiting for the ticker to notice.
                 while !ticker_shared.stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(25));
-                    if last.elapsed() >= interval {
+                    if last.elapsed() >= INTERVAL {
                         ticker_shared.emit();
                         last = Instant::now();
                     }
@@ -161,7 +160,7 @@ mod tests {
 
     #[test]
     fn counts_and_line_format() {
-        let p = Progress::start(10, Duration::from_secs(3600));
+        let p = Progress::start(10);
         p.observe(ItemClass::Analyzed);
         p.observe(ItemClass::Salvaged);
         p.observe(ItemClass::Failed);
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn eta_appears_midway_and_disappears_when_done() {
-        let p = Progress::start(4, Duration::from_secs(3600));
+        let p = Progress::start(4);
         p.observe(ItemClass::Analyzed);
         p.observe(ItemClass::Analyzed);
         std::thread::sleep(Duration::from_millis(5));

@@ -14,7 +14,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     samples: Vec<Duration>,
-    sorted: bool,
 }
 
 impl Summary {
@@ -27,24 +26,19 @@ impl Summary {
     pub fn with_capacity(n: usize) -> Summary {
         Summary {
             samples: Vec::with_capacity(n),
-            sorted: false,
         }
     }
 
     /// Adds one sample.
     pub fn add(&mut self, d: Duration) {
         self.samples.push(d);
-        self.sorted = false;
     }
 
     /// A copy with room for `n` samples in all.
     pub fn clone_with_capacity(&self, n: usize) -> Summary {
         let mut samples = Vec::with_capacity(n.max(self.samples.len()));
         samples.extend_from_slice(&self.samples);
-        Summary {
-            samples,
-            sorted: self.sorted,
-        }
+        Summary { samples }
     }
 
     /// Number of samples.
@@ -76,21 +70,10 @@ impl Summary {
         Some(Duration((sum / self.samples.len() as i128) as i64))
     }
 
-    /// Exact percentile by nearest-rank (p in [0, 100]).
-    pub fn percentile(&mut self, p: f64) -> Option<Duration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        Some(self.samples[nearest_rank(p, self.samples.len())])
-    }
-
-    /// [`Summary::percentile`] for a single read: selects the rank in a
-    /// copy of the samples, in linear time, instead of sorting them all.
-    pub fn select_percentile(&self, p: f64) -> Option<Duration> {
+    /// Exact percentile by nearest-rank (p in [0, 100]): the rank is
+    /// selected in a copy of the samples, in linear time, so the samples
+    /// keep their order.
+    pub fn percentile(&self, p: f64) -> Option<Duration> {
         if self.samples.is_empty() {
             return None;
         }
@@ -100,7 +83,7 @@ impl Summary {
     }
 
     /// Median (50th percentile).
-    pub fn median(&mut self) -> Option<Duration> {
+    pub fn median(&self) -> Option<Duration> {
         self.percentile(50.0)
     }
 
@@ -115,8 +98,7 @@ impl Summary {
             .map(|(i, _)| i)
     }
 
-    /// Borrow of the raw samples, in insertion order unless a percentile
-    /// has been computed since the last insertion.
+    /// Borrow of the raw samples, in insertion order.
     pub fn samples(&self) -> &[Duration] {
         &self.samples
     }
@@ -312,7 +294,7 @@ mod tests {
 
     #[test]
     fn summary_empty_is_none() {
-        let mut s = Summary::new();
+        let s = Summary::new();
         assert!(s.mean().is_none());
         assert!(s.percentile(50.0).is_none());
         assert!(s.argmax().is_none());
@@ -354,35 +336,6 @@ mod tests {
                 assert_eq!(running.median(), summary.median(), "len {len}, after {i}");
             }
         }
-    }
-
-    #[test]
-    fn select_percentile_equals_sorted_percentile() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |bound: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % bound
-        };
-        // Lengths 1-3 hit the rank's clamps; values from a range of 15
-        // give heavy duplicates.
-        for len in [1usize, 2, 3, 10, 11, 99, 1000] {
-            for _ in 0..20 {
-                let mut s = Summary::new();
-                for _ in 0..len {
-                    s.add(Duration::from_millis(next(15) as i64 - 3));
-                }
-                for p in [0.0, 50.0, 90.0, 100.0] {
-                    let selected = s.select_percentile(p);
-                    assert_eq!(selected, s.clone().percentile(p), "len {len}, p {p}");
-                }
-                // And once the summary is sorted.
-                let sorted = s.percentile(90.0);
-                assert_eq!(s.select_percentile(90.0), sorted, "len {len}, sorted");
-            }
-        }
-        assert_eq!(Summary::new().select_percentile(90.0), None);
     }
 
     #[test]

@@ -460,8 +460,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The two-heap running median agrees with `Summary::median` after
-    /// every single insertion. (16 cases: the reference re-sorts on
-    /// every query, which is slow in debug builds.)
+    /// every single insertion. (16 cases: the reference copies every
+    /// sample on every query, which is slow in debug builds.)
     #[test]
     fn running_median_matches_summary_after_every_insertion(
         samples in proptest::collection::vec(arb_delay(), 1..2001)
@@ -473,5 +473,60 @@ proptest! {
             summary.add(d);
             prop_assert_eq!(running.median(), summary.median(), "after insertion {}", i);
         }
+    }
+}
+
+/// The nearest-rank `p`th percentile of `samples`, read from a sorted
+/// copy.
+fn sorted_nearest_rank(samples: &[Duration], p: f64) -> Option<Duration> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted.get(rank.min(sorted.len()).checked_sub(1)?).copied()
+}
+
+/// Samples from a range of 15 ms, so duplicates are heavy, at lengths
+/// that hit the rank's clamps (0–3), and short and long runs.
+fn arb_samples() -> impl Strategy<Value = Vec<i64>> {
+    prop_oneof![
+        proptest::collection::vec(-3i64..12, 0..4),
+        proptest::collection::vec(-3i64..12, 4..100),
+        proptest::collection::vec(-3i64..12, 100..1001),
+    ]
+}
+
+/// The percentiles the analyzer reads and the two clamps, or any other.
+fn arb_percentile() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(50.0),
+        Just(90.0),
+        Just(100.0),
+        0.0f64..100.0
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `percentile` and `median` equal a sorted nearest-rank reference,
+    /// and no read reorders the samples: `samples()` stays in insertion
+    /// order.
+    #[test]
+    fn percentile_is_nearest_rank_and_keeps_insertion_order(
+        values in arb_samples(),
+        ps in proptest::collection::vec(arb_percentile(), 1..8),
+    ) {
+        let mut s = Summary::new();
+        for &v in &values {
+            s.add(Duration::from_millis(v));
+        }
+        let inserted = s.samples().to_vec();
+        for &p in &ps {
+            prop_assert_eq!(s.percentile(p), sorted_nearest_rank(&inserted, p), "p {}", p);
+            prop_assert_eq!(s.samples(), &inserted[..]);
+        }
+        prop_assert_eq!(s.median(), sorted_nearest_rank(&inserted, 50.0));
+        prop_assert_eq!(s.samples(), &inserted[..]);
     }
 }
