@@ -50,38 +50,26 @@ fn run_compare(args: &[String]) -> ExitCode {
     let mut files: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let parse_f64 = |flag: &str, value: Option<&String>| -> Result<f64, String> {
-            let v = value.ok_or_else(|| format!("{flag} requires a number"))?;
-            v.parse()
-                .map_err(|_| format!("{flag}: invalid number {v:?}"))
+        // `--flag=value` is `--flag value`.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+            _ => (arg.as_str(), None),
         };
-        match arg.as_str() {
-            "--threshold-pct" => match parse_f64("--threshold-pct", it.next()) {
-                Ok(v) => config.threshold_pct = v,
-                Err(e) => return fail_usage(&e),
-            },
-            "--floor-ms" => match parse_f64("--floor-ms", it.next()) {
-                Ok(v) => config.floor_ms = v,
-                Err(e) => return fail_usage(&e),
-            },
-            other if other.starts_with("--threshold-pct=") => {
-                let v = other.strip_prefix("--threshold-pct=").unwrap_or_default();
-                match v.parse() {
-                    Ok(v) => config.threshold_pct = v,
-                    Err(_) => return fail_usage(&format!("--threshold-pct: invalid number {v:?}")),
-                }
+        let slot = match flag {
+            "--threshold-pct" => &mut config.threshold_pct,
+            "--floor-ms" => &mut config.floor_ms,
+            _ if flag.starts_with('-') => return fail_usage(&format!("unknown option {arg}")),
+            _ => {
+                files.push(arg);
+                continue;
             }
-            other if other.starts_with("--floor-ms=") => {
-                let v = other.strip_prefix("--floor-ms=").unwrap_or_default();
-                match v.parse() {
-                    Ok(v) => config.floor_ms = v,
-                    Err(_) => return fail_usage(&format!("--floor-ms: invalid number {v:?}")),
-                }
-            }
-            other if other.starts_with('-') => {
-                return fail_usage(&format!("unknown option {other}"))
-            }
-            file => files.push(file),
+        };
+        let Some(v) = inline.or_else(|| it.next().map(String::as_str)) else {
+            return fail_usage(&format!("{flag} requires a number"));
+        };
+        match v.parse() {
+            Ok(v) => *slot = v,
+            Err(_) => return fail_usage(&format!("{flag}: invalid number {v:?}")),
         }
     }
     let [old_path, new_path] = files.as_slice() else {

@@ -6,10 +6,10 @@
 
 //! `tcpa-bench` — the reproduction harness.
 //!
-//! One regenerator per table and figure of the paper's evaluation (see
+//! One scenario per table and figure of the paper's evaluation (see
 //! DESIGN.md §5 for the index). Each scenario is a function returning a
-//! [`Section`]; thin binaries in `src/bin/` print them, and
-//! `repro_all` concatenates everything into the markdown that backs
+//! [`Section`], registered under its slug in [`scenarios::entries`];
+//! `repro_all` runs them all and concatenates the markdown that backs
 //! EXPERIMENTS.md.
 //!
 //! Absolute numbers are not expected to match the paper — the substrate

@@ -45,8 +45,3 @@ pub fn entries() -> Vec<(&'static str, ScenarioFn)> {
         ("static_analysis", static_analysis::run),
     ]
 }
-
-/// Every scenario in paper order, for `repro_all`.
-pub fn all() -> Vec<Section> {
-    entries().into_iter().map(|(_, build)| build()).collect()
-}

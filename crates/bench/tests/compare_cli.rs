@@ -130,4 +130,25 @@ fn usage_and_parse_errors_exit_two() {
     ]);
     assert_eq!(code, 2);
     assert!(stderr.contains("invalid number"), "{stderr}");
+
+    let (_, stderr, code) = run(&[
+        "compare",
+        "--floor-ms=abc",
+        &fixture("bench_old.json"),
+        &fixture("bench_new_same.json"),
+    ]);
+    assert_eq!(code, 2);
+    assert!(
+        stderr.contains("--floor-ms: invalid number \"abc\""),
+        "{stderr}"
+    );
+
+    let (_, stderr, code) = run(&[
+        "compare",
+        "--bogus=1",
+        &fixture("bench_old.json"),
+        &fixture("bench_new_same.json"),
+    ]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("unknown option --bogus=1"), "{stderr}");
 }

@@ -48,34 +48,16 @@ impl CalibrationReport {
 }
 
 /// Runs all calibration stages on a trace, returning the *cleaned* trace
-/// (duplicates removed) alongside the report.
-#[derive(Debug, Clone, Default)]
+/// (duplicates removed) alongside the report. The analyzer calibrates
+/// through [`crate::Analyzer::calibrate`] instead, which keeps no cleaned
+/// copy.
+#[derive(Debug, Clone)]
 pub struct Calibrator {
     /// Where the filter sat; gates the vantage-specific drop checks.
     pub vantage: Vantage,
 }
 
 impl Calibrator {
-    /// A calibrator with an unknown vantage point (only vantage-neutral
-    /// checks run).
-    pub fn new() -> Calibrator {
-        Calibrator::default()
-    }
-
-    /// A calibrator for a trace captured at the data sender.
-    pub fn at_sender() -> Calibrator {
-        Calibrator {
-            vantage: Vantage::Sender,
-        }
-    }
-
-    /// A calibrator for a trace captured at the receiver.
-    pub fn at_receiver() -> Calibrator {
-        Calibrator {
-            vantage: Vantage::Receiver,
-        }
-    }
-
     /// Calibrates a trace: removes measurement duplicates, then runs every
     /// detector on the cleaned trace. The calibration consumes a copy of
     /// `trace`, and the cleaned trace returned is a second one.

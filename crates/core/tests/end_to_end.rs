@@ -15,10 +15,11 @@ use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, run_transfer_with, Extras, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::{Connection, Duration, Time};
-use tcpanaly::calibrate::{Calibrator, DropCheck};
+use tcpanaly::calibrate::DropCheck;
 use tcpanaly::fingerprint::{fingerprint_one, FitClass};
 use tcpanaly::receiver::{analyze_receiver, AckClass, PolicyGuess};
 use tcpanaly::sender::analyze_sender;
+use tcpanaly::Analyzer;
 
 const KB100: u64 = 100 * 1024;
 
@@ -384,7 +385,7 @@ fn perfect_filter_trace_is_clean() {
         KB100,
         35,
     );
-    let (_, report) = Calibrator::at_sender().calibrate(&out.sender_trace());
+    let report = Analyzer::at_sender().calibrate(out.sender_trace()).report;
     assert!(report.is_clean(), "{report:?}");
 }
 
@@ -396,7 +397,7 @@ fn genuine_network_loss_produces_no_drop_evidence() {
     path.loss_data = LossModel::Periodic(23);
     let out = run_transfer(profiles::reno(), profiles::reno(), &path, KB100, 36);
     assert!(out.truth.total_drops() > 0);
-    let (_, report) = Calibrator::at_sender().calibrate(&out.sender_trace());
+    let report = Analyzer::at_sender().calibrate(out.sender_trace()).report;
     assert!(
         report.drop_evidence.is_empty(),
         "network drops misdiagnosed: {:?}",
@@ -420,7 +421,7 @@ fn filter_drops_detected_at_sender_vantage() {
     };
     let (measured, report) = apply(&out.sender_tap, &cfg, 99);
     assert_eq!(report.dropped_indices.len(), 6);
-    let (_, cal) = Calibrator::at_sender().calibrate(&measured);
+    let cal = Analyzer::at_sender().calibrate(measured).report;
     assert!(
         !cal.drop_evidence.is_empty(),
         "burst of missing records must be noticed"
@@ -442,14 +443,15 @@ fn irix_duplication_detected_and_removed() {
     );
     let (measured, report) = apply(&out.sender_tap, &FilterConfig::irix_duplicating(), 7);
     assert!(report.duplicates_added > 0);
-    let (clean, cal) = Calibrator::at_sender().calibrate(&measured);
+    let cal = Analyzer::at_sender().calibrate(measured.clone());
     assert_eq!(
-        cal.duplicates.len(),
+        cal.report.duplicates.len(),
         report.duplicates_added,
         "every filter duplicate found"
     );
     // After removal the trace matches the perfect trace in record count.
-    assert_eq!(clean.len(), measured.len() - report.duplicates_added);
+    let clean_len: usize = cal.connections.iter().map(|c| c.records.len()).sum();
+    assert_eq!(clean_len, measured.len() - report.duplicates_added);
 }
 
 #[test]
@@ -462,14 +464,14 @@ fn solaris_resequencing_detected() {
     let out = run_transfer(profiles::reno(), profiles::reno(), &path, KB100, 39);
     let (measured, report) = apply(&out.sender_tap, &FilterConfig::solaris_resequencing(), 11);
     assert!(report.inversions > 0, "model produced inversions");
-    let (clean, cal) = Calibrator::at_sender().calibrate(&measured);
+    let mut cal = Analyzer::at_sender().calibrate(measured);
     // Resequencing surfaces either through the structural detectors
     // (§3.1.3's three situations) or as model-level violations cured by
     // an ack recorded ≤ ε later during sender analysis.
-    let conn = Connection::split(&clean).remove(0);
+    let conn = cal.connections.remove(0);
     let a = analyze_sender(&conn, &profiles::reno()).unwrap();
     assert!(
-        !cal.resequencing.is_empty() || a.reseq_cured_violations > 0,
+        !cal.report.resequencing.is_empty() || a.reseq_cured_violations > 0,
         "resequencing must be detected ({} inversions; issues {:?})",
         report.inversions,
         a.issues.iter().take(3).collect::<Vec<_>>()
@@ -495,7 +497,7 @@ fn time_travel_detected() {
         ..FilterConfig::default()
     };
     let (measured, _) = apply(&out.sender_tap, &cfg, 13);
-    let (_, cal) = Calibrator::at_sender().calibrate(&measured);
+    let cal = Analyzer::at_sender().calibrate(measured).report;
     assert!(
         !cal.time_travel.is_empty(),
         "backward clock steps must be detected"

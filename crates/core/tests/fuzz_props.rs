@@ -17,7 +17,6 @@ use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration, Time, Trace, TraceRecord};
 use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, SeqNum, TcpFlags, TcpRepr};
-use tcpanaly::calibrate::Calibrator;
 use tcpanaly::fingerprint::{census_verdict, close_fits, fingerprint, fingerprint_one, FitClass};
 use tcpanaly::receiver::analyze_receiver;
 use tcpanaly::sender::analyze_sender;
@@ -104,15 +103,14 @@ proptest! {
         let (measured, _) = apply(&out.sender_tap, &filter, seed);
 
         // Calibrate + full façade from both vantages.
-        let _ = Calibrator::at_sender().calibrate(&measured);
+        let _ = Analyzer::at_sender().calibrate(measured.clone());
         let report = Analyzer::at_sender().analyze(&measured);
         let _ = report.render();
         let report = Analyzer::at_receiver().analyze(&measured);
         let _ = report.render();
 
         // And direct module entry points on whatever connections remain.
-        let (clean, _) = Calibrator::new().calibrate(&measured);
-        for conn in Connection::split(&clean) {
+        for conn in Analyzer::new().calibrate(measured).connections {
             let _ = analyze_sender(&conn, &cfg);
             let _ = analyze_receiver(&conn);
             let _ = tcpanaly::handshake::analyze_handshake(&conn);

@@ -72,12 +72,6 @@ impl GroundTruth {
     pub fn total_drops(&self) -> usize {
         self.wire_drops.len() + self.queue_drops.len()
     }
-
-    /// `true` if the packet with `uid` was dropped.
-    pub fn was_dropped(&self, uid: u64) -> bool {
-        self.wire_drops.iter().any(|&(_, u)| u == uid)
-            || self.queue_drops.iter().any(|&(_, u)| u == uid)
-    }
 }
 
 enum Ev {

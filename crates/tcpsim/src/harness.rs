@@ -48,14 +48,6 @@ impl Default for PathSpec {
     }
 }
 
-impl PathSpec {
-    /// Round-trip propagation (ignoring serialization/queueing).
-    pub fn base_rtt(&self) -> Duration {
-        // Two WAN crossings plus four LAN crossings of ~50 µs each.
-        self.one_way_delay * 2 + Duration::from_micros(200)
-    }
-}
-
 /// Everything a finished transfer yields.
 pub struct TransferOutcome {
     /// Tap events at the data sender's LAN.

@@ -9,9 +9,9 @@ use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::mangle::{mangle, MangleSpec};
 use tcpa_trace::{pcap_io, Connection, CorpusItem, Dir, Duration, MemorySource};
 use tcpa_wire::TsResolution;
-use tcpanaly::calibrate::Calibrator;
 use tcpanaly::corpus::{analyze_corpus, CorpusConfig, DegradePolicy};
 use tcpanaly::sender::analyze_sender;
+use tcpanaly::Analyzer;
 
 fn arb_path() -> impl Strategy<Value = PathSpec> {
     (
@@ -82,15 +82,16 @@ proptest! {
         let out = run_transfer(sender.clone(), tcpa_tcpsim::profiles::reno(), &path, bytes, seed);
         prop_assume!(out.completed);
         let trace = out.sender_trace();
-        let (clean, cal) = Calibrator::at_sender().calibrate(&trace);
+        let calibrated = Analyzer::at_sender().calibrate(trace);
+        let cal = &calibrated.report;
         prop_assert!(
             cal.drop_evidence.is_empty(),
             "{}: false drop evidence {:?}", sender.name, cal.drop_evidence.first()
         );
         prop_assert!(cal.duplicates.is_empty());
         prop_assert!(cal.time_travel.is_empty());
-        let conn = Connection::split(&clean).remove(0);
-        if let Some(a) = analyze_sender(&conn, &sender) {
+        let conn = &calibrated.connections[0];
+        if let Some(a) = analyze_sender(conn, &sender) {
             prop_assert_eq!(
                 a.hard_issues(), 0,
                 "{} self-fit issues: {:?}", sender.name,
