@@ -68,10 +68,8 @@ pub fn classify(analysis: &SenderAnalysis) -> FitClass {
     if analysis.hard_issues() > 0 {
         return FitClass::ClearlyIncorrect;
     }
-    let prompt = match analysis.response_delays.percentile(90.0) {
-        Some(p90) => p90 <= CLOSE_P90,
-        None => true, // nothing to measure: vacuously prompt
-    };
+    // With nothing to measure, a candidate is vacuously prompt.
+    let prompt = analysis.response_delays.percentile_at_most(90.0, CLOSE_P90);
     // Source quenches are rare (the paper found 91 in 20,000 traces); a
     // candidate that needs *repeated* unseen quenches to explain a trace
     // is really a candidate whose window model runs persistently ahead of

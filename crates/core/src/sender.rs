@@ -1204,8 +1204,10 @@ impl Pass<'_, '_> {
                 };
                 out.records += 1;
                 group.step(&step, *dir, self, &mut scratch, &mut forked);
-                out.forks += forked.len() as u64;
-                pending.extend(forked.drain(..).map(|group| (group, index + 1)));
+                if !forked.is_empty() {
+                    out.forks += forked.len() as u64;
+                    pending.extend(forked.drain(..).map(|group| (group, index + 1)));
+                }
                 if self.settled(&group.shared, next) {
                     visited = index + 1;
                     break;

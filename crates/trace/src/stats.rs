@@ -82,6 +82,14 @@ impl Summary {
         Some(*copy.select_nth_unstable(at).1)
     }
 
+    /// `true` iff the nearest-rank `p`th percentile is at most `bound`,
+    /// or there are no samples: decided by counting the samples at most
+    /// `bound`, with no copy and no selection.
+    pub fn percentile_at_most(&self, p: f64, bound: Duration) -> bool {
+        let n = self.samples.len();
+        n == 0 || self.samples.iter().filter(|&&d| d <= bound).count() > nearest_rank(p, n)
+    }
+
     /// Median (50th percentile).
     pub fn median(&self) -> Option<Duration> {
         self.percentile(50.0)
@@ -132,19 +140,26 @@ impl RunningMedian {
 
     /// Adds one sample.
     pub fn add(&mut self, d: Duration) {
-        match self.lower.peek() {
-            Some(&top) if d > top => self.upper.push(Reverse(d)),
-            _ => self.lower.push(d),
-        }
-        // Restore |lower| = ⌈n/2⌉: at most one element moves.
-        if self.lower.len() > self.upper.len() + 1 {
-            if let Some(top) = self.lower.pop() {
-                self.upper.push(Reverse(top));
+        // Keep |lower| = ⌈n/2⌉. When `d`'s side is already full, the one
+        // element that crosses over is replaced in place: one sift.
+        let below = self.lower.peek().is_none_or(|&top| d <= top);
+        if below && self.lower.len() > self.upper.len() {
+            // `lower` is full: its top crosses over and `d` takes its place.
+            if let Some(mut top) = self.lower.peek_mut() {
+                let crossing = std::mem::replace(&mut *top, d);
+                self.upper.push(Reverse(crossing));
             }
-        } else if self.upper.len() > self.lower.len() {
-            if let Some(Reverse(bottom)) = self.upper.pop() {
-                self.lower.push(bottom);
-            }
+        } else if below {
+            self.lower.push(d);
+        } else if self.upper.len() == self.lower.len() {
+            // `upper` is full: the least of it and `d` crosses over.
+            let crossing = match self.upper.peek_mut() {
+                Some(mut bottom) if bottom.0 < d => std::mem::replace(&mut bottom.0, d),
+                _ => d,
+            };
+            self.lower.push(crossing);
+        } else {
+            self.upper.push(Reverse(d));
         }
     }
 
@@ -334,6 +349,61 @@ mod tests {
                 running.add(d);
                 summary.add(d);
                 assert_eq!(running.median(), summary.median(), "len {len}, after {i}");
+            }
+        }
+        // Tie-heavy: two or three distinct values, runs of one value,
+        // and ascending and descending ladders that tie at every step.
+        type Stream = fn(usize) -> i64;
+        let streams: [(&str, Stream); 5] = [
+            ("two values", |i| (i * 7 % 5 == 0) as i64),
+            ("three values", |i| (i * 13 % 7 % 3) as i64),
+            ("one value", |_| 4),
+            ("ascending pairs", |i| i as i64 / 2),
+            ("descending pairs", |i| -(i as i64 / 2)),
+        ];
+        for (name, value) in &streams {
+            let mut running = RunningMedian::new();
+            let mut summary = Summary::new();
+            for i in 0..300 {
+                let d = Duration::from_millis(value(i));
+                running.add(d);
+                summary.add(d);
+                assert_eq!(running.median(), summary.median(), "{name}, after {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn percentile_at_most_matches_the_selected_percentile() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut inputs: Vec<Vec<Duration>> = vec![Vec::new()];
+        for len in [1usize, 2, 3, 9, 10, 11, 100, 257] {
+            // Random over a wide range, and tie-heavy over four values.
+            inputs.push((0..len).map(|_| Duration(next(100_001) as i64)).collect());
+            inputs.push((0..len).map(|_| Duration(next(4) as i64 * 10)).collect());
+        }
+        for samples in &inputs {
+            let mut s = Summary::new();
+            samples.iter().for_each(|&d| s.add(d));
+            for p in [50.0, 90.0] {
+                // Bounds at, between and beyond every sample value.
+                let bounds = samples
+                    .iter()
+                    .flat_map(|d| [d.0 - 1, d.0, d.0 + 1])
+                    .chain([-1, 0, 100_001]);
+                for bound in bounds.map(Duration) {
+                    assert_eq!(
+                        s.percentile_at_most(p, bound),
+                        s.percentile(p).is_none_or(|v| v <= bound),
+                        "p {p}, bound {bound:?}, samples {samples:?}"
+                    );
+                }
             }
         }
     }
