@@ -114,3 +114,21 @@ pub fn run() -> Section {
         ),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// The growth bound is a timing, so a burst of host load during one
+    /// run can push it over; it is asserted on the best of three runs.
+    #[test]
+    fn scaling_scenario_reproduces() {
+        let mut verdicts = Vec::new();
+        for _ in 0..3 {
+            let s = super::run();
+            if s.verdict.starts_with("REPRODUCED") {
+                return;
+            }
+            verdicts.push(format!("{}\n{}", s.verdict, s.body));
+        }
+        panic!("{}", verdicts.join("\n"));
+    }
+}

@@ -4,9 +4,10 @@
 //! *genuine network drops*, while a *filter drop* leaves behavior that is
 //! inconsistent with the recorded packets — the connection acts as if a
 //! packet existed that the trace lacks. The paper employs eight such
-//! checks; this module implements the six that need no congestion-window
-//! model, and the sender-analysis replay contributes the remaining two
-//! ([`DropCheck::WindowViolation`] and [`DropCheck::UnliberatedLull`]).
+//! checks; this module implements the six structural ones, which need no
+//! congestion-window model. The other two rest on a window model: the
+//! sender replay reports window violations and lulls as
+//! [`crate::SenderIssue`]s, not as drop evidence.
 //!
 //! Several checks are only sound from a particular vantage point (e.g.
 //! dup acks without visible stimulus prove nothing at the *sender's*
@@ -28,7 +29,7 @@ pub enum Vantage {
     Unknown,
 }
 
-/// The eight self-consistency checks.
+/// The six structural self-consistency checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropCheck {
     /// An ack for data that, according to the trace, was never sent /
@@ -50,12 +51,6 @@ pub enum DropCheck {
     /// The traced receiver's cumulative ack number decreased — impossible
     /// for the emitting TCP (receiver vantage only).
     AckRegression,
-    /// (From sender analysis:) data sent beyond the modeled window; only
-    /// an unrecorded ack can explain it.
-    WindowViolation,
-    /// (From sender analysis:) the sender ignored an open window for far
-    /// too long; only an unrecorded incoming packet can explain it.
-    UnliberatedLull,
 }
 
 /// One piece of filter-drop evidence.

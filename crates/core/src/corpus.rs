@@ -852,6 +852,10 @@ pub fn analyze_corpus(source: MemorySource, config: &CorpusConfig) -> CorpusRepo
 }
 
 #[cfg(test)]
+#[path = "../tests/support/obs_docs.rs"]
+mod obs_docs;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::ErrorKind;
@@ -1035,7 +1039,7 @@ mod tests {
         };
         let (_, trail) = process_item(&config, &analyze_one, 0, "flaky.pcap", flaky(1));
         let flaky = trail.expect("audit trail requested").to_json();
-        tcpa_obs::metrics::validate_audit(&flaky).expect("schema-valid trail");
+        super::obs_docs::validate_audit(&flaky).expect("schema-valid trail");
         assert!(flaky.contains("\"kind\": \"retry\""), "{flaky}");
         assert!(flaky.contains("\"outcome\": \"analyzed\""), "{flaky}");
         assert!(flaky.contains("\"kind\": \"verdict\""), "{flaky}");
@@ -1045,7 +1049,7 @@ mod tests {
             never.input.load_mode(mode)
         });
         let failed = trail.expect("audit trail requested").to_json();
-        tcpa_obs::metrics::validate_audit(&failed).expect("schema-valid trail");
+        super::obs_docs::validate_audit(&failed).expect("schema-valid trail");
         assert!(failed.contains("\"outcome\": \"failed.io\""), "{failed}");
         assert!(failed.contains("\"kind\": \"error\""), "{failed}");
     }

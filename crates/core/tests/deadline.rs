@@ -5,6 +5,9 @@
 //! This is its own test binary with a single test, so the process runs
 //! no other test threads while it counts its own.
 
+#[path = "support/obs_docs.rs"]
+mod obs_docs;
+
 use std::time::Duration;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
@@ -86,7 +89,8 @@ fn zero_budget_times_out_every_item_and_leaves_no_thread_behind() {
     let items = trace::drain();
     let mut doc = Vec::new();
     trace::write_chrome(&items, &mut doc).expect("render to a Vec");
-    trace::check_tree_invariants(&String::from_utf8(doc).expect("UTF-8")).expect("tree invariants");
+    obs_docs::check_tree_invariants(&String::from_utf8(doc).expect("UTF-8"))
+        .expect("tree invariants");
     let indices: Vec<u64> = items.iter().map(|item| item.index).collect();
     assert_eq!(indices, (0..ITEMS as u64).collect::<Vec<_>>());
     for item in &items {
@@ -108,7 +112,7 @@ fn zero_budget_times_out_every_item_and_leaves_no_thread_behind() {
     let mut trails = 0;
     for entry in std::fs::read_dir(&audit_dir).expect("audit dir") {
         let text = std::fs::read_to_string(entry.expect("entry").path()).expect("trail");
-        tcpanaly::obs::metrics::validate_audit(&text).expect("schema-valid trail");
+        obs_docs::validate_audit(&text).expect("schema-valid trail");
         assert!(text.contains("\"outcome\": \"failed.timeout\""), "{text}");
         trails += 1;
     }

@@ -3,12 +3,15 @@
 //! `--metrics-out` / `--audit-dir` output, stage-timing coverage, and
 //! verbosity flags.
 
+#[path = "support/obs_docs.rs"]
+mod obs_docs;
+
 use std::process::Command;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::pcap_io;
 use tcpa_wire::TsResolution;
-use tcpanaly::obs::{self, json, metrics};
+use tcpanaly::obs::{self, json};
 
 fn tcpanaly_code(args: &[&str]) -> (String, String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_tcpanaly"))
@@ -84,7 +87,7 @@ fn metrics_deterministic_across_worker_counts() {
         ]);
         assert_eq!(code, 1, "one i/o failure expected\n{stdout}\n{stderr}");
         let text = std::fs::read_to_string(&out).expect("metrics file");
-        metrics::validate_metrics(&text).expect("schema-valid metrics");
+        obs_docs::validate_metrics(&text).expect("schema-valid metrics");
         assert_eq!(counter(&text, "corpus.items_total"), 7, "{text}");
         assert_eq!(counter(&text, "corpus.salvaged"), 2, "{text}");
         assert_eq!(counter(&text, "corpus.failed.io"), 1, "{text}");
@@ -99,7 +102,7 @@ fn metrics_deterministic_across_worker_counts() {
             counter(&text, "fingerprint.replay_records"),
             counter(&text, "fingerprint.replays_settled_early"),
         ]);
-        stripped.push(metrics::strip_wall_clock(&text).expect("strip"));
+        stripped.push(obs_docs::strip_wall_clock(&text).expect("strip"));
     }
     assert_eq!(
         replay_work[0], replay_work[1],
@@ -164,7 +167,7 @@ fn fixture_run_produces_schema_valid_documents() {
     assert!(code == 0 || code == 1, "{stdout}\n{stderr}");
 
     let text = std::fs::read_to_string(&metrics_path).expect("metrics file");
-    metrics::validate_metrics(&text).expect("schema-valid metrics");
+    obs_docs::validate_metrics(&text).expect("schema-valid metrics");
     let items = counter(&text, "corpus.items_total");
     assert!(items >= 11, "fixtures + mangled fixtures, got {items}");
 
@@ -172,7 +175,7 @@ fn fixture_run_produces_schema_valid_documents() {
     for entry in std::fs::read_dir(&audit_dir).expect("audit dir") {
         let path = entry.unwrap().path();
         let trail = std::fs::read_to_string(&path).unwrap();
-        metrics::validate_audit(&trail)
+        obs_docs::validate_audit(&trail)
             .unwrap_or_else(|e| panic!("{}: {e}\n{trail}", path.display()));
         audited += 1;
     }

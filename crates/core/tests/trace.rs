@@ -6,12 +6,15 @@
 //! write-error surface of `--trace-out` / `--metrics-out` /
 //! `--audit-dir`.
 
+#[path = "support/obs_docs.rs"]
+mod obs_docs;
+
 use std::process::Command;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles;
 use tcpa_trace::pcap_io;
 use tcpa_wire::TsResolution;
-use tcpanaly::obs::{json, trace};
+use tcpanaly::obs::json;
 
 fn tcpanaly_code(args: &[&str]) -> (String, String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_tcpanaly"))
@@ -69,8 +72,8 @@ fn trace_out_is_schema_valid_with_connected_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&single).expect("trace file");
-    trace::validate_trace(&text).expect("schema-valid trace");
-    trace::check_tree_invariants(&text).expect("no orphan or unclosed spans");
+    obs_docs::validate_trace(&text).expect("schema-valid trace");
+    obs_docs::check_tree_invariants(&text).expect("no orphan or unclosed spans");
     for name in [
         "\"stage.fingerprint\"",
         "\"stage.receiver\"",
@@ -97,8 +100,8 @@ fn trace_out_is_schema_valid_with_connected_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&clean).expect("trace file");
-    trace::validate_trace(&text).expect("schema-valid trace");
-    trace::check_tree_invariants(&text).expect("no orphan or unclosed spans");
+    obs_docs::validate_trace(&text).expect("schema-valid trace");
+    obs_docs::check_tree_invariants(&text).expect("no orphan or unclosed spans");
     for name in [
         "\"corpus.item\"",
         "\"ingest.read\"",
@@ -137,8 +140,8 @@ fn trace_out_is_schema_valid_with_connected_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
-    trace::validate_trace(&text).expect("schema-valid trace");
-    trace::check_tree_invariants(&text).expect("no orphan or unclosed spans");
+    obs_docs::validate_trace(&text).expect("schema-valid trace");
+    obs_docs::check_tree_invariants(&text).expect("no orphan or unclosed spans");
     assert!(text.contains("\"ingest.salvage\""), "salvage span expected");
     assert!(text.contains("\"salvage\""), "salvage instant expected");
     assert!(text.contains("\"ph\": \"i\""), "instant phase expected");
@@ -161,7 +164,7 @@ fn trace_out_names_every_worker_lane() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
-    trace::validate_trace(&text).expect("schema-valid trace");
+    obs_docs::validate_trace(&text).expect("schema-valid trace");
     let doc = json::Value::parse(&text).expect("parse");
     let mut lanes: Vec<&str> = doc
         .get("traceEvents")
@@ -196,8 +199,8 @@ fn trace_canonical_form_deterministic_across_worker_counts() {
         ]);
         assert_eq!(code, 0, "{stdout}\n{stderr}");
         let text = std::fs::read_to_string(&out).expect("trace file");
-        trace::check_tree_invariants(&text).expect("tree invariants at every worker count");
-        canon.push(trace::canonicalize(&text).expect("canonicalize"));
+        obs_docs::check_tree_invariants(&text).expect("tree invariants at every worker count");
+        canon.push(obs_docs::canonicalize(&text).expect("canonicalize"));
     }
     assert_eq!(
         canon[0], canon[1],
@@ -225,7 +228,7 @@ fn deadline_spans_stay_attached_to_item_tree() {
     ]);
     assert_eq!(code, 0, "{stdout}\n{stderr}");
     let text = std::fs::read_to_string(&out).expect("trace file");
-    trace::check_tree_invariants(&text).expect("spans under a deadline must not orphan");
+    obs_docs::check_tree_invariants(&text).expect("spans under a deadline must not orphan");
     assert!(text.contains("\"analyze.total\""), "{text}");
 
     // Spot-check one edge: an analyze.total span whose parent is its

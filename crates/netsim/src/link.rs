@@ -178,16 +178,6 @@ impl Link {
         (pkt, dropped, more)
     }
 
-    /// Number of packets waiting (excluding the one transmitting).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// `true` when nothing is queued or transmitting.
-    pub fn is_idle(&self) -> bool {
-        self.transmitting.is_none() && self.queue.is_empty()
-    }
-
     /// Count of packets that have completed transmission.
     pub fn tx_count(&self) -> u64 {
         self.tx_count
@@ -220,7 +210,7 @@ mod tests {
         let mut link = Link::new(0, 1, LinkParams::ethernet());
         assert_eq!(link.enqueue(pkt()), Enqueue::Accepted { starts_tx: true });
         assert_eq!(link.enqueue(pkt()), Enqueue::Accepted { starts_tx: false });
-        assert_eq!(link.queue_len(), 1);
+        assert_eq!(link.queue.len(), 1);
     }
 
     #[test]
@@ -247,7 +237,7 @@ mod tests {
         assert!(more);
         let (_, _, more) = link.complete_tx(&mut rng);
         assert!(!more);
-        assert!(link.is_idle());
+        assert!(link.transmitting.is_none() && link.queue.is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A minimal JSON reader/writer (no dependencies, offline CI).
 //!
 //! Big enough for the exposition layer's needs — escaping on the write
-//! side, a strict recursive-descent parser on the read side for schema
-//! validation and for stripping the nondeterministic `wall_clock`
-//! subtree in tests. Numbers keep their raw source text so a
-//! parse→serialize round trip is byte-preserving for them.
+//! side, a strict recursive-descent parser on the read side (for
+//! `tcpa-bench compare` and for the tests' document checkers). Numbers
+//! keep their raw source text so a parse→serialize round trip is
+//! byte-preserving for them.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -87,17 +87,6 @@ impl Value {
         match self {
             Value::Obj(members) => Some(members),
             _ => None,
-        }
-    }
-
-    /// A copy of this object without the top-level member `key` (returns
-    /// self unchanged for non-objects).
-    pub fn without_key(&self, key: &str) -> Value {
-        match self {
-            Value::Obj(members) => {
-                Value::Obj(members.iter().filter(|(k, _)| k != key).cloned().collect())
-            }
-            other => other.clone(),
         }
     }
 
@@ -411,14 +400,6 @@ mod tests {
         let quoted = escape(nasty);
         let v = Value::parse(&quoted).expect("parse escaped");
         assert_eq!(v.as_str(), Some(nasty));
-    }
-
-    #[test]
-    fn without_key_drops_only_that_member() {
-        let v = Value::parse(r#"{"keep": 1, "drop": 2}"#).unwrap();
-        let stripped = v.without_key("drop");
-        assert!(stripped.get("keep").is_some());
-        assert!(stripped.get("drop").is_none());
     }
 
     #[test]

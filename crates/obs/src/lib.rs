@@ -35,6 +35,10 @@
 //!   on stderr so machine output on stdout never interleaves.
 //!
 //! Everything is `std`-only; JSON reading/writing lives in [`json`].
+//! The crate writes these documents but does not check them: the
+//! schema validators, the span-tree checker and the determinism
+//! strippers that only tests call are test support of the `tcpanaly`
+//! crate (`crates/core/tests/support/obs_docs.rs`).
 
 pub mod audit;
 pub mod deadline;

@@ -6,6 +6,7 @@
 //! a healthy run; `-v`/`-vv` raise it and `--quiet` drops it to errors
 //! only.
 
+use crate::registry::lock_recover;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
@@ -51,19 +52,12 @@ pub fn enabled(at: Level) -> bool {
 /// Sets the program name prefixed to every line (the CLI sets
 /// `"tcpanaly"`).
 pub fn set_program(name: &'static str) {
-    *lock(&PROGRAM) = name;
+    *lock_recover(&PROGRAM) = name;
 }
 
 /// The configured program name.
 pub fn program() -> &'static str {
-    *lock(&PROGRAM)
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    *lock_recover(&PROGRAM)
 }
 
 /// Emits `msg` at `at` to stderr if the level allows.

@@ -30,8 +30,8 @@
 //! same input, byte-identical, whatever the worker count. Everything
 //! timing-dependent (stage histograms included — their *counts* are
 //! deterministic but their bucket contents are wall time) lives under
-//! `wall_clock`. [`strip_wall_clock`] removes that member for
-//! comparisons.
+//! `wall_clock`. The tests compare documents with that member removed
+//! (`strip_wall_clock` in `crates/core/tests/support/obs_docs.rs`).
 
 use crate::hist::LogHistogram;
 use crate::json::{self, Value};
@@ -160,109 +160,6 @@ fn hist_object(h: &LogHistogram) -> Value {
     ])
 }
 
-/// Returns the document with the top-level `wall_clock` member removed —
-/// the deterministic part of a metrics file, re-serialized canonically.
-pub fn strip_wall_clock(metrics_json: &str) -> Result<String, String> {
-    let doc = Value::parse(metrics_json)?;
-    Ok(doc.without_key("wall_clock").to_json())
-}
-
-fn require<'a>(obj: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{what}: missing {key:?}"))
-}
-
-fn require_u64(obj: &Value, key: &str, what: &str) -> Result<u64, String> {
-    require(obj, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}: {key:?} is not a non-negative integer"))
-}
-
-/// Validates a `tcpa-metrics/v1` document, returning the first problem.
-pub fn validate_metrics(text: &str) -> Result<(), String> {
-    let doc = Value::parse(text)?;
-    match require(&doc, "schema", "metrics")?.as_str() {
-        Some(METRICS_SCHEMA) => {}
-        other => {
-            return Err(format!(
-                "metrics: schema {other:?}, want {METRICS_SCHEMA:?}"
-            ))
-        }
-    }
-    let counters = require(&doc, "counters", "metrics")?
-        .as_obj()
-        .ok_or("metrics: counters is not an object")?;
-    for (name, value) in counters {
-        value
-            .as_u64()
-            .ok_or_else(|| format!("metrics: counter {name:?} is not a non-negative integer"))?;
-    }
-    let wall = require(&doc, "wall_clock", "metrics")?;
-    require(wall, "elapsed_secs", "metrics.wall_clock")?
-        .as_f64()
-        .ok_or("metrics: elapsed_secs is not a number")?;
-    let stages = require(wall, "stages", "metrics.wall_clock")?
-        .as_obj()
-        .ok_or("metrics: stages is not an object")?;
-    for (name, stage) in stages {
-        let what = format!("metrics stage {name:?}");
-        for field in ["count", "total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"] {
-            require_u64(stage, field, &what)?;
-        }
-    }
-    // Additive in-place on v1; tolerate its absence in older documents.
-    if let Some(summary) = wall.get("stages_summary") {
-        for field in ["count", "total_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"] {
-            require_u64(summary, field, "metrics.wall_clock.stages_summary")?;
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `tcpa-audit/v1` document, returning the first problem.
-pub fn validate_audit(text: &str) -> Result<(), String> {
-    let doc = Value::parse(text)?;
-    match require(&doc, "schema", "audit")?.as_str() {
-        Some(AUDIT_SCHEMA) => {}
-        other => return Err(format!("audit: schema {other:?}, want {AUDIT_SCHEMA:?}")),
-    }
-    require(&doc, "trace", "audit")?
-        .as_str()
-        .ok_or("audit: trace is not a string")?;
-    require_u64(&doc, "index", "audit")?;
-    require(&doc, "outcome", "audit")?
-        .as_str()
-        .ok_or("audit: outcome is not a string")?;
-    require_u64(&doc, "events_dropped", "audit")?;
-    let wall = require(&doc, "wall_clock", "audit")?;
-    require_u64(wall, "total_ns", "audit.wall_clock")?;
-    let events = require(&doc, "events", "audit")?
-        .as_arr()
-        .ok_or("audit: events is not an array")?;
-    for (i, event) in events.iter().enumerate() {
-        let what = format!("audit event {i}");
-        let seq = require_u64(event, "seq", &what)?;
-        if seq != i as u64 {
-            return Err(format!("{what}: seq {seq} out of order"));
-        }
-        match require(event, "kind", &what)?.as_str() {
-            Some("stage" | "retry" | "error" | "verdict" | "info") => {}
-            other => return Err(format!("{what}: unknown kind {other:?}")),
-        }
-        require(event, "name", &what)?
-            .as_str()
-            .ok_or_else(|| format!("{what}: name is not a string"))?;
-        require(event, "detail", &what)?
-            .as_str()
-            .ok_or_else(|| format!("{what}: detail is not a string"))?;
-        if let Some(dur) = event.get("dur_ns") {
-            dur.as_u64()
-                .ok_or_else(|| format!("{what}: dur_ns is not a non-negative integer"))?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,28 +174,6 @@ mod tests {
         r.record("stage.calibrate", Duration::from_micros(80));
         r.record("analyze.total", Duration::from_micros(250));
         r.snapshot()
-    }
-
-    #[test]
-    fn exposition_validates_and_strips() {
-        let json = sample().to_json(1.25);
-        validate_metrics(&json).expect("valid metrics document");
-        let stripped = strip_wall_clock(&json).expect("strip");
-        assert!(stripped.contains("corpus.analyzed"));
-        assert!(!stripped.contains("wall_clock"));
-        assert!(!stripped.contains("elapsed_secs"));
-        // Stripping is idempotent.
-        assert_eq!(strip_wall_clock(&stripped).unwrap(), stripped);
-    }
-
-    #[test]
-    fn validators_reject_wrong_schema_and_shape() {
-        assert!(validate_metrics("{}").is_err());
-        assert!(validate_metrics(r#"{"schema": "nope"}"#).is_err());
-        let mut json = sample().to_json(0.0);
-        json = json.replace("\"count\"", "\"qount\"");
-        assert!(validate_metrics(&json).is_err());
-        assert!(validate_audit(r#"{"schema": "tcpa-audit/v2"}"#).is_err());
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Registry {
         counters.entry(name).or_insert(0);
     }
 
-    /// Reads a counter's current value (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        lock_recover(&self.counters).get(name).copied().unwrap_or(0)
-    }
-
     /// Records a duration into the histogram `name`.
     pub fn record(&self, name: &'static str, duration: Duration) {
         self.record_all([(name, crate::span::nanos(duration))]);
@@ -76,16 +71,10 @@ impl Registry {
             stages: lock_recover(&self.durations).clone(),
         }
     }
-
-    /// Clears every counter and histogram (test isolation).
-    pub fn reset(&self) {
-        lock_recover(&self.counters).clear();
-        lock_recover(&self.durations).clear();
-    }
 }
 
-/// Locks a mutex, recovering from poisoning: metrics must never cascade
-/// a panic from an unrelated thread.
+/// Locks a mutex, recovering from poisoning: observability must never
+/// cascade a panic from an unrelated thread.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -110,12 +99,10 @@ mod tests {
         r.add("x", 2);
         r.add("x", 3);
         r.declare("y");
-        assert_eq!(r.counter("x"), 5);
-        assert_eq!(r.counter("y"), 0);
-        assert_eq!(r.counter("never"), 0);
         let snap = r.snapshot();
         assert_eq!(snap.counters.get("x"), Some(&5));
         assert_eq!(snap.counters.get("y"), Some(&0));
+        assert_eq!(snap.counters.get("never"), None);
     }
 
     #[test]
@@ -127,8 +114,6 @@ mod tests {
         let h = snap.stages.get("stage.a").expect("histogram");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 300);
-        r.reset();
-        assert!(r.snapshot().stages.is_empty());
     }
 
     #[test]
@@ -144,6 +129,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(r.counter("n"), 8000);
+        assert_eq!(r.snapshot().counters.get("n"), Some(&8000));
     }
 }

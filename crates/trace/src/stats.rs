@@ -95,17 +95,6 @@ impl Summary {
         self.percentile(50.0)
     }
 
-    /// The index of the largest sample, if any — tcpanaly flags the
-    /// *location* of the largest response delay to pinpoint where an
-    /// implementation model disagrees with a trace (§6.1).
-    pub fn argmax(&self) -> Option<usize> {
-        self.samples
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| **d)
-            .map(|(i, _)| i)
-    }
-
     /// Borrow of the raw samples, in insertion order.
     pub fn samples(&self) -> &[Duration] {
         &self.samples
@@ -312,16 +301,6 @@ mod tests {
         let s = Summary::new();
         assert!(s.mean().is_none());
         assert!(s.percentile(50.0).is_none());
-        assert!(s.argmax().is_none());
-    }
-
-    #[test]
-    fn summary_argmax_points_at_largest() {
-        let mut s = Summary::new();
-        s.add(Duration::from_millis(5));
-        s.add(Duration::from_millis(50));
-        s.add(Duration::from_millis(7));
-        assert_eq!(s.argmax(), Some(1));
     }
 
     #[test]

@@ -52,10 +52,6 @@ impl TcpFlags {
     pub fn ack(self) -> bool {
         self.contains(Self::ACK)
     }
-    /// PSH bit.
-    pub fn psh(self) -> bool {
-        self.contains(Self::PSH)
-    }
 }
 
 impl core::ops::BitOr for TcpFlags {
