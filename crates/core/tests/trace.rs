@@ -658,3 +658,78 @@ fn trace_write_failing_mid_document_is_a_typed_error() {
     assert!(stderr.contains("cannot write /dev/full"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Every `--audit-dir` trail of a `--jobs 2` salvage run over the
+/// committed fixtures, clean and mangled, in file-name order, each under
+/// a `== <file name>` line, with every `dur_ns` and `total_ns` masked.
+const AUDIT_GOLDEN: &str = include_str!("goldens/audit_golden.txt");
+
+/// `text` with the value of every `"dur_ns"` and `"total_ns"` member
+/// replaced by `0`, the only fields of an audit trail that vary by run.
+fn mask_durations(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some((at, key)) = ["\"dur_ns\": ", "\"total_ns\": "]
+        .into_iter()
+        .filter_map(|key| Some((rest.find(key)?, key)))
+        .min()
+    {
+        out.push_str(&rest[..at + key.len()]);
+        out.push('0');
+        rest = rest[at + key.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The audit trails byte for byte once durations are masked: layout,
+/// event order, kinds, names, details, outcomes and file names. The
+/// trails do not depend on which worker ran an item, so two workers
+/// give the same bytes as one. On a mismatch the actual text is written
+/// next to the test binaries (`audit_golden.actual` under Cargo's target
+/// tmpdir); copy it over `goldens/audit_golden.txt` only when the change
+/// in the trails is intended.
+#[test]
+fn audit_dir_matches_golden_with_durations_masked() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit_golden_run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = Command::new(env!("CARGO_BIN_EXE_tcpanaly"))
+        .current_dir(&root)
+        .args([
+            "--jobs",
+            "2",
+            "--degrade",
+            "salvage",
+            "--audit-dir",
+            dir.to_str().unwrap(),
+            "tests/fixtures",
+            "tests/fixtures/mangled",
+        ])
+        .output()
+        .expect("run tcpanaly");
+    assert!(
+        matches!(status.status.code(), Some(0 | 1)),
+        "{}",
+        String::from_utf8_lossy(&status.stderr)
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("audit dir")
+        .map(|entry| entry.expect("entry").file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut actual = String::new();
+    for name in &names {
+        let text = std::fs::read_to_string(dir.join(name)).expect("trail");
+        actual.push_str(&format!("== {name}\n"));
+        actual.push_str(&mask_durations(&text));
+    }
+    if actual != AUDIT_GOLDEN {
+        let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit_golden.actual");
+        std::fs::write(&dump, &actual).unwrap();
+        panic!(
+            "--audit-dir trails drifted from goldens/audit_golden.txt; actual written to {}",
+            dump.display()
+        );
+    }
+}
