@@ -14,7 +14,8 @@ use tcpa_tcpsim::profiles;
 use tcpa_trace::{CorpusItem, MemorySource};
 use tcpanaly::calibrate::Vantage;
 use tcpanaly::corpus::{analyze_corpus, AnalysisError, CorpusConfig, ItemOutcome};
-use tcpanaly::obs::trace::{self, Phase};
+use tcpanaly::obs::trace;
+use tcpanaly::obs::EventKind;
 
 const ITEMS: usize = 16;
 
@@ -101,7 +102,7 @@ fn zero_budget_times_out_every_item_and_leaves_no_thread_behind() {
             .find(|e| e.name == "corpus.item")
             .unwrap_or_else(|| panic!("item {index}: corpus.item span"));
         assert!(
-            item.entries.iter().any(|e| e.phase == Phase::Instant
+            item.entries.iter().any(|e| e.kind != EventKind::Stage
                 && e.name == "timeout"
                 && e.parent == Some(root.id)),
             "item {index}: timeout instant under corpus.item"

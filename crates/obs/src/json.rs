@@ -169,6 +169,23 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `n` in decimal.
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(text);
+    }
+}
+
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {

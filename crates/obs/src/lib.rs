@@ -9,11 +9,12 @@
 //! stage conclude — without taking on any external crate (CI is
 //! offline). This crate provides exactly that around one recorder:
 //!
-//! * **The item recorder** ([`mod@span`]) — RAII stage timers ([`Span`]) and
-//!   [`event`]s (retries, errors, salvage ledgers, verdicts) append to
-//!   the log of the corpus item open on this thread; nothing else is
-//!   touched per span. When the item ends ([`end_item`]), three
-//!   projections are derived from that one log:
+//! * **The item log** ([`mod@span`]) — RAII stage timers ([`Span`]) and
+//!   [`event`]s (retries, errors, salvage ledgers, verdicts) append one
+//!   [`Entry`] each to the [`ItemLog`] of the corpus item open on this
+//!   thread; nothing else is touched per span. That log is the item's one
+//!   record. When the item ends ([`end_item`]), it is read in place, never
+//!   copied:
 //!   * **Metrics** ([`registry`], [`metrics`]) — the stage durations
 //!     merge under one lock into a global registry of counters and
 //!     log-scale duration histograms. Bucketed histograms merge by
@@ -21,12 +22,13 @@
 //!     `tcpa-metrics/v1`) is byte-identical outside its top-level
 //!     `wall_clock` object whatever `--jobs` was. A span outside any
 //!     item records into the registry directly.
-//!   * **Audit trail** ([`audit`]) — one JSON event log per analyzed
-//!     trace (schema `tcpa-audit/v1`) recording each stage's duration,
-//!     retries, errors, and the final verdict.
-//!   * **Trace** ([`trace`]) — the item's span tree, exported as Chrome
-//!     `trace_event` JSON; its instants are the audit trail's non-stage
-//!     events.
+//!   * **Audit trail** ([`audit`]) — the log rendered as one JSON event
+//!     log per analyzed trace (schema `tcpa-audit/v1`) recording each
+//!     stage's duration, retries, errors, and the final verdict.
+//!   * **Trace** ([`trace`]) — the log moved to the trace sink and
+//!     rendered as Chrome `trace_event` JSON: spans as complete events,
+//!     the other entries (the audit trail's non-stage events) as
+//!     instants.
 //! * **Item deadlines** ([`deadline`]) — a per-thread time budget that
 //!   span starts check, so an overrunning item unwinds out of its
 //!   analysis on its own worker.
@@ -52,11 +54,11 @@ pub mod span;
 pub mod trace;
 pub mod write;
 
-pub use audit::{AuditTrail, EventKind};
+pub use audit::AuditTrail;
 pub use hist::LogHistogram;
 pub use metrics::MetricsSnapshot;
 pub use registry::Registry;
-pub use span::{begin_item, end_item, event, Span};
+pub use span::{begin_item, end_item, event, Entry, EventKind, ItemLog, Span};
 
 /// Starts a stage span; it records when dropped (see [`mod@span`]).
 pub fn span(name: &'static str) -> Span {

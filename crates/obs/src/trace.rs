@@ -13,10 +13,12 @@
 //! * **Off means free.** Tracing is disabled until [`enable`] is called
 //!   (the CLI's `--trace-out`); until then a finished item's log is
 //!   simply dropped.
-//! * **One lock per item.** Spans and instants are entries of the item's
-//!   log ([`mod@crate::span`]); the global sink mutex is touched only when an
-//!   item ends, to append one [`ItemTrace`]: the item's label, index and
-//!   lane once, and its entries in id order.
+//! * **One lock per item, no copy.** Spans and instants are entries of
+//!   the item's log ([`mod@crate::span`]); the global sink mutex is
+//!   touched only when an item ends, to move that [`ItemLog`] in, its
+//!   entries sorted by id. The log is the record itself, not a copy of
+//!   it: a span (kind [`EventKind::Stage`]) renders as a complete event,
+//!   any other entry as an instant.
 //! * **Streamed export.** [`write_chrome`] renders the items in index
 //!   order straight into a bounded buffer that it flushes to the output,
 //!   so the document never exists whole in memory.
@@ -29,76 +31,28 @@
 //!   (the tests check this with the `canonicalize` of
 //!   `crates/core/tests/support/obs_docs.rs`).
 
-use crate::audit::EventKind;
-use crate::json::escape_into;
+use crate::json::{escape_into, push_u64};
 use crate::registry::lock_recover;
-use crate::span::{nanos, ItemLog};
+use crate::span::{Entry, EventKind, ItemLog};
 use std::collections::BTreeSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The phase of one trace event (a subset of the Chrome vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// A complete span (`ph:"X"`): name + start + duration.
-    Complete,
-    /// An instant event (`ph:"i"`): a point in time (retry, salvage…).
-    Instant,
-}
-
-/// One span or instant of an item, before export.
-#[derive(Debug, Clone)]
-pub struct TraceEntry {
-    /// Event phase.
-    pub phase: Phase,
-    /// Span or event name (`stage.fingerprint`, `retry`, …).
-    pub name: &'static str,
-    /// This entry's id: its 1-based sequence number within the item.
-    pub id: u64,
-    /// The enclosing span's id, if any.
-    pub parent: Option<u64>,
-    /// Nanoseconds since [`enable`] at which the entry started.
-    pub ts_ns: u64,
-    /// Span duration in nanoseconds (0 for instants).
-    pub dur_ns: u64,
-    /// Human-readable detail (connection key, retry reason, …).
-    pub detail: String,
-}
-
-/// One finished corpus item's trace.
-#[derive(Debug, Clone)]
-pub struct ItemTrace {
-    /// The item's label (file path or synthetic name).
-    pub label: Arc<str>,
-    /// The item's 0-based input-order index.
-    pub index: u64,
-    /// Lane (thread role) the item ran on (`main`, `worker-3`).
-    pub lane: Arc<str>,
-    /// The item's spans and instants, sorted by id.
-    pub entries: Vec<TraceEntry>,
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Finished items, in completion order.
-static SINK: Mutex<Vec<ItemTrace>> = Mutex::new(Vec::new());
+static SINK: Mutex<Vec<ItemLog>> = Mutex::new(Vec::new());
 /// Every lane named with [`set_lane`] while recording, so the export
 /// names a worker that ran even if it recorded no event.
 static LANES: Mutex<BTreeSet<Arc<str>>> = Mutex::new(BTreeSet::new());
 
-/// Turns the collector on (idempotent). Every item that ends after this
-/// call is kept.
+/// Turns the collector on (idempotent) and fixes the epoch of every
+/// entry's `ts_ns` at this call unless an item opened earlier. Every
+/// item that ends after this call is kept.
 pub fn enable() {
-    EPOCH.get_or_init(Instant::now);
+    crate::span::start_clock(Instant::now());
     ENABLED.store(true, Ordering::Release);
-}
-
-/// `at` as nanoseconds since the collector's epoch.
-fn ns_at(at: Instant) -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    nanos(at.saturating_duration_since(*epoch))
 }
 
 /// Names the current thread's lane (`worker-0`, …). The default lane is
@@ -112,49 +66,22 @@ pub fn set_lane(name: &str) {
     crate::span::set_lane(lane);
 }
 
-/// Hands a finished item's log to the sink as one [`ItemTrace`];
-/// dropped when tracing is off.
-pub(crate) fn ship(item: ItemLog) {
+/// Moves a finished item's log into the sink; dropped when tracing is
+/// off.
+pub(crate) fn ship(mut log: ItemLog) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let ItemLog {
-        id: label,
-        index,
-        lane,
-        entries,
-        ..
-    } = item;
-    let mut entries: Vec<TraceEntry> = entries
-        .into_iter()
-        .map(|e| TraceEntry {
-            phase: match e.kind {
-                EventKind::Stage => Phase::Complete,
-                _ => Phase::Instant,
-            },
-            name: e.name,
-            id: e.id,
-            parent: e.parent,
-            ts_ns: ns_at(e.start),
-            dur_ns: e.dur_ns,
-            detail: e.detail,
-        })
-        .collect();
     // A span is logged when it closes, after the spans nested in it;
     // ids are unique within an item.
-    entries.sort_unstable_by_key(|e| e.id);
-    lock_recover(&SINK).push(ItemTrace {
-        label,
-        index,
-        lane,
-        entries,
-    });
+    log.entries.sort_unstable_by_key(|e| e.id);
+    lock_recover(&SINK).push(log);
 }
 
 /// Takes every collected item, sorted by index (items that share an
 /// index stay in completion order). The collector keeps running; a
 /// subsequent drain returns only newer items.
-pub fn drain() -> Vec<ItemTrace> {
+pub fn drain() -> Vec<ItemLog> {
     let mut items = std::mem::take(&mut *lock_recover(&SINK));
     items.sort_by_key(|item| item.index);
     items
@@ -162,23 +89,6 @@ pub fn drain() -> Vec<ItemTrace> {
 
 /// How much rendered text [`write_chrome`] holds before it writes it out.
 const CHUNK: usize = 64 * 1024;
-
-/// Appends `n` in decimal.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
-        out.push_str(text);
-    }
-}
 
 /// Appends nanoseconds as microseconds with 3 decimals (Chrome
 /// `ts`/`dur` are µs floats).
@@ -204,25 +114,26 @@ fn push_metadata(out: &mut String, name: &str, tid: u64, value: &str) {
 
 /// Appends one span or instant of the item whose escaped label is
 /// `label` and whose lane is `tid`.
-fn push_entry(out: &mut String, e: &TraceEntry, label: &str, index: u64, tid: u64) {
+fn push_entry(out: &mut String, e: &Entry, label: &str, index: u64, tid: u64) {
     out.push_str(",\n    {\n      \"name\": ");
     escape_into(out, e.name);
     out.push_str(",\n      \"cat\": ");
     escape_into(out, e.name.split('.').next().unwrap_or("event"));
-    out.push_str(match e.phase {
-        Phase::Complete => ",\n      \"ph\": \"X\"",
-        Phase::Instant => ",\n      \"ph\": \"i\"",
+    let span = e.kind == EventKind::Stage;
+    out.push_str(if span {
+        ",\n      \"ph\": \"X\""
+    } else {
+        ",\n      \"ph\": \"i\""
     });
     out.push_str(",\n      \"pid\": 1,\n      \"tid\": ");
     push_u64(out, tid);
     out.push_str(",\n      \"ts\": ");
     push_micros(out, e.ts_ns);
-    match e.phase {
-        Phase::Complete => {
-            out.push_str(",\n      \"dur\": ");
-            push_micros(out, e.dur_ns);
-        }
-        Phase::Instant => out.push_str(",\n      \"s\": \"t\""),
+    if span {
+        out.push_str(",\n      \"dur\": ");
+        push_micros(out, e.dur_ns);
+    } else {
+        out.push_str(",\n      \"s\": \"t\"");
     }
     out.push_str(",\n      \"args\": {\n        \"trace\": ");
     out.push_str(label);
@@ -247,7 +158,7 @@ fn push_entry(out: &mut String, e: &TraceEntry, label: &str, index: u64, tid: u6
 /// item's complete and instant events in item order, with `args`
 /// carrying the item key and the span-tree links. The text is rendered
 /// into a bounded buffer and written out a chunk at a time.
-pub fn write_chrome(items: &[ItemTrace], out: &mut dyn io::Write) -> io::Result<()> {
+pub fn write_chrome(items: &[ItemLog], out: &mut dyn io::Write) -> io::Result<()> {
     let mut lanes = lock_recover(&LANES).clone();
     lanes.extend(items.iter().map(|item| Arc::clone(&item.lane)));
     let lanes: Vec<Arc<str>> = lanes.into_iter().collect();
@@ -284,11 +195,11 @@ pub fn write_chrome(items: &[ItemTrace], out: &mut dyn io::Write) -> io::Result<
 }
 
 /// One human-readable line summarizing drained items (for `-v`).
-pub fn summary_line(items: &[ItemTrace]) -> String {
+pub fn summary_line(items: &[ItemLog]) -> String {
     let entries = items.iter().flat_map(|item| &item.entries);
     let spans = entries
         .clone()
-        .filter(|e| e.phase == Phase::Complete)
+        .filter(|e| e.kind == EventKind::Stage)
         .count();
     let instants = entries.count() - spans;
     format!(
@@ -300,19 +211,6 @@ pub fn summary_line(items: &[ItemTrace]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_records_nothing() {
-        let _guard = crate::test_lock();
-        // Once another test has enabled the collector this cannot be
-        // observed in-process any more.
-        if !ENABLED.load(Ordering::Relaxed) {
-            crate::begin_item("x", 0, false);
-            crate::time("stage.trace_off", || ());
-            crate::end_item("analyzed");
-            assert!(drain().is_empty());
-        }
-    }
 
     #[test]
     fn digit_writers_match_formatting() {
