@@ -20,7 +20,7 @@
 
 use crate::receiver::{analyze_receiver, AckClass, PolicyGuess, ReceiverAnalysis};
 use crate::sender::{Lockstep, Prepared, ReplayClass, ReplayOptions, SenderAnalysis, Until};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tcpa_tcpsim::config::{AckPolicy, TcpConfig};
 use tcpa_tcpsim::profiles::all_profiles;
 use tcpa_trace::{Connection, Duration};
@@ -59,8 +59,9 @@ pub struct FingerprintResult {
     pub name: &'static str,
     /// Fit classification.
     pub fit: FitClass,
-    /// The full sender analysis behind the classification.
-    pub analysis: SenderAnalysis,
+    /// The full sender analysis behind the classification, shared by
+    /// every profile that [`fingerprint`] replayed in one group.
+    pub analysis: Arc<SenderAnalysis>,
 }
 
 /// Classifies one analysis into a fit class.
@@ -92,7 +93,7 @@ pub fn fingerprint_one(conn: &Connection, cfg: &TcpConfig) -> Option<Fingerprint
         Some(FingerprintResult {
             name: cfg.name,
             fit: classify(&analysis),
-            analysis,
+            analysis: Arc::new(analysis),
         })
     })
 }
@@ -141,43 +142,51 @@ fn replay_profiles(prepared: &Prepared, until: Until) -> (Lockstep, Vec<usize>) 
 /// close fits first (by mean response delay), then imperfect, then
 /// clearly incorrect (by number of hard issues). The connection is
 /// prepared once for all of them and replayed as [`replay_profiles`]
-/// says; each group's analysis is classified once, and every profile
-/// gets a copy of its group's analysis and fit under its own name.
+/// says; each group's analysis is classified and ranked once, and every
+/// profile gets its group's fit and a pointer to its group's analysis
+/// under its own name.
 pub fn fingerprint(conn: &Connection) -> Vec<FingerprintResult> {
     let Some(prepared) = Prepared::new(conn) else {
         return Vec::new();
     };
     let (replay, group_of) = replay_profiles(&prepared, Until::End);
-    let fits: Vec<FitClass> = replay
+    let groups: Vec<(RankKey, Arc<SenderAnalysis>)> = replay
         .groups
-        .iter()
-        .map(|g| classify(&g.analysis))
+        .into_iter()
+        .map(|g| (rank_key(&g.analysis), Arc::new(g.analysis)))
         .collect();
-    let mut results: Vec<FingerprintResult> = profiles()
+    let mut ranked: Vec<(RankKey, FingerprintResult)> = profiles()
         .iter()
         .zip(group_of)
-        .map(|(cfg, g)| FingerprintResult {
-            name: cfg.name,
-            fit: fits[g],
-            analysis: replay.groups[g].analysis.clone(),
+        .map(|(cfg, g)| {
+            let (key, analysis) = &groups[g];
+            let result = FingerprintResult {
+                name: cfg.name,
+                fit: key.0,
+                analysis: Arc::clone(analysis),
+            };
+            (*key, result)
         })
         .collect();
     // Stable: equal keys keep `all_profiles()` order, so a class-mate
     // ranks after its class's first member.
-    results.sort_by_cached_key(rank_key);
-    results
+    ranked.sort_by_key(|&(key, _)| key);
+    ranked.into_iter().map(|(_, result)| result).collect()
 }
 
-/// A result's sort key, computed once per result (the mean is a pass over
-/// every response delay): fit class, then hard issues for clearly
-/// incorrect fits or mean response delay for the others.
-fn rank_key(r: &FingerprintResult) -> (FitClass, usize, Duration) {
-    match r.fit {
-        FitClass::ClearlyIncorrect => (r.fit, r.analysis.hard_issues(), Duration::ZERO),
-        _ => (
-            r.fit,
+/// A fit's sort key: its class, then hard issues for clearly incorrect
+/// fits or mean response delay for the others.
+type RankKey = (FitClass, usize, Duration);
+
+/// An analysis's fit and sort key, computed once per replay group (the
+/// mean is a pass over every response delay).
+fn rank_key(analysis: &SenderAnalysis) -> RankKey {
+    match classify(analysis) {
+        fit @ FitClass::ClearlyIncorrect => (fit, analysis.hard_issues(), Duration::ZERO),
+        fit => (
+            fit,
             0,
-            r.analysis.response_delays.mean().unwrap_or(Duration::ZERO),
+            analysis.response_delays.mean().unwrap_or(Duration::ZERO),
         ),
     }
 }
@@ -262,7 +271,7 @@ pub fn census_verdict(conn: &Connection) -> CensusVerdict {
     verdict.best = best.map(|(cfg, g, _)| FingerprintResult {
         name: cfg.name,
         fit: FitClass::Close,
-        analysis: replay.groups.swap_remove(g).analysis,
+        analysis: Arc::new(replay.groups.swap_remove(g).analysis),
     });
     verdict
 }
@@ -271,6 +280,9 @@ pub fn census_verdict(conn: &Connection) -> CensusVerdict {
 mod tests {
     use super::*;
     use crate::sender::IssueDetail;
+    use tcpa_netsim::LossModel;
+    use tcpa_tcpsim::harness::{run_transfer, PathSpec};
+    use tcpa_tcpsim::profiles;
     use tcpa_wire::SeqNum;
 
     fn dummy_analysis(hard: usize, lulls: usize, p90_ms: i64) -> SenderAnalysis {
@@ -330,6 +342,75 @@ mod tests {
     fn fit_class_orders_close_first() {
         assert!(FitClass::Close < FitClass::Imperfect);
         assert!(FitClass::Imperfect < FitClass::ClearlyIncorrect);
+    }
+
+    /// The sender-vantage connections of `census_verdict.rs`'s inputs: the
+    /// committed fixtures, and every profile sending 96 KB clean, with
+    /// loss, with a small socket buffer, with both, and from a slow host,
+    /// clean and with loss.
+    fn equivalence_connections() -> Vec<(String, Connection)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let mut traces = Vec::new();
+        for name in ["reno_clean", "solaris_receiver", "tahoe_loss"] {
+            let bytes = std::fs::read(format!("{dir}/{name}.pcap")).expect("fixture");
+            let (trace, _) = tcpa_trace::pcap_io::read_pcap(bytes.as_slice()).expect("decodes");
+            traces.push((name.to_string(), crate::Analyzer::new(), trace));
+        }
+        let (host, slow) = (PathSpec::default().proc_delay, Duration::from_millis(4));
+        let lossy = LossModel::Bernoulli;
+        for (i, cfg) in all_profiles().into_iter().enumerate() {
+            for (variant, buffer, loss, proc_delay) in [
+                ("clean", None, LossModel::None, host),
+                ("loss", None, lossy(0.03), host),
+                ("sndbuf", Some(4 * 1024), LossModel::None, host),
+                ("sndbuf-loss", Some(6 * 1024), lossy(0.02), host),
+                ("slow-host", None, LossModel::None, slow),
+                ("slow-host-loss", None, lossy(0.03), slow),
+            ] {
+                let mut sender = cfg.clone();
+                sender.send_buffer = buffer.unwrap_or(sender.send_buffer);
+                let path = PathSpec {
+                    loss_data: loss,
+                    proc_delay,
+                    ..PathSpec::default()
+                };
+                let seed = i as u64 + if proc_delay == slow { 200 } else { 100 };
+                let out = run_transfer(sender, profiles::reno(), &path, 96 * 1024, seed);
+                let label = format!("{} {variant}", cfg.name);
+                traces.push((label, crate::Analyzer::at_sender(), out.sender_trace()));
+            }
+        }
+        let mut conns = Vec::new();
+        for (label, analyzer, trace) in traces {
+            for conn in analyzer.calibrate(trace).connections {
+                conns.push((label.clone(), conn));
+            }
+        }
+        conns
+    }
+
+    #[test]
+    fn profiles_of_one_replay_group_share_its_analysis() {
+        let mut shared = 0;
+        for (label, conn) in equivalence_connections() {
+            let Some(prepared) = Prepared::new(&conn) else {
+                continue;
+            };
+            let (_, group_of) = replay_profiles(&prepared, Until::End);
+            let results = fingerprint(&conn);
+            let analysis_of = |cfg: &TcpConfig| {
+                let result = results.iter().find(|r| r.name == cfg.name);
+                &result.expect("every profile has a result").analysis
+            };
+            for (a, group_a) in profiles().iter().zip(&group_of) {
+                for (b, group_b) in profiles().iter().zip(&group_of) {
+                    let same = Arc::ptr_eq(analysis_of(a), analysis_of(b));
+                    assert_eq!(same, group_a == group_b, "{label}: {}, {}", a.name, b.name);
+                    shared += usize::from(same && a.name != b.name);
+                }
+            }
+        }
+        assert!(shared > 0, "some profiles share a replay group");
     }
 }
 

@@ -50,6 +50,11 @@ const LULL_THRESHOLD: Duration = Duration::from_millis(250);
 /// Burst-continuation window: retransmissions this close to a burst
 /// trigger belong to the same burst.
 const BURST_WINDOW: Duration = Duration::from_millis(50);
+/// No response delay at or below this is suspect, whatever the baseline.
+const SUSPECT_FLOOR: Duration = Duration::from_millis(30);
+/// A baseline at or below this cannot lift the suspect threshold, ten
+/// times the baseline, above [`SUSPECT_FLOOR`].
+const LOW_DELAY: Duration = Duration::from_millis(3);
 
 /// Cause assigned to an observed retransmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -976,9 +981,12 @@ struct Shared {
     quench_resync_until: Option<Time>,
     /// Running median of the first `median_fed` response delays: the
     /// baseline that makes a response delay suspect. It takes in the
-    /// later ones only when a delay long enough to be suspect reads it.
+    /// later ones only when a delay long enough to be suspect reads it
+    /// while the baseline is above [`LOW_DELAY`].
     delay_median: RunningMedian,
     median_fed: usize,
+    /// How many response delays are at most [`LOW_DELAY`].
+    low_delays: usize,
     /// The analysis so far, every member's alike.
     analysis: SenderAnalysis,
     sender_window_evidence: usize,
@@ -1392,6 +1400,7 @@ impl Shared {
             quench_resync_until: None,
             delay_median: RunningMedian::new(),
             median_fed: 0,
+            low_delays: 0,
             analysis: SenderAnalysis {
                 response_delays: Summary::with_capacity(segments),
                 issues: Vec::new(),
@@ -1439,14 +1448,7 @@ impl Shared {
         let (start, lib) = first_liberation(&self.liberations, self.lib_start, hi, self.lib_floor);
         self.lib_start = start;
         let lib = lib?;
-        // A *suspect* delay is one far above the connection's own
-        // response-time scale: that is where §6.2's source-quench
-        // signature hides even when the absolute delay is modest (a
-        // quench stall lasts about one RTT). None is suspect below the
-        // floor, so the baseline is read only above it.
-        let delay = step.rec.ts - lib.at;
-        let floor = Duration::from_millis(30);
-        let suspect = delay > floor && delay > (self.baseline() * 10).max(floor);
+        let suspect = self.suspect(step.rec.ts - lib.at);
         let pre = &pass.prepared.pre;
         let peak = pass.sender_window.is_none()
             && hi - step.now.snd_una >= pre.max_in_flight
@@ -1467,7 +1469,26 @@ impl Shared {
 
     /// Records one response delay.
     fn add_delay(&mut self, d: Duration) {
+        self.low_delays += usize::from(d <= LOW_DELAY);
         self.analysis.response_delays.add(d);
+    }
+
+    /// `true` iff `delay` is *suspect*: far above the connection's own
+    /// response-time scale, more than [`SUSPECT_FLOOR`] and ten times the
+    /// baseline. That is where §6.2's source-quench signature hides even
+    /// when the absolute delay is modest (a quench stall lasts about one
+    /// RTT). None is suspect at or below the floor, and while the
+    /// baseline is low the floor alone decides, so the baseline is read
+    /// only above the floor and only when it is not low.
+    fn suspect(&mut self, delay: Duration) -> bool {
+        delay > SUSPECT_FLOOR && (self.baseline_is_low() || delay > self.baseline() * 10)
+    }
+
+    /// `true` iff the baseline is at most [`LOW_DELAY`]: at least half the
+    /// response delays are, so their nearest-rank median is too (and the
+    /// 2 ms baseline of no delays is).
+    fn baseline_is_low(&self) -> bool {
+        2 * self.low_delays >= self.analysis.response_delays.count()
     }
 
     /// The median response delay so far (2 ms before the first).
@@ -2574,6 +2595,78 @@ mod tests {
         let a = analyze_sender(&conn, &profiles::reno()).unwrap();
         assert_eq!(a.inferred_quenches.len(), 1, "{:?}", a.issues);
         assert_eq!(a.lulls(), 0);
+    }
+
+    /// Streams of response delays that cross [`LOW_DELAY`]: random ones
+    /// in ±50 ms, tie-heavy ones (a handful of values, [`LOW_DELAY`]
+    /// itself among them), and runs of the zero and negative delays that
+    /// a resync and a cured violation add.
+    fn delay_streams() -> Vec<Vec<Duration>> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut streams = Vec::new();
+        for _ in 0..4 {
+            let random = (0..300).map(|_| Duration(next(100_000_001) as i64 - 50_000_000));
+            streams.push(random.collect());
+        }
+        let ties = [
+            Duration::ZERO,
+            LOW_DELAY,
+            LOW_DELAY + Duration(1),
+            Duration::from_millis(-1),
+            Duration::from_millis(40),
+        ];
+        for _ in 0..4 {
+            streams.push((0..300).map(|_| ties[next(5) as usize]).collect());
+        }
+        // Low runs that hold the median down, then high runs that lift it.
+        let mut runs = Vec::new();
+        for k in 1..20 {
+            let low = [Duration::ZERO, -LOW_DELAY][k % 2];
+            runs.extend(std::iter::repeat_n(low, k));
+            runs.extend(std::iter::repeat_n(Duration::from_millis(5), k + 1));
+        }
+        streams.push(runs);
+        streams
+    }
+
+    #[test]
+    fn low_baseline_count_agrees_with_the_running_median() {
+        let conn = quench_trace();
+        let prepared = Prepared::new(&conn).unwrap();
+        for stream in delay_streams() {
+            let mut shared = Shared::new(&prepared);
+            let mut median = RunningMedian::new();
+            let mut summary = Summary::new();
+            let mut baseline = Duration::from_millis(2);
+            for d in std::iter::once(None).chain(stream.into_iter().map(Some)) {
+                if let Some(d) = d {
+                    shared.add_delay(d);
+                    median.add(d);
+                    summary.add(d);
+                    baseline = median.median().unwrap();
+                }
+                let low = baseline <= LOW_DELAY;
+                assert_eq!(shared.baseline_is_low(), low, "{baseline}");
+                assert_eq!(summary.percentile_at_most(50.0, LOW_DELAY), low);
+                let threshold = baseline * 10;
+                for delay in [
+                    SUSPECT_FLOOR,
+                    SUSPECT_FLOOR + Duration(1),
+                    threshold,
+                    threshold + Duration(1),
+                    Duration::from_millis(500),
+                ] {
+                    let suspect = delay > SUSPECT_FLOOR && delay > threshold.max(SUSPECT_FLOOR);
+                    assert_eq!(shared.suspect(delay), suspect, "{delay} at {baseline}");
+                }
+            }
+        }
     }
 
     #[test]

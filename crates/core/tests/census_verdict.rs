@@ -14,11 +14,13 @@
 //! * the best fit's response-delay samples;
 //! * the set of close candidates.
 //!
-//! On the same connections, [`fingerprint`] (one preparation of the
-//! connection shared by every candidate, one replay per class) must give
-//! each candidate what [`fingerprint_one`] (a preparation and a replay
-//! per candidate) gives it, field by field, and the census's replay work
-//! on the simulated corpus is pinned exactly.
+//! On the same connections, and on transfers from slow hosts (whose
+//! median response delay is above 3 ms, so the replay reads its running
+//! median to tell a suspect delay), [`fingerprint`] (one preparation of
+//! the connection shared by every candidate, one replay per class) must
+//! give each candidate what [`fingerprint_one`] (a preparation and a
+//! replay per candidate) gives it, field by field, and the census's
+//! replay work on the simulated corpus is pinned exactly.
 
 use std::path::Path;
 use std::process::Command;
@@ -28,7 +30,7 @@ use tcpa_netsim::LossModel;
 use tcpa_tcpsim::harness::{run_transfer, PathSpec};
 use tcpa_tcpsim::profiles::{self, all_profiles};
 use tcpa_trace::pcap_io::{self, read_pcap};
-use tcpa_trace::Trace;
+use tcpa_trace::{Duration, Trace};
 use tcpa_wire::TsResolution;
 use tcpanaly::fingerprint::{close_fits, fingerprint, fingerprint_one, FitClass};
 use tcpanaly::obs::json;
@@ -85,6 +87,31 @@ fn simulated_corpus() -> &'static [(String, Trace)] {
         }
         corpus
     })
+}
+
+/// Every profile sending 96 KB from a slow host, clean and with random
+/// loss, captured at the sender: the host's processing delay holds most
+/// response delays above 3 ms, so the replay's suspect-delay test reads
+/// the running median of the delays rather than only counting them.
+fn slow_host_corpus() -> Vec<(String, Trace)> {
+    let mut corpus = Vec::new();
+    for (i, cfg) in all_profiles().into_iter().enumerate() {
+        let seed = 200 + i as u64;
+        for (variant, loss) in [
+            ("slow-host", LossModel::None),
+            ("slow-host-loss", LossModel::Bernoulli(0.03)),
+        ] {
+            let path = PathSpec {
+                loss_data: loss,
+                proc_delay: Duration::from_millis(4),
+                ..PathSpec::default()
+            };
+            let out = run_transfer(cfg.clone(), profiles::reno(), &path, 96 * 1024, seed);
+            let label = format!("{} {variant} seed {seed}", cfg.name);
+            corpus.push((label, out.sender_trace()));
+        }
+    }
+    corpus
 }
 
 /// Totals over the connections compared.
@@ -255,6 +282,16 @@ fn shared_preparation_matches_per_candidate_fingerprint_on_simulated_corpus() {
         .map(|(label, trace)| check_entry_points(label, &Analyzer::at_sender(), trace))
         .sum();
     assert_eq!(compared, 22 * 4 * 22);
+}
+
+#[test]
+fn shared_preparation_matches_per_candidate_fingerprint_on_slow_hosts() {
+    let corpus = slow_host_corpus();
+    let compared: usize = corpus
+        .iter()
+        .map(|(label, trace)| check_entry_points(label, &Analyzer::at_sender(), trace))
+        .sum();
+    assert_eq!(compared, 22 * 2 * 22);
 }
 
 /// The census's replay work on the simulated corpus, read back from the

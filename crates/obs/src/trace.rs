@@ -75,6 +75,9 @@ pub(crate) fn ship(mut log: ItemLog) {
     // A span is logged when it closes, after the spans nested in it;
     // ids are unique within an item.
     log.entries.sort_unstable_by_key(|e| e.id);
+    // The sink holds every item until the run ends: none keeps the spare
+    // slots its log's growth left.
+    log.entries.shrink_to_fit();
     lock_recover(&SINK).push(log);
 }
 
