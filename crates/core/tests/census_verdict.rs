@@ -292,6 +292,17 @@ fn shared_preparation_matches_per_candidate_fingerprint_on_slow_hosts() {
         .map(|(label, trace)| check_entry_points(label, &Analyzer::at_sender(), trace))
         .sum();
     assert_eq!(compared, 22 * 2 * 22);
+    // A delay above the 30 ms floor against a median above 3 ms is one
+    // whose suspicion the replay reads from its running median.
+    let median_read = corpus.iter().any(|(_, trace)| {
+        let conns = Analyzer::at_sender().calibrate(trace.clone()).connections;
+        conns.iter().flat_map(fingerprint).any(|r| {
+            let delays = &r.analysis.response_delays;
+            delays.median() > Some(Duration::from_millis(3))
+                && delays.max() > Some(Duration::from_millis(30))
+        })
+    });
+    assert!(median_read, "slow hosts must lift the median above 3 ms");
 }
 
 /// The census's replay work on the simulated corpus, read back from the
