@@ -196,9 +196,7 @@ mod tests {
         stepped_back.ip.src = tcpa_wire::Ipv4Addr::from_host_id(3);
         let original = rec(100_000, 5, 0, 512);
         let copy = rec(100_400, 5, 0, 512);
-        let trace: Trace = vec![original.clone(), stepped_back, copy.clone()]
-            .into_iter()
-            .collect();
+        let trace: Trace = vec![original, stepped_back, copy].into_iter().collect();
         // The global scan stops at B's record, more than DUP_WINDOW from
         // A's, so the copy survives ...
         let (clean, removals) = remove_duplicates(trace);

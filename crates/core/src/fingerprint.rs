@@ -230,28 +230,21 @@ pub fn census_verdict(conn: &Connection) -> CensusVerdict {
         return verdict;
     };
     let (mut replay, group_of) = replay_profiles(&prepared, Until::Verdict);
-    // Each close group's mean delay.
-    let close_means: Vec<Option<Duration>> = replay
+    let keys: Vec<RankKey> = replay
         .groups
         .iter()
-        .map(|g| {
-            let delays = &g.analysis.response_delays;
-            (classify(&g.analysis) == FitClass::Close)
-                .then(|| delays.mean().unwrap_or(Duration::ZERO))
-        })
+        .map(|g| rank_key(&g.analysis))
         .collect();
-    // The best close fit: its profile, its group and its mean delay.
-    let mut best: Option<(&TcpConfig, usize, Duration)> = None;
-    for (cfg, &g) in profiles().iter().zip(&group_of) {
-        let Some(mean) = close_means[g] else {
-            continue;
-        };
-        verdict.close.push(cfg.name);
-        // Close fits rank by mean delay; a tie keeps the earlier profile.
-        if best.is_none_or(|(_, _, best_mean)| mean < best_mean) {
-            best = Some((cfg, g, mean));
-        }
-    }
+    // The close profiles with their groups, in `all_profiles()` order.
+    let close: Vec<(&TcpConfig, usize)> = profiles()
+        .iter()
+        .zip(group_of.iter().copied())
+        .filter(|&(_, g)| keys[g].0 == FitClass::Close)
+        .collect();
+    verdict.close = close.iter().map(|(cfg, _)| cfg.name).collect();
+    // `fingerprint()`'s first result: the least key, the earlier profile
+    // on a tie.
+    let best = close.into_iter().min_by_key(|&(_, g)| keys[g]);
     let work = &replay.work;
     tcpa_obs::add("fingerprint.replays", work.iter().map(|w| w.passes).sum());
     tcpa_obs::add(
@@ -268,7 +261,7 @@ pub fn census_verdict(conn: &Connection) -> CensusVerdict {
     );
     tcpa_obs::add("fingerprint.lockstep_records", replay.records);
     tcpa_obs::add("fingerprint.forks", replay.forks);
-    verdict.best = best.map(|(cfg, g, _)| FingerprintResult {
+    verdict.best = best.map(|(cfg, g)| FingerprintResult {
         name: cfg.name,
         fit: FitClass::Close,
         analysis: Arc::new(replay.groups.swap_remove(g).analysis),

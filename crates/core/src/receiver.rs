@@ -461,7 +461,7 @@ fn guess_policy(delayed: &Summary, acks: &[ClassifiedAck]) -> PolicyGuess {
 mod tests {
     use super::*;
     use tcpa_trace::{Trace, TraceRecord};
-    use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpOption, TcpRepr};
+    use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpRepr};
 
     fn rec(
         ts_ms: i64,
@@ -505,9 +505,9 @@ mod tests {
 
     fn handshake(v: &mut Vec<TraceRecord>) {
         let mut syn = rec(0, 1, 2, S, 1000, 0, 0);
-        syn.tcp.options.push(TcpOption::Mss(512));
+        syn.tcp.mss = Some(512);
         let mut synack = rec(1, 2, 1, SA, 9000, 0, 1001);
-        synack.tcp.options.push(TcpOption::Mss(512));
+        synack.tcp.mss = Some(512);
         v.push(syn);
         v.push(synack);
     }

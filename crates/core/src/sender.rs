@@ -298,7 +298,7 @@ fn prescan(conn: &Connection) -> Option<Prescan> {
             }
             Dir::ReceiverToSender => {
                 if rec.tcp.flags.syn() && rec.tcp.flags.ack() {
-                    peer_mss = rec.tcp.mss_option();
+                    peer_mss = rec.tcp.mss;
                     peer_sent_mss = peer_mss.is_some();
                     initial_peer_window = u32::from(rec.tcp.window);
                     establish_time = Some(rec.ts);
@@ -568,7 +568,6 @@ impl<'c> Prepared<'c> {
             lineage: _,
             // Read only through the establishment values.
             mss: _,
-            default_peer_mss: _,
             mss_includes_options: _,
             cwnd_init_from_offered_mss: _,
             initial_cwnd_segs: _,
@@ -614,8 +613,6 @@ impl<'c> Prepared<'c> {
             initial_ack_every_packet: _,
             gratuitous_ack_bug: _,
             app_read_rate: _,
-            persist_initial: _,
-            persist_max: _,
         } = cfg;
         let (cwnd_mss, eff_mss, cc) = self.establishment(cfg);
         let retransmits = self
@@ -2086,7 +2083,7 @@ mod tests {
     use crate::fingerprint::classify;
     use tcpa_tcpsim::profiles;
     use tcpa_trace::{Trace, TraceRecord};
-    use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpOption, TcpRepr};
+    use tcpa_wire::{IpProtocol, Ipv4Addr, Ipv4Repr, TcpFlags, TcpRepr};
 
     fn rec(
         ts_ms: i64,
@@ -2120,7 +2117,7 @@ mod tests {
     }
 
     fn with_mss(mut r: TraceRecord, mss: u16) -> TraceRecord {
-        r.tcp.options.push(TcpOption::Mss(mss));
+        r.tcp.mss = Some(mss);
         r
     }
 
@@ -2748,7 +2745,7 @@ mod tests {
         // The same trace, with a SYN-ack that offers no MSS: the Net/3
         // uninitialized-cwnd bug (§8.4) opens a huge window.
         let mut without = slow_start_trace();
-        without.records[1].1.tcp.options.clear();
+        without.records[1].1.tcp.mss = None;
         let net3_class = class(&without, &net3);
         assert_ne!(net3_class, class(&without, &reno));
         for cfg in profiles::all_profiles() {

@@ -61,7 +61,7 @@ pub fn remove_duplicates(trace: &Trace) -> (Trace, Vec<DupRemoval>) {
         .iter()
         .enumerate()
         .filter(|(i, _)| !removed[*i])
-        .map(|(_, r)| r.clone())
+        .map(|(_, r)| *r)
         .collect();
     (clean, removals)
 }
@@ -86,7 +86,7 @@ pub fn split(trace: &Trace) -> Vec<Connection> {
                 order.push(key);
                 Vec::new()
             })
-            .push(rec.clone());
+            .push(*rec);
     }
     order
         .into_iter()

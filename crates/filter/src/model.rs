@@ -189,7 +189,7 @@ pub fn apply(events: &[TapEvent], cfg: &FilterConfig, seed: u64) -> (Trace, Filt
         let mk_rec = |ts: Time| TraceRecord {
             ts,
             ip: ev.pkt.ip_repr(),
-            tcp: tcp.clone(),
+            tcp: *tcp,
             payload_len: *payload_len,
             checksum_ok: if cfg.headers_only {
                 None

@@ -143,7 +143,7 @@ pub fn perfect_trace(events: &[TapEvent]) -> tcpa_trace::Trace {
             trace.push(tcpa_trace::TraceRecord {
                 ts: ev.t_wire,
                 ip: ev.pkt.ip_repr(),
-                tcp: tcp.clone(),
+                tcp: *tcp,
                 payload_len: *payload_len,
                 checksum_ok: Some(!corrupt),
             });

@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn ip_repr_reflects_tcp_options() {
         let mut tcp = TcpRepr::new(1, 2);
-        tcp.options = vec![tcpa_wire::TcpOption::Mss(1460)];
+        tcp.mss = Some(1460);
         let pkt = Packet::tcp(
             Ipv4Addr::from_host_id(1),
             Ipv4Addr::from_host_id(2),

@@ -95,6 +95,9 @@ pub enum RtoScheme {
     Fixed,
 }
 
+/// MSS assumed for a peer that offers no MSS option (RFC 1122: 536).
+pub(crate) const DEFAULT_PEER_MSS: u16 = 536;
+
 /// Full behavioral description of one TCP implementation.
 ///
 /// Defaults (via [`TcpConfig::generic_reno`]) describe the paper's generic
@@ -113,8 +116,6 @@ pub struct TcpConfig {
     /// that omit it trigger the Net/3 uninitialized-cwnd bug in peers
     /// (§8.4).
     pub send_mss_option: bool,
-    /// MSS assumed for the peer when it offers no option (RFC 1122: 536).
-    pub default_peer_mss: u16,
     /// MSS-confusion bug (\[BP95\], §8.3): congestion-window arithmetic uses
     /// the MSS *including* TCP option bytes.
     pub mss_includes_options: bool,
@@ -241,13 +242,6 @@ pub struct TcpConfig {
     /// examined).
     pub app_read_rate: Option<u64>,
 
-    // ---- zero-window probing ---------------------------------------------
-    /// Initial persist-timer delay before probing a closed window
-    /// (BSD: 5 s), backed off exponentially to [`TcpConfig::persist_max`].
-    pub persist_initial: Duration,
-    /// Persist-timer ceiling (BSD: 60 s).
-    pub persist_max: Duration,
-
     // ---- misc -----------------------------------------------------------
     /// Response to ICMP source quench.
     pub quench_response: QuenchResponse,
@@ -262,7 +256,6 @@ impl TcpConfig {
             lineage: Lineage::Reno,
             mss: 1460,
             send_mss_option: true,
-            default_peer_mss: 536,
             mss_includes_options: false,
             cwnd_init_from_offered_mss: false,
             initial_cwnd_segs: 1,
@@ -304,8 +297,6 @@ impl TcpConfig {
             initial_ack_every_packet: 0,
             gratuitous_ack_bug: false,
             app_read_rate: None,
-            persist_initial: Duration::from_secs(5),
-            persist_max: Duration::from_secs(60),
             quench_response: QuenchResponse::SlowStart,
         }
     }
@@ -338,7 +329,7 @@ impl TcpConfig {
     /// The effective MSS used to size data packets, given what the peer
     /// offered (if anything).
     pub fn effective_send_mss(&self, peer_mss: Option<u16>) -> u32 {
-        let peer = peer_mss.unwrap_or(self.default_peer_mss);
+        let peer = peer_mss.unwrap_or(DEFAULT_PEER_MSS);
         u32::from(self.mss.min(peer))
     }
 

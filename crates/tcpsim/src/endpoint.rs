@@ -12,12 +12,19 @@
 //! Figure 5's retransmission storm emerges from `initial_rto = 300 ms` +
 //! `SolarisBroken` + Karn's rule; it is not scripted).
 
-use crate::config::{AckPolicy, TcpConfig};
+use crate::config::{AckPolicy, TcpConfig, DEFAULT_PEER_MSS};
 use crate::congestion::CcState;
 use crate::rtt::RttEstimator;
 use tcpa_netsim::{Packet, PacketKind, Stack};
 use tcpa_trace::{Duration, Time};
-use tcpa_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpOption, TcpRepr};
+use tcpa_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
+
+/// Initial persist-timer delay before probing a closed window (BSD: 5 s),
+/// backed off exponentially to [`PERSIST_MAX`].
+const PERSIST_INITIAL: Duration = Duration::from_secs(5);
+
+/// Persist-timer ceiling (BSD: 60 s).
+const PERSIST_MAX: Duration = Duration::from_secs(60);
 
 /// Which side of the bulk transfer this endpoint plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,8 +202,8 @@ impl TcpEndpoint {
             peer_window: 0,
             peer_mss: None,
             peer_sent_mss: false,
-            eff_mss: u32::from(cfg.default_peer_mss),
-            cwnd_mss: u32::from(cfg.default_peer_mss),
+            eff_mss: u32::from(DEFAULT_PEER_MSS),
+            cwnd_mss: u32::from(DEFAULT_PEER_MSS),
             total_bytes,
             our_fin_sent: false,
             our_fin_acked: false,
@@ -210,7 +217,7 @@ impl TcpEndpoint {
             syn_retries: 0,
             liberating_acks: 0,
             persist_deadline: None,
-            persist_backoff: cfg.persist_initial,
+            persist_backoff: PERSIST_INITIAL,
             pause_boundary: None,
             pause_until: None,
             last_activity: Time::ZERO,
@@ -279,9 +286,7 @@ impl TcpEndpoint {
         let mut t = self.base_tcp();
         t.seq = self.iss;
         t.flags = TcpFlags::SYN;
-        if self.cfg.send_mss_option {
-            t.options.push(TcpOption::Mss(self.cfg.mss));
-        }
+        t.mss = self.cfg.send_mss_option.then_some(self.cfg.mss);
         let pkt = self.mk_packet(t, 0);
         out.push(pkt);
     }
@@ -291,9 +296,7 @@ impl TcpEndpoint {
         t.seq = self.iss;
         t.ack = self.rcv_nxt;
         t.flags = TcpFlags::SYN | TcpFlags::ACK;
-        if self.cfg.send_mss_option {
-            t.options.push(TcpOption::Mss(self.cfg.mss));
-        }
+        t.mss = self.cfg.send_mss_option.then_some(self.cfg.mss);
         let pkt = self.mk_packet(t, 0);
         out.push(pkt);
     }
@@ -469,7 +472,7 @@ impl TcpEndpoint {
             }
         } else {
             self.persist_deadline = None;
-            self.persist_backoff = self.cfg.persist_initial;
+            self.persist_backoff = PERSIST_INITIAL;
         }
     }
 
@@ -522,7 +525,7 @@ impl TcpEndpoint {
         if self.snd_nxt.after(self.snd_max) {
             self.snd_max = self.snd_nxt;
         }
-        self.persist_backoff = (self.persist_backoff * 2).min(self.cfg.persist_max);
+        self.persist_backoff = (self.persist_backoff * 2).min(PERSIST_MAX);
         self.persist_deadline = Some(now + self.persist_backoff);
     }
 
@@ -945,7 +948,7 @@ impl TcpEndpoint {
                 if tcp.flags.syn() && tcp.flags.ack() && tcp.ack == self.iss + 1 {
                     self.irs = tcp.seq;
                     self.rcv_nxt = self.irs + 1;
-                    self.peer_mss = tcp.mss_option();
+                    self.peer_mss = tcp.mss;
                     self.peer_sent_mss = self.peer_mss.is_some();
                     self.peer_window = u32::from(tcp.window);
                     self.establish();
@@ -957,7 +960,7 @@ impl TcpEndpoint {
                 if tcp.flags.syn() && !tcp.flags.ack() {
                     self.irs = tcp.seq;
                     self.rcv_nxt = self.irs + 1;
-                    self.peer_mss = tcp.mss_option();
+                    self.peer_mss = tcp.mss;
                     self.peer_sent_mss = self.peer_mss.is_some();
                     self.peer_window = u32::from(tcp.window);
                     self.state = State::SynRcvd;

@@ -5,7 +5,7 @@ use tcpa_netsim::{Packet, PacketKind, Stack};
 use tcpa_tcpsim::profiles;
 use tcpa_tcpsim::{Role, TcpEndpoint};
 use tcpa_trace::{Duration, Time};
-use tcpa_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpOption, TcpRepr};
+use tcpa_wire::{Ipv4Addr, SeqNum, TcpFlags, TcpRepr};
 
 const A: Ipv4Addr = Ipv4Addr::from_host_id(1);
 const B: Ipv4Addr = Ipv4Addr::from_host_id(2);
@@ -49,7 +49,7 @@ fn active_open_emits_syn_with_mss() {
     let (tcp, len) = tcp_of(&out[0]);
     assert!(tcp.flags.syn() && !tcp.flags.ack());
     assert_eq!(len, 0);
-    assert_eq!(tcp.mss_option(), Some(1460));
+    assert_eq!(tcp.mss, Some(1460));
     assert!(!s.established());
 }
 
@@ -67,7 +67,7 @@ fn handshake_completes_and_data_flows() {
     synack.seq = SeqNum(5000);
     synack.ack = iss + 1;
     synack.window = 16_384;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(50), mk(B, A, synack, 0), &mut out);
     assert!(s.established());
@@ -87,9 +87,9 @@ fn passive_open_replies_syn_ack_and_repeats_on_dup_syn() {
     let mut syn = TcpRepr::new(1000, 2000);
     syn.flags = TcpFlags::SYN;
     syn.seq = SeqNum(100);
-    syn.options.push(TcpOption::Mss(1460));
+    syn.mss = Some(1460);
     let mut out = Vec::new();
-    r.on_packet(Time::ZERO, mk(A, B, syn.clone(), 0), &mut out);
+    r.on_packet(Time::ZERO, mk(A, B, syn, 0), &mut out);
     assert_eq!(out.len(), 1);
     let (synack, _) = tcp_of(&out[0]);
     assert!(synack.flags.syn() && synack.flags.ack());
@@ -167,7 +167,7 @@ fn ip_ident_increments_per_packet() {
     synack.seq = SeqNum(9000);
     synack.ack = iss + 1;
     synack.window = 65_535;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(10), mk(B, A, synack, 0), &mut out);
     idents.extend(out.iter().map(|p| p.ident));
@@ -183,7 +183,7 @@ fn delayed_ack_waits_for_heartbeat() {
     let mut syn = TcpRepr::new(1000, 2000);
     syn.flags = TcpFlags::SYN;
     syn.seq = SeqNum(100);
-    syn.options.push(TcpOption::Mss(1460));
+    syn.mss = Some(1460);
     let mut out = Vec::new();
     r.on_packet(Time::ZERO, mk(A, B, syn, 0), &mut out);
     let (synack, _) = tcp_of(&out[0]);
@@ -224,7 +224,7 @@ fn fin_retransmitted_when_unacked() {
     synack.seq = SeqNum(7000);
     synack.ack = iss + 1;
     synack.window = 16_384;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(10), mk(B, A, synack, 0), &mut out);
     let fin = out
@@ -256,7 +256,7 @@ fn source_quench_collapses_cwnd() {
     synack.seq = SeqNum(7000);
     synack.ack = iss + 1;
     synack.window = 65_535;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(10), mk(B, A, synack, 0), &mut out);
     // Grow the window with a few acks.
@@ -304,7 +304,7 @@ fn give_up_sends_rst_after_max_retransmits() {
     synack.seq = SeqNum(7000);
     synack.ack = iss + 1;
     synack.window = 16_384;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(10), mk(B, A, synack, 0), &mut out);
     assert!(s.established());
@@ -346,7 +346,7 @@ fn broken_tcp_goes_silent_instead_of_rst() {
     synack.seq = SeqNum(7000);
     synack.ack = iss + 1;
     synack.window = 16_384;
-    synack.options.push(TcpOption::Mss(1460));
+    synack.mss = Some(1460);
     let mut out = Vec::new();
     s.on_packet(Time::from_millis(10), mk(B, A, synack, 0), &mut out);
     for _ in 0..12 {

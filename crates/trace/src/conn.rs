@@ -213,7 +213,7 @@ impl Connection {
     pub fn offered_mss(&self, dir: Dir) -> Option<u16> {
         self.in_dir(dir)
             .find(|r| r.tcp.flags.syn())
-            .and_then(|r| r.tcp.mss_option())
+            .and_then(|r| r.tcp.mss)
     }
 
     /// The negotiated MSS for data flowing sender → receiver: the minimum
@@ -287,9 +287,9 @@ mod tests {
     #[test]
     fn mss_negotiation_takes_minimum() {
         let mut syn = rec(0, 1, 2, TcpFlags::SYN, 0, 0, 0);
-        syn.tcp.options = vec![tcpa_wire::TcpOption::Mss(1460)];
+        syn.tcp.mss = Some(1460);
         let mut synack = rec(1, 2, 1, TcpFlags::SYN | TcpFlags::ACK, 0, 0, 1);
-        synack.tcp.options = vec![tcpa_wire::TcpOption::Mss(536)];
+        synack.tcp.mss = Some(536);
         let data = rec(2, 1, 2, TcpFlags::ACK, 1, 512, 1);
         let trace: Trace = vec![syn, synack, data].into_iter().collect();
         let conns = Connection::split(&trace);

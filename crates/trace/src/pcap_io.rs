@@ -146,13 +146,15 @@ fn decode_frame(pkt: &PcapRecord) -> Option<TraceRecord> {
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    // Lenient parse: snap lengths legitimately truncate the payload.
-    let (ip, tcp_bytes) = Ipv4Repr::parse_lenient(ip_bytes).ok()?;
+    // Snap lengths legitimately truncate the payload; the parse allows it.
+    let (ip, tcp_bytes) = Ipv4Repr::parse(ip_bytes).ok()?;
     if ip.protocol != tcpa_wire::IpProtocol::Tcp {
         return None;
     }
     let (tcp, captured_payload) = TcpRepr::parse(tcp_bytes).ok()?;
-    let header_len = tcp.header_len();
+    // The header length on the wire, from the data offset: options other
+    // than the MSS are not kept, so the decoded header cannot re-derive it.
+    let header_len = tcp_bytes.len() - captured_payload.len();
     // Checked: the IP length field is 16-bit so this always fits, but a
     // parser bug upstream must surface as a skipped frame, not wrap.
     let payload_len = u32::try_from(ip.payload_len.saturating_sub(header_len)).ok()?;
@@ -290,7 +292,7 @@ mod tests {
     use super::*;
     use crate::record::test_util::rec;
     use std::io::Cursor;
-    use tcpa_wire::TcpFlags;
+    use tcpa_wire::{IpProtocol, Ipv4Addr, TcpFlags};
 
     fn sample_trace() -> Trace {
         vec![
@@ -328,6 +330,76 @@ mod tests {
         let data_rec = read.records.iter().find(|r| r.is_data()).unwrap();
         assert_eq!(data_rec.payload_len, 512, "length comes from IP header");
         assert_eq!(data_rec.checksum_ok, None, "payload cut, cannot verify");
+    }
+
+    /// A capture of one SYN frame whose TCP option area is `options` (a
+    /// whole number of words) and whose payload is `payload`.
+    fn syn_with_options(options: &[u8], payload: &[u8]) -> Vec<u8> {
+        let (src, dst) = (Ipv4Addr::from_host_id(1), Ipv4Addr::from_host_id(2));
+        let syn = TcpRepr {
+            flags: TcpFlags::SYN,
+            ..TcpRepr::new(1025, 80)
+        };
+        let mut tcp = Vec::new();
+        syn.emit(src, dst, &[], &mut tcp);
+        tcp[12] = u8::try_from(((20 + options.len()) / 4) << 4).unwrap();
+        tcp[16..18].fill(0);
+        tcp.extend_from_slice(options);
+        tcp.extend_from_slice(payload);
+        let ck = TcpRepr::compute_checksum(src, dst, &tcp);
+        tcp[16..18].copy_from_slice(&ck.to_be_bytes());
+        let mut frame = Vec::new();
+        EthernetRepr {
+            dst: MacAddr::from_host_id(2),
+            src: MacAddr::from_host_id(1),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut frame);
+        Ipv4Repr {
+            src,
+            dst,
+            protocol: IpProtocol::Tcp,
+            ttl: 64,
+            ident: 1,
+            payload_len: tcp.len(),
+        }
+        .emit(&mut frame);
+        frame.extend_from_slice(&tcp);
+        let mut writer =
+            PcapWriter::new(Vec::new(), TsResolution::Micro, LINKTYPE_ETHERNET, u32::MAX).unwrap();
+        let len = u32::try_from(frame.len()).unwrap();
+        writer.write_record(0, len, &frame).unwrap();
+        writer.finish().unwrap()
+    }
+
+    #[test]
+    fn header_length_comes_from_the_data_offset() {
+        // MSS, then end-of-list and three bytes of padding: a 28-byte
+        // header whose decoded form would re-encode to 24 bytes.
+        let options = [2, 4, 0x05, 0xb4, 0, 0, 0, 0];
+        let (read, skipped) = read_pcap_bytes(&syn_with_options(&options, &[9; 10])).unwrap();
+        assert_eq!(skipped, 0);
+        let syn = &read.records[0];
+        assert_eq!(syn.tcp.mss, Some(1460));
+        assert_eq!(syn.payload_len, 10);
+        assert_eq!(syn.checksum_ok, Some(true));
+    }
+
+    #[test]
+    fn options_besides_the_mss_are_skipped() {
+        let options = [
+            1, // NOP
+            3, 3, 2, // window scale, shift 2
+            4, 2, // SACK permitted
+            8, 10, 0, 0, 0, 7, 0, 0, 0, 0, // timestamps
+            2, 4, 0x02, 0x18, // MSS 536
+        ];
+        let (read, skipped) = read_pcap_bytes(&syn_with_options(&options, &[9; 3])).unwrap();
+        assert_eq!(skipped, 0);
+        let syn = &read.records[0];
+        assert_eq!(syn.tcp.mss, Some(536));
+        assert_eq!(syn.payload_len, 3);
+        assert_eq!(syn.checksum_ok, Some(true));
     }
 
     #[test]

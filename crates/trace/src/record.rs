@@ -9,13 +9,13 @@ use tcpa_wire::{Ipv4Repr, SeqNum, TcpRepr};
 /// never needs the payload contents, only its length and (when available)
 /// whether its checksum verified. This mirrors the paper's situation, where
 /// most traces were captured with a snap length that kept headers only.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The packet filter's timestamp for this packet.
     pub ts: Time,
     /// Decoded IPv4 header.
     pub ip: Ipv4Repr,
-    /// Decoded TCP header (options included).
+    /// Decoded TCP header; of its options only the MSS is kept.
     pub tcp: TcpRepr,
     /// TCP payload length in bytes, as computed from the IP total length
     /// (valid even when the payload itself was not captured).
@@ -176,7 +176,7 @@ pub(crate) mod test_util {
                 flags,
                 window: 8192,
                 urgent: 0,
-                options: Vec::new(),
+                mss: None,
             },
             payload_len: len,
             checksum_ok: Some(true),
@@ -237,5 +237,16 @@ mod tests {
         let line = r.render();
         assert!(line.contains("192.0.2.1"));
         assert!(!line.contains('\n'));
+    }
+
+    /// A trace holds every record of a capture, and each connection a copy
+    /// of its own: a record is plain data (no drop glue to walk, nothing
+    /// allocated per packet) of eight words.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_record_is_eight_words_of_plain_data() {
+        fn plain_data<T: Copy>() {}
+        plain_data::<TraceRecord>();
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 64);
     }
 }

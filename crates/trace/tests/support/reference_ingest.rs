@@ -376,13 +376,15 @@ fn decode_frame(pkt: &PcapRecord) -> Option<TraceRecord> {
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    // Lenient parse: snap lengths legitimately truncate the payload.
-    let (ip, tcp_bytes) = Ipv4Repr::parse_lenient(ip_bytes).ok()?;
+    // Snap lengths legitimately truncate the payload; the parse allows it.
+    let (ip, tcp_bytes) = Ipv4Repr::parse(ip_bytes).ok()?;
     if ip.protocol != tcpa_wire::IpProtocol::Tcp {
         return None;
     }
     let (tcp, captured_payload) = TcpRepr::parse(tcp_bytes).ok()?;
-    let header_len = tcp.header_len();
+    // The header length on the wire, from the data offset: options other
+    // than the MSS are not kept, so the decoded header cannot re-derive it.
+    let header_len = tcp_bytes.len() - captured_payload.len();
     // Checked: the IP length field is 16-bit so this always fits, but a
     // parser bug upstream must surface as a skipped frame, not wrap.
     let payload_len = u32::try_from(ip.payload_len.saturating_sub(header_len)).ok()?;

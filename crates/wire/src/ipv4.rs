@@ -97,43 +97,12 @@ impl Ipv4Repr {
     /// Parses the header from the front of `packet`, verifying the header
     /// checksum, and returns the header and the payload slice.
     ///
-    /// The payload slice is truncated to `payload_len` if the buffer
-    /// carries trailing padding (common with Ethernet minimum-size frames).
+    /// The payload slice ends at the total length, dropping trailing
+    /// padding (common with Ethernet minimum-size frames). A total length
+    /// past the end of the buffer is a payload cut by a capture snap
+    /// length: the slice is then whatever was captured, and `payload_len`
+    /// still reports the length on the wire.
     pub fn parse(packet: &[u8]) -> Result<(Ipv4Repr, &[u8])> {
-        if packet.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let version = packet[0] >> 4;
-        if version != 4 {
-            return Err(WireError::BadValue);
-        }
-        let ihl = usize::from(packet[0] & 0x0f) * 4;
-        if ihl < HEADER_LEN || packet.len() < ihl {
-            return Err(WireError::BadLength);
-        }
-        if !checksum::verify(&packet[..ihl]) {
-            return Err(WireError::BadChecksum);
-        }
-        let total_len = usize::from(u16::from_be_bytes([packet[2], packet[3]]));
-        if total_len < ihl || total_len > packet.len() {
-            return Err(WireError::BadLength);
-        }
-        let repr = Ipv4Repr {
-            src: Ipv4Addr([packet[12], packet[13], packet[14], packet[15]]),
-            dst: Ipv4Addr([packet[16], packet[17], packet[18], packet[19]]),
-            protocol: packet[9].into(),
-            ttl: packet[8],
-            ident: u16::from_be_bytes([packet[4], packet[5]]),
-            payload_len: total_len - ihl,
-        };
-        Ok((repr, &packet[ihl..total_len]))
-    }
-
-    /// Like [`Ipv4Repr::parse`], but tolerates a payload truncated by a
-    /// capture snap length: the total-length field may exceed the buffer,
-    /// and the returned payload slice is whatever was captured. The header
-    /// itself must still be complete and checksum-correct.
-    pub fn parse_lenient(packet: &[u8]) -> Result<(Ipv4Repr, &[u8])> {
         if packet.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -246,7 +215,17 @@ mod tests {
         let repr = sample();
         let mut buf = Vec::new();
         repr.emit(&mut buf);
-        // total length claims 28 bytes but buffer only has the header
+        buf.extend_from_slice(&[7; 3]);
+        // Total length claims 28 bytes but a snap length kept 23: the
+        // payload is what was captured, its length what was sent.
+        let (parsed, payload) = Ipv4Repr::parse(&buf).unwrap();
+        assert_eq!(parsed.payload_len, 8);
+        assert_eq!(payload, &[7; 3]);
+        // A total length shorter than the header is malformed.
+        buf[2..4].copy_from_slice(&16u16.to_be_bytes());
+        buf[10..12].fill(0);
+        let ck = checksum::checksum(&buf[..HEADER_LEN]);
+        buf[10..12].copy_from_slice(&ck.to_be_bytes());
         assert_eq!(Ipv4Repr::parse(&buf).unwrap_err(), WireError::BadLength);
     }
 

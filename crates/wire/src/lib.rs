@@ -7,39 +7,36 @@
 //!
 //! * [`ethernet`] — Ethernet II framing,
 //! * [`ipv4`] — IPv4 headers with RFC 1071 checksums,
-//! * [`tcp`] — TCP headers, flags and options (MSS, window scale,
-//!   timestamps, SACK), with pseudo-header checksums,
-//! * [`icmp`] — the small ICMP subset the paper needs (source quench,
-//!   echo),
+//! * [`tcp`] — TCP headers and flags, with pseudo-header checksums; of
+//!   the options only the MSS is kept, the one tcpanaly reads,
 //! * [`pcap`] — the classic libpcap capture file format (µs and ns
 //!   timestamp variants, both endiannesses), reader and writer,
 //! * [`seq`] — wrap-safe 32-bit TCP sequence-number arithmetic.
 //!
-//! The design follows the smoltcp idiom: each protocol has a *packet view*
-//! over a byte slice for zero-copy decoding plus a plain-old-data `*Repr`
-//! struct for construction and emission. No allocation is required to parse;
-//! emission writes into caller-provided buffers or appends to a `Vec<u8>`.
+//! The design follows the smoltcp idiom: each header has a plain-old-data
+//! `*Repr` struct. `parse` decodes one from the front of a byte slice and
+//! returns it with the rest of the slice, so parsing a header never
+//! allocates and every `*Repr` is `Copy`; `emit` appends the encoded header
+//! to a caller's `Vec<u8>`.
 //!
 //! Nothing in this crate knows about simulation or analysis; it is a pure
 //! codec layer.
 
 pub mod checksum;
 pub mod ethernet;
-pub mod icmp;
 pub mod ipv4;
 pub mod pcap;
 pub mod seq;
 pub mod tcp;
 
 pub use ethernet::{EtherType, EthernetRepr, MacAddr};
-pub use icmp::IcmpRepr;
 pub use ipv4::{IpProtocol, Ipv4Addr, Ipv4Repr};
 pub use pcap::{
     Capture, DamageRegion, FaultKind, Layout, PcapError, PcapRecord, PcapWriter, Records,
     SalvageSummary, TsResolution,
 };
 pub use seq::SeqNum;
-pub use tcp::{TcpFlags, TcpOption, TcpRepr};
+pub use tcp::{TcpFlags, TcpRepr};
 
 /// Errors produced when decoding any wire format in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

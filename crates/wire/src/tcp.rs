@@ -1,4 +1,5 @@
-//! TCP headers, flags and options (RFC 793, RFC 1323, RFC 2018).
+//! TCP headers and flags (RFC 793), with the one option tcpanaly reads:
+//! the maximum segment size a SYN offers.
 //!
 //! The checksum covers the IPv4 pseudo-header, the TCP header (with its
 //! options) and the payload; [`TcpRepr::emit`] fills it in and
@@ -84,132 +85,17 @@ impl fmt::Display for TcpFlags {
     }
 }
 
-/// A single TCP option.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TcpOption {
-    /// End of option list (kind 0).
-    EndOfList,
-    /// No-operation padding (kind 1).
-    Nop,
-    /// Maximum segment size (kind 2), SYN segments only.
-    Mss(u16),
-    /// Window scale shift count (kind 3, RFC 1323).
-    WindowScale(u8),
-    /// SACK permitted (kind 4, RFC 2018).
-    SackPermitted,
-    /// SACK blocks (kind 5, RFC 2018); each block is `[left, right)`.
-    Sack(Vec<(SeqNum, SeqNum)>),
-    /// Timestamps (kind 8, RFC 1323).
-    Timestamps {
-        /// Sender's timestamp value.
-        tsval: u32,
-        /// Echo of the peer's most recent timestamp.
-        tsecr: u32,
-    },
-    /// Any option this crate does not interpret, preserved verbatim
-    /// (kind, payload-after-length).
-    Unknown(u8, Vec<u8>),
-}
-
-impl TcpOption {
-    fn encoded_len(&self) -> usize {
-        match self {
-            TcpOption::EndOfList | TcpOption::Nop => 1,
-            TcpOption::Mss(_) => 4,
-            TcpOption::WindowScale(_) => 3,
-            TcpOption::SackPermitted => 2,
-            TcpOption::Sack(blocks) => 2 + 8 * blocks.len(),
-            TcpOption::Timestamps { .. } => 10,
-            TcpOption::Unknown(_, data) => 2 + data.len(),
-        }
-    }
-
-    fn emit(&self, buf: &mut Vec<u8>) {
-        match self {
-            TcpOption::EndOfList => buf.push(0),
-            TcpOption::Nop => buf.push(1),
-            TcpOption::Mss(mss) => {
-                buf.extend_from_slice(&[2, 4]);
-                buf.extend_from_slice(&mss.to_be_bytes());
-            }
-            TcpOption::WindowScale(shift) => buf.extend_from_slice(&[3, 3, *shift]),
-            TcpOption::SackPermitted => buf.extend_from_slice(&[4, 2]),
-            TcpOption::Sack(blocks) => {
-                buf.extend_from_slice(&[5, (2 + 8 * blocks.len()) as u8]);
-                for (left, right) in blocks {
-                    buf.extend_from_slice(&left.0.to_be_bytes());
-                    buf.extend_from_slice(&right.0.to_be_bytes());
-                }
-            }
-            TcpOption::Timestamps { tsval, tsecr } => {
-                buf.extend_from_slice(&[8, 10]);
-                buf.extend_from_slice(&tsval.to_be_bytes());
-                buf.extend_from_slice(&tsecr.to_be_bytes());
-            }
-            TcpOption::Unknown(kind, data) => {
-                buf.push(*kind);
-                buf.push((2 + data.len()) as u8);
-                buf.extend_from_slice(data);
-            }
-        }
-    }
-
-    /// Parses the option area of a TCP header.
-    fn parse_all(mut area: &[u8]) -> Result<Vec<TcpOption>> {
-        let mut options = Vec::new();
-        while let Some(&kind) = area.first() {
-            match kind {
-                // End-of-list terminates parsing; it is padding rather than
-                // a semantic option, so it is not recorded.
-                0 => break,
-                1 => {
-                    options.push(TcpOption::Nop);
-                    area = &area[1..];
-                }
-                _ => {
-                    if area.len() < 2 {
-                        return Err(WireError::Truncated);
-                    }
-                    let len = usize::from(area[1]);
-                    if len < 2 || len > area.len() {
-                        return Err(WireError::BadLength);
-                    }
-                    let body = &area[2..len];
-                    options.push(match (kind, body.len()) {
-                        (2, 2) => TcpOption::Mss(u16::from_be_bytes([body[0], body[1]])),
-                        (3, 1) => TcpOption::WindowScale(body[0]),
-                        (4, 0) => TcpOption::SackPermitted,
-                        (5, n) if n % 8 == 0 => {
-                            let blocks = body
-                                .chunks_exact(8)
-                                .map(|c| {
-                                    (
-                                        SeqNum(u32::from_be_bytes([c[0], c[1], c[2], c[3]])),
-                                        SeqNum(u32::from_be_bytes([c[4], c[5], c[6], c[7]])),
-                                    )
-                                })
-                                .collect();
-                            TcpOption::Sack(blocks)
-                        }
-                        (8, 8) => TcpOption::Timestamps {
-                            tsval: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
-                            tsecr: u32::from_be_bytes([body[4], body[5], body[6], body[7]]),
-                        },
-                        _ => TcpOption::Unknown(kind, body.to_vec()),
-                    });
-                    area = &area[len..];
-                }
-            }
-        }
-        Ok(options)
-    }
-}
-
 /// Length of an option-free TCP header in bytes.
 pub const HEADER_LEN: usize = 20;
 
+/// Option kind of the maximum segment size (RFC 793).
+const MSS_KIND: u8 = 2;
+
+/// Encoded length of the MSS option: kind, length and a 16-bit value.
+const MSS_LEN: usize = 4;
+
 /// A decoded TCP header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpRepr {
     /// Source port.
     pub src_port: u16,
@@ -225,8 +111,10 @@ pub struct TcpRepr {
     pub window: u16,
     /// Urgent pointer (carried verbatim; the simulators never set URG).
     pub urgent: u16,
-    /// Options in wire order.
-    pub options: Vec<TcpOption>,
+    /// The maximum segment size option (kind 2), the one option the
+    /// analyzer reads: the first one in the header. [`TcpRepr::parse`]
+    /// checks the lengths of the other options and skips them.
+    pub mss: Option<u16>,
 }
 
 impl TcpRepr {
@@ -240,25 +128,14 @@ impl TcpRepr {
             flags: TcpFlags::default(),
             window: 0,
             urgent: 0,
-            options: Vec::new(),
+            mss: None,
         }
     }
 
-    /// Returns the MSS option value if present.
-    pub fn mss_option(&self) -> Option<u16> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::Mss(v) => Some(*v),
-            _ => None,
-        })
-    }
-
-    /// Header length including options, padded to a multiple of 4.
-    ///
-    /// The TCP data-offset field is four bits, capping the header at 60
-    /// bytes (40 bytes of options); [`TcpRepr::emit`] asserts this.
+    /// Length of the header that [`TcpRepr::emit`] writes: 20 bytes, plus
+    /// one word for the MSS option.
     pub fn header_len(&self) -> usize {
-        let opt_len: usize = self.options.iter().map(TcpOption::encoded_len).sum();
-        HEADER_LEN + opt_len.div_ceil(4) * 4
+        HEADER_LEN + self.mss.map_or(0, |_| MSS_LEN)
     }
 
     /// Parses a TCP header from the front of `segment`, returning the
@@ -287,7 +164,7 @@ impl TcpRepr {
             flags: TcpFlags(segment[13] & 0x3f),
             window: u16::from_be_bytes([segment[14], segment[15]]),
             urgent: u16::from_be_bytes([segment[18], segment[19]]),
-            options: TcpOption::parse_all(&segment[HEADER_LEN..data_offset])?,
+            mss: parse_mss(&segment[HEADER_LEN..data_offset])?,
         };
         Ok((repr, &segment[data_offset..]))
     }
@@ -296,25 +173,18 @@ impl TcpRepr {
     /// `buf`. `src` and `dst` are the IPv4 addresses for the pseudo-header.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], buf: &mut Vec<u8>) {
         let start = buf.len();
-        let header_len = self.header_len();
-        assert!(
-            header_len <= 60,
-            "TCP options exceed the 40-byte limit imposed by the 4-bit data offset"
-        );
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
         buf.extend_from_slice(&self.seq.0.to_be_bytes());
         buf.extend_from_slice(&self.ack.0.to_be_bytes());
-        buf.push(((header_len / 4) as u8) << 4);
+        buf.push(((self.header_len() / 4) as u8) << 4);
         buf.push(self.flags.0);
         buf.extend_from_slice(&self.window.to_be_bytes());
         buf.extend_from_slice(&[0, 0]); // checksum placeholder
         buf.extend_from_slice(&self.urgent.to_be_bytes());
-        for opt in &self.options {
-            opt.emit(buf);
-        }
-        while buf.len() - start < header_len {
-            buf.push(0); // EOL padding
+        if let Some(mss) = self.mss {
+            buf.extend_from_slice(&[MSS_KIND, MSS_LEN as u8]);
+            buf.extend_from_slice(&mss.to_be_bytes());
         }
         buf.extend_from_slice(payload);
         let ck = Self::compute_checksum(src, dst, &buf[start..]);
@@ -340,6 +210,34 @@ impl TcpRepr {
     }
 }
 
+/// Walks the option area of a TCP header (RFC 793 §3.1) and returns the
+/// value of its first MSS option. End-of-list stops the walk, a no-op is
+/// one byte, and every other option must carry a length of at least 2
+/// that fits the area.
+fn parse_mss(mut area: &[u8]) -> Result<Option<u16>> {
+    let mut mss = None;
+    while let Some(&kind) = area.first() {
+        match kind {
+            0 => break,
+            1 => area = &area[1..],
+            _ => {
+                if area.len() < 2 {
+                    return Err(WireError::Truncated);
+                }
+                let len = usize::from(area[1]);
+                if len < 2 || len > area.len() {
+                    return Err(WireError::BadLength);
+                }
+                if kind == MSS_KIND && len == MSS_LEN && mss.is_none() {
+                    mss = Some(u16::from_be_bytes([area[2], area[3]]));
+                }
+                area = &area[len..];
+            }
+        }
+    }
+    Ok(mss)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,7 +255,7 @@ mod tests {
             flags: TcpFlags::ACK | TcpFlags::PSH,
             window: 8192,
             urgent: 0,
-            options: Vec::new(),
+            mss: None,
         }
     }
 
@@ -374,40 +272,21 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_all_options() {
+    fn mss_option_adds_one_word() {
         let (src, dst) = addrs();
         let mut repr = sample();
         repr.flags = TcpFlags::SYN;
-        repr.options = vec![
-            TcpOption::Mss(1460),
-            TcpOption::Nop,
-            TcpOption::WindowScale(3),
-            TcpOption::SackPermitted,
-            TcpOption::Timestamps {
-                tsval: 12345,
-                tsecr: 0,
-            },
-            TcpOption::Sack(vec![(SeqNum(100), SeqNum(200)), (SeqNum(300), SeqNum(400))]),
-        ];
-        let mut buf = Vec::new();
-        repr.emit(src, dst, &[], &mut buf);
-        assert!(TcpRepr::verify_checksum(src, dst, &buf));
-        let (parsed, payload) = TcpRepr::parse(&buf).unwrap();
-        assert!(payload.is_empty());
-        assert_eq!(parsed.mss_option(), Some(1460));
-        assert_eq!(parsed.options.len(), repr.options.len());
-        assert_eq!(parsed.options, repr.options);
-    }
-
-    #[test]
-    fn header_len_is_padded_to_word() {
-        let mut repr = sample();
-        repr.options = vec![TcpOption::WindowScale(2)]; // 3 bytes -> pads to 4
+        repr.mss = Some(1460);
         assert_eq!(repr.header_len(), 24);
         let mut buf = Vec::new();
-        let (src, dst) = addrs();
         repr.emit(src, dst, &[], &mut buf);
         assert_eq!(buf.len(), 24);
+        assert_eq!(buf[12] >> 4, 6);
+        assert_eq!(&buf[20..], &[2, 4, 0x05, 0xb4]);
+        assert!(TcpRepr::verify_checksum(src, dst, &buf));
+        let (parsed, payload) = TcpRepr::parse(&buf).unwrap();
+        assert_eq!(parsed, repr);
+        assert!(payload.is_empty());
     }
 
     #[test]
@@ -434,20 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_option_preserved() {
-        let (src, dst) = addrs();
-        let mut repr = sample();
-        repr.options = vec![TcpOption::Unknown(253, vec![1, 2, 3, 4, 5, 6])];
-        let mut buf = Vec::new();
-        repr.emit(src, dst, &[], &mut buf);
-        let (parsed, _) = TcpRepr::parse(&buf).unwrap();
-        assert_eq!(
-            parsed.options[0],
-            TcpOption::Unknown(253, vec![1, 2, 3, 4, 5, 6])
-        );
-    }
-
-    #[test]
     fn flags_display() {
         assert_eq!((TcpFlags::SYN | TcpFlags::ACK).to_string(), "S.");
         assert_eq!(TcpFlags::default().to_string(), "-");
@@ -459,11 +324,9 @@ mod tests {
         let mut buf = Vec::new();
         let (src, dst) = addrs();
         let mut repr = sample();
-        repr.options = vec![TcpOption::Nop; 4];
+        repr.mss = Some(1460);
         repr.emit(src, dst, &[], &mut buf);
-        buf[20] = 2; // MSS kind...
-        buf[21] = 0; // ...with length 0
-                     // restore checksum irrelevant; parse doesn't verify
+        buf[21] = 0; // MSS kind with length 0; parse does not verify the checksum
         assert_eq!(TcpRepr::parse(&buf).unwrap_err(), WireError::BadLength);
     }
 }

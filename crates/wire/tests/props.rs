@@ -4,33 +4,11 @@
 
 use proptest::prelude::*;
 use tcpa_wire::{
-    checksum, EthernetRepr, IcmpRepr, IpProtocol, Ipv4Addr, Ipv4Repr, MacAddr, SeqNum, TcpFlags,
-    TcpOption, TcpRepr,
+    checksum, EthernetRepr, IpProtocol, Ipv4Addr, Ipv4Repr, MacAddr, SeqNum, TcpFlags, TcpRepr,
 };
 
 fn arb_ipv4_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr)
-}
-
-fn arb_tcp_option() -> impl Strategy<Value = TcpOption> {
-    prop_oneof![
-        Just(TcpOption::Nop),
-        any::<u16>().prop_map(TcpOption::Mss),
-        (0u8..15).prop_map(TcpOption::WindowScale),
-        Just(TcpOption::SackPermitted),
-        (any::<u32>(), any::<u32>())
-            .prop_map(|(tsval, tsecr)| TcpOption::Timestamps { tsval, tsecr }),
-        proptest::collection::vec((any::<u32>(), any::<u32>()), 1..4).prop_map(|blocks| {
-            TcpOption::Sack(
-                blocks
-                    .into_iter()
-                    .map(|(a, b)| (SeqNum(a), SeqNum(b)))
-                    .collect(),
-            )
-        }),
-        (128u8..255, proptest::collection::vec(any::<u8>(), 0..16))
-            .prop_map(|(kind, data)| TcpOption::Unknown(kind, data)),
-    ]
 }
 
 fn arb_tcp_repr() -> impl Strategy<Value = TcpRepr> {
@@ -41,18 +19,9 @@ fn arb_tcp_repr() -> impl Strategy<Value = TcpRepr> {
         any::<u32>(),
         0u8..64,
         any::<u16>(),
-        proptest::collection::vec(arb_tcp_option(), 0..4).prop_filter(
-            "options must fit the 40-byte area",
-            |opts| {
-                let tmp = TcpRepr {
-                    options: opts.clone(),
-                    ..TcpRepr::new(0, 0)
-                };
-                tmp.header_len() <= 60
-            },
-        ),
+        prop_oneof![Just(None), any::<u16>().prop_map(Some)],
     )
-        .prop_map(|(sp, dp, seq, ack, flags, window, options)| TcpRepr {
+        .prop_map(|(sp, dp, seq, ack, flags, window, mss)| TcpRepr {
             src_port: sp,
             dst_port: dp,
             seq: SeqNum(seq),
@@ -60,7 +29,7 @@ fn arb_tcp_repr() -> impl Strategy<Value = TcpRepr> {
             flags: TcpFlags(flags),
             window,
             urgent: 0,
-            options,
+            mss,
         })
 }
 
@@ -121,10 +90,6 @@ proptest! {
         let (parsed, got) = Ipv4Repr::parse(&buf).unwrap();
         prop_assert_eq!(parsed, repr);
         prop_assert_eq!(got, &payload[..]);
-        // Lenient parse agrees on intact packets.
-        let (parsed2, got2) = Ipv4Repr::parse_lenient(&buf).unwrap();
-        prop_assert_eq!(parsed2, repr);
-        prop_assert_eq!(got2, &payload[..]);
     }
 
     #[test]
@@ -140,21 +105,10 @@ proptest! {
     }
 
     #[test]
-    fn icmp_round_trips(ident in any::<u16>(), seq in any::<u16>()) {
-        for msg in [IcmpRepr::EchoRequest { ident, seq }, IcmpRepr::EchoReply { ident, seq }] {
-            let mut buf = Vec::new();
-            msg.emit(&mut buf);
-            prop_assert_eq!(IcmpRepr::parse(&buf).unwrap(), msg);
-        }
-    }
-
-    #[test]
     fn parsers_never_panic_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = TcpRepr::parse(&bytes);
         let _ = Ipv4Repr::parse(&bytes);
-        let _ = Ipv4Repr::parse_lenient(&bytes);
         let _ = EthernetRepr::parse(&bytes);
-        let _ = IcmpRepr::parse(&bytes);
     }
 
     #[test]
